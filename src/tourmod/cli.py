@@ -45,10 +45,6 @@ def _load(path: str) -> Tournament:
         raise SystemExit(USAGE_ERROR)
 
 
-def _ceil_half(x: int) -> int:
-    return (x + 1) // 2
-
-
 def cmd_analyze(args) -> int:
     T = _load(args.file)
     index = comodular_index(T)
@@ -57,7 +53,7 @@ def cmd_analyze(args) -> int:
         "n": T.n,
         "indecomposable": indec,
         "Delta": index,
-        "delta": (None if T.n < 5 else _ceil_half(index)),
+        "delta": (None if T.n < 5 else (index + 1) // 2),
         "mc": [list(c.members) for c in minimal_comodules(T)],
         "components": [list(b) for b in transitive_components(T).blocks],
         "delta_decomposition": (
@@ -100,7 +96,7 @@ def cmd_oracle(args) -> int:
                 raise ValueError(
                     f"delta oracle limited to 5 <= n <= {DELTA_SEARCH_BOUND}"
                 )
-            guided = _ceil_half(comodular_index(T))
+            guided = (comodular_index(T) + 1) // 2
             brute = brute_delta(T)
         else:
             guided = [list(s) for s in nontrivial_modules(T)]

@@ -199,9 +199,12 @@ class Tournament:
     def vertex_set(self) -> VertexSet:
         return VertexSet(self.n, (1 << self.n) - 1)
 
+    def bit_string(self) -> str:
+        """The orientation sequence as a string of '0'/'1', in idx order."""
+        return "".join("1" if b else "0" for b in self.orient)
+
     def __repr__(self) -> str:
-        bit_str = "".join("1" if b else "0" for b in self.orient)
-        return f"Tournament(n={self.n}, bits='{bit_str}')"
+        return f"Tournament(n={self.n}, bits='{self.bit_string()}')"
 
 
 def make_tournament(n: int, orient: Sequence) -> Tournament:
@@ -234,10 +237,6 @@ def transitive(n: int) -> Tournament:
 def dual(T: Tournament) -> Tournament:
     """Reverse every arc.  An involution."""
     return Tournament(T.n, T.bits ^ ((1 << pair_count(T.n)) - 1))
-
-
-def _pair_bit(n: int, x: int, y: int) -> int:
-    return pair_index(n, x, y) if x < y else pair_index(n, y, x)
 
 
 def invert(T: Tournament, arcs: Iterable) -> Tournament:
@@ -488,8 +487,7 @@ def enumerate_tournaments(n: int, bound: int = ENUMERATION_BOUND) -> list[Tourna
 
 
 def format_tourn_v1(T: Tournament) -> str:
-    bit_str = "".join("1" if b else "0" for b in T.orient)
-    return f"tourn-v1\nn={T.n}\nbits={bit_str}\n"
+    return f"tourn-v1\nn={T.n}\nbits={T.bit_string()}\n"
 
 
 def parse_tourn_v1(text: str) -> Tournament:

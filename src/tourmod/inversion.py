@@ -39,7 +39,7 @@ from .comodular import (
     comodular_index,
     structured_delta_decomposition,
 )
-from .modular import CoModule, is_indecomposable, nontrivial_modules, tilde
+from .modular import _is_transitive_mask, is_indecomposable, nontrivial_modules, tilde
 
 __all__ = [
     "GuidedChoiceWarning",
@@ -273,29 +273,37 @@ def feasible_single_arcs(T: Tournament) -> list[Arc]:
 
 
 def certificate_to_json(cert: InversionCertificate) -> str:
-    bit_str = lambda t: "".join("1" if b else "0" for b in t.orient)
     record = {
         "n": cert.base.n,
-        "base_bits": bit_str(cert.base),
+        "base_bits": cert.base.bit_string(),
         "arcs": [[a.tail, a.head] for a in cert.arcs],
         "trace": list(cert.trace),
-        "final_bits": bit_str(cert.final),
+        "final_bits": cert.final.bit_string(),
     }
     return json.dumps(record, separators=(", ", ": "))
 
 
 def certificate_from_json(line: str) -> InversionCertificate:
+    """Parse one certificate line (its shape only: ``verify_certificate``
+    checks its claims); anything malformed raises ValueError."""
     record = json.loads(line)
-    n = record["n"]
-    base = make_tournament(n, [c == "1" for c in record["base_bits"]])
-    final = make_tournament(n, [c == "1" for c in record["final_bits"]])
-    arcs = tuple(Arc(int(a), int(b)) for a, b in record["arcs"])
-    trace = tuple(int(t) for t in record["trace"])
-    return InversionCertificate(base, arcs, trace, final)
-
-
-def _is_transitive(T: Tournament) -> bool:
-    return len({T.out_degree(v) for v in range(T.n)}) == T.n
+    fields = ("n", "base_bits", "arcs", "trace", "final_bits")
+    if not isinstance(record, dict) or any(k not in record for k in fields):
+        raise ValueError(f"a certificate is a JSON object with the fields {', '.join(fields)}")
+    n, arcs, trace = record["n"], record["arcs"], record["trace"]
+    if type(n) is not int:  # JSON true/false would pass isinstance(n, int)
+        raise ValueError("certificate field n must be an integer")
+    bit_strings = (record["base_bits"], record["final_bits"])
+    if not all(isinstance(b, str) and not b.strip("01") for b in bit_strings):
+        raise ValueError("certificate bit fields must be strings of 0s and 1s")
+    if not isinstance(arcs, list) or not all(
+        isinstance(a, list) and len(a) == 2 and all(type(v) is int for v in a) for a in arcs
+    ):
+        raise ValueError("certificate field arcs must be a list of integer pairs")
+    if not isinstance(trace, list) or not all(type(t) is int for t in trace):
+        raise ValueError("certificate field trace must be a list of integers")
+    base, final = (make_tournament(n, [c == "1" for c in b]) for b in bit_strings)
+    return InversionCertificate(base, tuple(Arc(a, b) for a, b in arcs), tuple(trace), final)
 
 
 def erdos_transitive_extension(T: Tournament, bound: int = 7) -> Tournament:
@@ -308,7 +316,7 @@ def erdos_transitive_extension(T: Tournament, bound: int = 7) -> Tournament:
     """
     if T.n > bound:
         raise ValueError(f"ordering scan limited to n <= {bound}, got n={T.n}")
-    if _is_transitive(T):
+    if _is_transitive_mask(T, (1 << T.n) - 1):
         raise ValueError("input is already transitive")
     module_masks = {s.mask for s in nontrivial_modules(T)}
     interval_count = pair_count(T.n) - 1  # intervals of length 2..n-1

@@ -10,15 +10,21 @@ co-modules.  Two sets overlap when they intersect and neither contains
 the other; among minimal co-modules each element overlaps at most two
 others, and only size-2 modules (twins) overlap anything at all.
 
-Everything here works on bitmask representations and is polynomial in n
-except ``nontrivial_modules``, which scans all subsets and is therefore
-capped at n <= 16.
+All of it is read off the modular decomposition tree of strong modules
+(Gallai 1967; Ehrenfeucht, Gabow, McConnell and Sullivan, J. Algorithms
+16, 1994), built on bitmasks in polynomial time, with no size cap.  In a
+tournament each internal node is linear (children ordered so that each
+beats all later ones) or prime, and the modules are exactly the nodes
+and the unions of runs of consecutive children of a linear node.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from functools import reduce
+from itertools import accumulate, groupby
+from operator import or_
+from typing import Iterable, Iterator
 
 from .core import Tournament, VertexSet
 
@@ -38,8 +44,6 @@ __all__ = [
     "tilde",
     "transitive_components",
 ]
-
-SUBSET_SCAN_BOUND = 16
 
 
 def _as_mask(T: Tournament, X) -> int:
@@ -70,20 +74,18 @@ def is_module(T: Tournament, X) -> bool:
 
 
 def _closure_mask(T: Tournament, mask: int) -> int:
-    """Grow ``mask`` by splitter vertices until it becomes a module."""
-    full = (1 << T.n) - 1
-    changed = True
-    while changed:
-        changed = False
-        outside = full & ~mask
-        while outside:
-            bit = outside & -outside
-            outside ^= bit
-            rel = T.out_masks[bit.bit_length() - 1] & mask
-            if rel and rel != mask:
-                mask |= bit
-                changed = True
-                break
+    """Grow ``mask`` by splitter vertices until it becomes a module.  An
+    outside vertex splits it when it treats some member w unlike a fixed
+    member r, i.e. is a bit of out(w) ^ out(r), so each member is read once."""
+    out = T.out_masks
+    ref = out[(mask & -mask).bit_length() - 1] if mask else 0
+    todo = mask & (mask - 1)
+    while todo:
+        bit = todo & -todo
+        todo ^= bit
+        new = (out[bit.bit_length() - 1] ^ ref) & ~mask
+        mask |= new
+        todo |= new
     return mask
 
 
@@ -100,37 +102,94 @@ def smallest_module_containing(T: Tournament, S) -> VertexSet:
     return VertexSet(T.n, _closure_mask(T, mask))
 
 
-def is_indecomposable(T: Tournament) -> bool:
-    """True when the only modules are the trivial ones.
+# ---------------------------------------------------------------------------
+# The modular decomposition tree.
 
-    Every module with two or more vertices contains the closure of one of
-    its pairs, so it suffices to check that all pair closures hit V(T).
+
+def _modular_partition_avoiding(T: Tournament, S: int, v: int) -> list[int]:
+    """The maximal modules of T inside the module S that avoid v; they
+    partition S minus v.  A part that some vertex of S outside it splits is
+    halved (a module avoiding v stays in one half); a part with no splitter
+    is a module, and final."""
+    out = T.out_masks
+    todo = [S & ~(1 << v)]
+    parts = []
+    while todo:
+        part = todo.pop()
+        ref = out[(part & -part).bit_length() - 1]
+        split = 0
+        rest = part & (part - 1)
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            split |= out[bit.bit_length() - 1] ^ ref
+        split &= ~part  # S is a module, so every splitter lies in S
+        if split:
+            half = out[(split & -split).bit_length() - 1] & part
+            todo += [half, part ^ half]
+        else:
+            parts.append(part)
+    return parts
+
+
+def _tree(T: Tournament) -> Iterator[tuple[int, bool, list[int]]]:
+    """The internal nodes of the decomposition tree as (mask, linear,
+    children), the root first, each built only when it is read.
+
+    When T[S] has several strong components, S is linear over them in
+    dominance order: sorted by inner score, the first k of the s vertices
+    are a union of leading components exactly when their scores sum to
+    C(k,2) + k(s-k).  Otherwise S is prime; with v its lowest vertex, a
+    maximal module X of T[S] avoiding v is a child exactly when X and v
+    close to S, and the rest of S is the child holding v.
     """
+    out = T.out_masks
+    todo = [(1 << T.n) - 1] if T.n > 1 else []
+    while todo:
+        S = todo.pop()
+        scores = sorted(((out[v] & S).bit_count(), v) for v in range(T.n) if S >> v & 1)
+        children = []
+        block = total = 0
+        for k, (score, v) in enumerate(reversed(scores), 1):
+            block |= 1 << v
+            total += score
+            if total == k * (k - 1) // 2 + k * (len(scores) - k):
+                children.append(block)
+                block = 0
+        linear = len(children) > 1
+        if not linear:
+            low = S & -S
+            parts = _modular_partition_avoiding(T, S, low.bit_length() - 1)
+            children = [x for x in parts if _closure_mask(T, x | low) == S]
+            children.append(S ^ reduce(or_, children, 0))
+        yield S, linear, children
+        todo += [c for c in children if c & (c - 1)]
+
+
+def is_indecomposable(T: Tournament) -> bool:
+    """True when the only modules are the trivial ones, i.e. when the root
+    of the decomposition tree is prime with single-vertex children."""
     if T.n <= 2:
         return True
-    full = (1 << T.n) - 1
-    for i in range(T.n):
-        for j in range(i + 1, T.n):
-            if _closure_mask(T, (1 << i) | (1 << j)) != full:
-                return False
-    return True
+    _, linear, children = next(_tree(T))
+    return not linear and all(c & (c - 1) == 0 for c in children)
+
+
+def _sorted_sets(T: Tournament, masks: Iterable[int]) -> list[VertexSet]:
+    return sorted((VertexSet(T.n, m) for m in masks), key=lambda s: s.key)
 
 
 def nontrivial_modules(T: Tournament) -> list[VertexSet]:
-    """All modules X with 2 <= |X| <= n-1, by full subset scan (n <= 16)."""
-    if T.n > SUBSET_SCAN_BOUND:
-        raise ValueError(
-            f"subset scan limited to n <= {SUBSET_SCAN_BOUND}; use the minimal/"
-            "maximal module operations for larger tournaments"
-        )
-    full = (1 << T.n) - 1
-    found = [
-        VertexSet(T.n, mask)
-        for mask in range(full + 1)
-        if 2 <= mask.bit_count() < T.n and _is_module_mask(T, mask)
-    ]
-    found.sort(key=lambda s: s.key)
-    return found
+    """All modules X with 2 <= |X| <= n-1: the tree nodes below the root,
+    and the runs of 2..m-1 consecutive children of each linear node with m
+    children."""
+    masks = []
+    for _, linear, children in _tree(T):
+        masks += [c for c in children if c & (c - 1)]
+        if linear:
+            for i in range(len(children)):
+                masks += list(accumulate(children[i : i + len(children) - 1], or_))[1:]
+    return _sorted_sets(T, masks)
 
 
 def _minimal_masks(masks: Iterable[int]) -> list[int]:
@@ -142,85 +201,43 @@ def _minimal_masks(masks: Iterable[int]) -> list[int]:
     return kept
 
 
-def _maximal_masks(masks: Iterable[int]) -> list[int]:
-    items = sorted(set(masks), key=lambda m: (-m.bit_count(), m))
-    kept: list[int] = []
-    for m in items:
-        if not any(k & m == m for k in kept):
-            kept.append(m)
-    return kept
+def _extremal_module_masks(T: Tournament) -> tuple[list[int], list[int]]:
+    """The inclusion-minimal nontrivial modules (prime nodes below the root
+    with single-vertex children, and pairs of consecutive single-vertex
+    children of a linear node) and the inclusion-maximal ones (the root's
+    children with two or more vertices; under a linear root with m >= 3
+    children, the two runs of m-1 children instead)."""
+    full = (1 << T.n) - 1
+    tree = list(_tree(T))
+    minimal = []
+    for S, linear, children in tree:
+        if linear:
+            minimal += [
+                a | b
+                for a, b in zip(children, children[1:])
+                if a & (a - 1) == 0 and b & (b - 1) == 0 and a | b != full
+            ]
+        elif S != full and all(c & (c - 1) == 0 for c in children):
+            minimal.append(S)
+    _, linear, children = tree[0] if tree else (full, False, [])
+    if linear and len(children) >= 3:
+        return minimal, [full ^ children[-1], full ^ children[0]]
+    return minimal, [c for c in children if c & (c - 1)]
 
 
 def minimal_nontrivial_modules(T: Tournament) -> list[VertexSet]:
-    """Inclusion-minimal nontrivial modules, via pair closures.
-
-    Every nontrivial module contains a pair, and the closure of that pair
-    is the smallest module above it, so the minimal nontrivial modules are
-    the inclusion-minimal proper pair closures.
-    """
-    full = (1 << T.n) - 1
-    closures = set()
-    for i in range(T.n):
-        for j in range(i + 1, T.n):
-            c = _closure_mask(T, (1 << i) | (1 << j))
-            if c != full:
-                closures.add(c)
-    out = [VertexSet(T.n, m) for m in _minimal_masks(closures)]
-    out.sort(key=lambda s: s.key)
-    return out
-
-
-def _modular_partition_avoiding(T: Tournament, v: int) -> list[int]:
-    """Coarsest partition of V minus v into modules of T (all avoiding v)."""
-    full = (1 << T.n) - 1
-    parts = [full & ~(1 << v)]
-    changed = True
-    while changed:
-        changed = False
-        for p_i, part in enumerate(parts):
-            if part.bit_count() < 2:
-                continue
-            outside = full & ~part
-            while outside:
-                bit = outside & -outside
-                outside ^= bit
-                rel = T.out_masks[bit.bit_length() - 1] & part
-                if rel and rel != part:
-                    parts[p_i] = rel
-                    parts.append(part ^ rel)
-                    changed = True
-                    break
-            if changed:
-                break
-    return parts
+    """Inclusion-minimal nontrivial modules, read off the decomposition tree."""
+    return _sorted_sets(T, _extremal_module_masks(T)[0])
 
 
 def maximal_nontrivial_modules(T: Tournament) -> list[VertexSet]:
-    """Inclusion-maximal nontrivial modules.
-
-    A proper module avoids some vertex v, and the coarsest modular
-    partition of V minus v has it inside one class; collecting the classes
-    of size >= 2 over every choice of v and keeping the inclusion-maximal
-    ones yields exactly the maximal nontrivial modules.
-    """
-    classes: set[int] = set()
-    for v in range(T.n):
-        for part in _modular_partition_avoiding(T, v):
-            if part.bit_count() >= 2:
-                classes.add(part)
-    out = [VertexSet(T.n, m) for m in _maximal_masks(classes)]
-    out.sort(key=lambda s: s.key)
-    return out
+    """Inclusion-maximal nontrivial modules, read off the decomposition tree."""
+    return _sorted_sets(T, _extremal_module_masks(T)[1])
 
 
 def is_comodule(T: Tournament, M) -> bool:
     """True when M or its complement is a nontrivial module of T."""
-    mask = _as_mask(T, M)
-    full = (1 << T.n) - 1
-    if 2 <= mask.bit_count() < T.n and _is_module_mask(T, mask):
-        return True
-    comp = full & ~mask
-    return 2 <= comp.bit_count() < T.n and _is_module_mask(T, comp)
+    return _comodule_kind(T, _as_mask(T, M)) is not None
 
 
 @dataclass(frozen=True)
@@ -242,7 +259,7 @@ class CoModule:
         return f"CoModule({{{', '.join(map(str, self.members.members()))}}}, {self.kind})"
 
 
-def _comodule_kind(T: Tournament, mask: int) -> str:
+def _comodule_kind(T: Tournament, mask: int) -> str | None:
     full = (1 << T.n) - 1
     as_module = 2 <= mask.bit_count() < T.n and _is_module_mask(T, mask)
     comp = full & ~mask
@@ -253,7 +270,7 @@ def _comodule_kind(T: Tournament, mask: int) -> str:
         return "module"
     if comp_module:
         return "complement-module"
-    raise ValueError("not a co-module")
+    return None
 
 
 def minimal_comodules(T: Tournament) -> list[CoModule]:
@@ -263,9 +280,9 @@ def minimal_comodules(T: Tournament) -> list[CoModule]:
     complement of a maximal one, so filtering that candidate pool for
     inclusion-minimality is exhaustive.
     """
+    minimal, maximal = _extremal_module_masks(T)
     full = (1 << T.n) - 1
-    cands = {s.mask for s in minimal_nontrivial_modules(T)}
-    cands |= {full & ~s.mask for s in maximal_nontrivial_modules(T)}
+    cands = set(minimal) | {full ^ m for m in maximal}
     out = [
         CoModule(VertexSet(T.n, m), _comodule_kind(T, m)) for m in _minimal_masks(cands)
     ]
@@ -310,14 +327,8 @@ def tilde(T: Tournament, M) -> VertexSet:
 
 def _is_transitive_mask(T: Tournament, mask: int) -> bool:
     """T restricted to mask is transitive iff its inner out-degrees are distinct."""
-    k = mask.bit_count()
-    degs = set()
-    rest = mask
-    while rest:
-        bit = rest & -rest
-        rest ^= bit
-        degs.add((T.out_masks[bit.bit_length() - 1] & mask).bit_count())
-    return len(degs) == k
+    degs = {(T.out_masks[v] & mask).bit_count() for v in range(T.n) if mask >> v & 1}
+    return len(degs) == mask.bit_count()
 
 
 @dataclass(frozen=True)
@@ -336,31 +347,18 @@ class TransitiveComponentPartition:
 def transitive_components(T: Tournament) -> TransitiveComponentPartition:
     """Partition V(T) into maximal transitive modules.
 
-    The union of intersecting transitive modules is again one, so each
-    vertex lies in a unique maximal transitive module, reached here by
-    greedily absorbing any vertex that keeps the set a transitive module
-    (inside a transitive module, every one-vertex interval extension is
-    again a module, so single-vertex growth cannot get stuck).
+    A transitive module with two or more vertices is a run of consecutive
+    single-vertex children of a linear tree node, so the blocks are the
+    maximal such runs, and every other vertex (a child of a prime node)
+    is a block of its own.  Blocks are listed by their lowest vertex.
     """
-    assigned = 0
-    blocks = []
-    for v in range(T.n):
-        if assigned >> v & 1:
-            continue
-        mask = 1 << v
-        grown = True
-        while grown:
-            grown = False
-            for w in range(T.n):
-                if mask >> w & 1:
-                    continue
-                cand = mask | (1 << w)
-                if _is_module_mask(T, cand) and _is_transitive_mask(T, cand):
-                    mask = cand
-                    grown = True
-        blocks.append(VertexSet(T.n, mask))
-        assigned |= mask
-    return TransitiveComponentPartition(tuple(blocks))
+    blocks = [] if T.n > 1 else [1]
+    for _, linear, children in _tree(T):
+        for single, run in groupby(children, key=lambda c: c & (c - 1) == 0):
+            if single:
+                blocks += [reduce(or_, run)] if linear else list(run)
+    blocks.sort(key=lambda m: m & -m)
+    return TransitiveComponentPartition(tuple(VertexSet(T.n, m) for m in blocks))
 
 
 def _transitive_order(T: Tournament, mask: int) -> list[int]:

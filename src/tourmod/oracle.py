@@ -139,7 +139,6 @@ def _check_class(task) -> tuple[str, int, int | None, bool]:
     """Validate one isomorphism class; returns (bits, Delta, delta, ok)."""
     n, bits, run_brute_delta = task
     T = Tournament(n, bits)
-    bit_str = "".join("1" if b else "0" for b in T.orient)
     index = comodular_index(T)
     ok = index == brute_Delta(T)
     ok = ok and index == comodular_index(dual(T))
@@ -151,7 +150,7 @@ def _check_class(task) -> tuple[str, int, int | None, bool]:
         ok = ok and inv_count == (index + 1) // 2
         if run_brute_delta:
             ok = ok and brute_delta(T) == inv_count
-    return bit_str, index, inv_count, ok
+    return T.bit_string(), index, inv_count, ok
 
 
 def _spot_check_flags(n: int, class_count: int) -> list[bool]:

@@ -303,6 +303,44 @@ class TestCertificateJson:
         assert line.index('"n"') < line.index('"base_bits"') < line.index('"arcs"')
         assert line.index('"arcs"') < line.index('"trace"') < line.index('"final_bits"')
 
+    GOOD = {
+        "n": 5,
+        "base_bits": "1111111111",
+        "arcs": [[0, 4], [0, 2]],
+        "trace": [3, 2],
+        "final_bits": "1010111111",
+    }
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "not json",
+            "{}",
+            "[1, 2]",
+            '"text"',
+            json.dumps({k: v for k, v in GOOD.items() if k != "arcs"}),
+            json.dumps(dict(GOOD, n="5")),
+            json.dumps(dict(GOOD, n=True)),
+            json.dumps(dict(GOOD, n=0)),
+            json.dumps(dict(GOOD, n=6)),
+            json.dumps(dict(GOOD, final_bits="11111111x1")),
+            json.dumps(dict(GOOD, base_bits=None)),
+            json.dumps(dict(GOOD, arcs=[[0]])),
+            json.dumps(dict(GOOD, arcs=[[0, "4"]])),
+            json.dumps(dict(GOOD, arcs=[[0, 4.0]])),
+            json.dumps(dict(GOOD, arcs="04")),
+            json.dumps(dict(GOOD, trace=["3"])),
+            json.dumps(dict(GOOD, trace=3)),
+        ],
+    )
+    def test_malformed_rejected(self, line):
+        with pytest.raises(ValueError):
+            certificate_from_json(line)
+
+    def test_good_literal_parses(self):
+        cert = certificate_from_json(json.dumps(self.GOOD))
+        assert cert == synthesize_certificate(transitive(5))
+
 
 class TestErdosExtension:
     def test_cycle_gets_transitive_superset(self, c3):

@@ -112,8 +112,13 @@ class TestNontrivialModules:
         assert len(nontrivial_modules(transitive(5))) == 9
 
     def test_bound(self):
-        with pytest.raises(ValueError):
-            nontrivial_modules(transitive(17))
+        # no subset-scan cap: on 17 vertices the modules are the 135
+        # intervals of 2..16 consecutive vertices
+        expected = sorted(
+            tuple(range(i, i + size)) for size in range(2, 17) for i in range(18 - size)
+        )
+        assert len(expected) == 135
+        assert members(nontrivial_modules(transitive(17))) == expected
 
 
 class TestMinimalMaximalModules:
@@ -123,14 +128,9 @@ class TestMinimalMaximalModules:
             composed_random(rng, 6 + rng.below(7)) for _ in range(40)
         ]
         for T in cases:
-            nts = nontrivial_modules(T)
-            masks = {s.mask for s in nts}
-            minimal = {
-                s.mask for s in nts if not any(m != s.mask and m & ~s.mask == 0 for m in masks)
-            }
-            maximal = {
-                s.mask for s in nts if not any(m != s.mask and s.mask & ~m == 0 for m in masks)
-            }
+            masks = {s.mask for s in brute_modules(T) if 2 <= len(s) < T.n}
+            minimal = {s for s in masks if not any(m != s and m & ~s == 0 for m in masks)}
+            maximal = {s for s in masks if not any(m != s and s & ~m == 0 for m in masks)}
             assert {s.mask for s in minimal_nontrivial_modules(T)} == minimal
             assert {s.mask for s in maximal_nontrivial_modules(T)} == maximal
 
@@ -197,7 +197,9 @@ class TestMinimalComodules:
         for T in cases:
             full = (1 << T.n) - 1
             comods = set()
-            for s in nontrivial_modules(T):
+            for s in brute_modules(T):
+                if not 2 <= len(s) < T.n:
+                    continue
                 comods.add(s.mask)
                 comods.add(full ^ s.mask)
             brute_minimal = {

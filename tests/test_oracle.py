@@ -4,6 +4,7 @@ import pytest
 
 from tourmod import (
     SweepReport,
+    Xorshift64Star,
     brute_Delta,
     brute_delta,
     brute_modules,
@@ -16,7 +17,7 @@ from tourmod import (
     transitive,
 )
 
-from conftest import all_classes_up_to
+from conftest import all_classes_up_to, composed_random
 
 
 class TestBruteModules:
@@ -35,11 +36,14 @@ class TestBruteModules:
         ]
 
     def test_matches_guided_enumeration(self):
-        for T in all_classes_up_to(6):
+        rng = Xorshift64Star(31)
+        composed = [composed_random(rng, 6 + rng.below(11)) for _ in range(40)]
+        for T in [*all_classes_up_to(6), *composed]:
             brute_nontrivial = [m for m in brute_modules(T) if 2 <= len(m) < T.n]
             assert [tuple(m) for m in brute_nontrivial] == [
                 tuple(m) for m in nontrivial_modules(T)
             ]
+            assert is_indecomposable(T) == (not brute_nontrivial)
 
     def test_bound(self):
         with pytest.raises(ValueError):
