@@ -18,9 +18,9 @@ from .core import (
     random_tournament,
     transitive,
 )
-from .comodular import comodular_index, delta_decomposition
+from .comodular import _Analysis, comodular_index
 from .inversion import certificate_to_json, synthesize_certificate, verify_certificate
-from .modular import minimal_comodules, nontrivial_modules, transitive_components
+from .modular import nontrivial_modules, transitive_components
 from .oracle import (
     DELTA_SEARCH_BOUND,
     PACKING_BOUND,
@@ -47,17 +47,18 @@ def _load(path: str) -> Tournament:
 
 def cmd_analyze(args) -> int:
     T = _load(args.file)
-    index = comodular_index(T)
+    A = _Analysis(T)
+    index = A.index
     indec = index == 0
     record = {
         "n": T.n,
         "indecomposable": indec,
         "Delta": index,
         "delta": (None if T.n < 5 else (index + 1) // 2),
-        "mc": [list(c.members) for c in minimal_comodules(T)],
+        "mc": [list(c.members) for c in A.graph.nodes],
         "components": [list(b) for b in transitive_components(T).blocks],
         "delta_decomposition": (
-            [] if indec else [list(p.members) for p in delta_decomposition(T).parts]
+            [] if indec else [list(p.members) for p in A.decomposition().parts]
         ),
     }
     print(json.dumps(record, separators=(", ", ": ")))

@@ -16,7 +16,8 @@ parts are all minimal co-modules.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator
 
 from .core import Tournament, VertexSet
@@ -45,16 +46,22 @@ class ConflictGraph:
 
     nodes: tuple[CoModule, ...]
     edges: tuple[tuple[int, int], ...]
+    adjacency: tuple[tuple[int, ...], ...] = field(
+        init=False, repr=False, compare=False, default=()
+    )
 
-    def degree(self, i: int) -> int:
-        return sum(1 for e in self.edges if i in e)
-
-    def components(self) -> list[list[int]]:
-        """Connected components as sorted index lists, in index order."""
-        adj = {i: [] for i in range(len(self.nodes))}
+    def __post_init__(self):
+        adj: list[list[int]] = [[] for _ in self.nodes]
         for a, b in self.edges:
             adj[a].append(b)
             adj[b].append(a)
+        object.__setattr__(self, "adjacency", tuple(map(tuple, adj)))
+
+    def degree(self, i: int) -> int:
+        return len(self.adjacency[i])
+
+    def components(self) -> list[list[int]]:
+        """Connected components as sorted index lists, in index order."""
         seen: set[int] = set()
         comps = []
         for i in range(len(self.nodes)):
@@ -68,43 +75,73 @@ class ConflictGraph:
                     continue
                 seen.add(u)
                 comp.append(u)
-                stack.extend(adj[u])
+                stack.extend(self.adjacency[u])
             comps.append(sorted(comp))
         return comps
 
 
-def conflict_graph(T: Tournament) -> ConflictGraph:
-    mc = minimal_comodules(T)
-    edges = tuple(
+def _conflict_graph(mc: list[CoModule]) -> ConflictGraph:
+    """Overlapping sets intersect, so only pairs sharing a vertex are tested
+    (at most three minimal co-modules hold any one vertex)."""
+    holders: dict[int, list[int]] = {}
+    for i, c in enumerate(mc):
+        rest = c.members.mask
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            holders.setdefault(bit, []).append(i)
+    edges = {
         (i, j)
-        for i in range(len(mc))
-        for j in range(i + 1, len(mc))
+        for group in holders.values()
+        for i, j in itertools.combinations(group, 2)
         if _overlaps(mc[i].members.mask, mc[j].members.mask)
-    )
-    return ConflictGraph(tuple(mc), edges)
+    }
+    return ConflictGraph(tuple(mc), tuple(sorted(edges)))
+
+
+def conflict_graph(T: Tournament) -> ConflictGraph:
+    return _conflict_graph(minimal_comodules(T))
+
+
+def _is_cycle(graph: ConflictGraph, comp: list[int]) -> bool:
+    return len(comp) >= 3 and all(graph.degree(i) == 2 for i in comp)
 
 
 def _component_optima(graph: ConflictGraph, comp: list[int]) -> list[tuple[int, ...]]:
-    """All maximum independent sets of one component, lexicographically ordered.
+    """All maximum independent sets of one component, as sorted index
+    tuples in lexicographic order (the order of ``itertools.combinations``).
 
-    Components are paths or cycles of at most n-1 nodes, so brute force
-    over subsets of the component is cheap and handles both shapes.
+    The overlap graph has maximum degree 2, so the component is walked in
+    path or cycle order w_0 .. w_{k-1} and the optima are read off in closed
+    form.  A path has optima of size ceil(k/2): the even positions when k
+    is odd; for even k the k/2 + 1 sets that take even positions up to some
+    point and odd positions after it.  A cycle has optima of size
+    floor(k/2): the even and the odd positions when k is even; for odd k
+    the k rotations of every other position, starting anywhere.
     """
-    adjacent = set(graph.edges)
-    best: list[tuple[int, ...]] = [()]
-    for size in range(1, len(comp) + 1):
-        found = [
-            combo
-            for combo in itertools.combinations(comp, size)
-            if all(
-                (combo[a], combo[b]) not in adjacent
-                for a in range(size)
-                for b in range(a + 1, size)
-            )
+    adj = graph.adjacency
+    assert all(len(adj[i]) <= 2 for i in comp), "overlap graph degree above 2"
+    k = len(comp)
+    cycle = _is_cycle(graph, comp)
+    walk = [comp[0] if cycle else next(i for i in comp if len(adj[i]) < 2)]
+    prev = None
+    while len(walk) < k:
+        here = walk[-1]
+        walk.append(next(u for u in adj[here] if u != prev))
+        prev = here
+    half = k // 2
+    if cycle and k % 2 == 0:
+        positions = [range(0, k, 2), range(1, k, 2)]
+    elif cycle:
+        positions = [[(s + 2 * t) % k for t in range(half)] for s in range(k)]
+    elif k % 2:
+        positions = [range(0, k, 2)]
+    else:
+        positions = [
+            [2 * t for t in range(j)] + [2 * t + 1 for t in range(j, half)]
+            for j in range(half + 1)
         ]
-        if found:
-            best = found
-    return best
+    return sorted(tuple(sorted(walk[p] for p in pos)) for pos in positions)
 
 
 @dataclass(frozen=True)
@@ -126,16 +163,72 @@ class CoModularDecomposition:
         return tuple(p.key for p in self.parts)
 
 
+class _Analysis:
+    """What the index, the decompositions and a certificate step read from
+    one tournament, built from one decomposition tree: mc(T) with the
+    co-module kinds (the graph's nodes), the overlap graph, its components,
+    the index and the distinguished subset of every minimal co-module with
+    at most one overlap.  The optima of the components are enumerated on
+    first use."""
+
+    def __init__(self, T: Tournament):
+        self.tournament = T
+        self.graph = graph = _conflict_graph(minimal_comodules(T))
+        self.components = graph.components()
+        self.index = sum(
+            len(comp) // 2 if _is_cycle(graph, comp) else (len(comp) + 1) // 2
+            for comp in self.components
+        )
+        self.overlaps: dict[int, int] = {}  # overlap count per member mask
+        self.tildes: dict[int, VertexSet] = {}
+        for c, near in zip(graph.nodes, graph.adjacency):
+            mask = c.members.mask
+            self.overlaps[mask] = len(near)
+            if len(near) <= 1:
+                shared = mask & graph.nodes[near[0]].members.mask if near else mask
+                self.tildes[mask] = VertexSet(T.n, shared)
+
+    @cached_property
+    def optima(self) -> list[list[tuple[int, ...]]]:
+        return [_component_optima(self.graph, comp) for comp in self.components]
+
+    def tilde(self, part: CoModule) -> VertexSet:
+        """As ``modular.tilde``: defined for minimal co-modules with at most
+        one overlap."""
+        found = self.tildes.get(part.members.mask)
+        if found is None:
+            raise ValueError("tilde needs a minimal co-module with at most one overlap")
+        return found
+
+    def _require_decomposable(self):
+        if not self.graph.nodes:
+            raise ValueError("an indecomposable tournament has no decomposition")
+
+    def decompositions(self) -> Iterator[CoModularDecomposition]:
+        self._require_decomposable()
+        nodes = self.graph.nodes
+        for pick in itertools.product(*self.optima):
+            parts = sorted((nodes[i] for chosen in pick for i in chosen), key=lambda c: c.key)
+            yield CoModularDecomposition(tuple(parts), is_delta=True)
+
+    def decomposition(self) -> CoModularDecomposition:
+        self._require_decomposable()
+        nodes = self.graph.nodes
+        chosen: list[CoModule] = []
+        for optima in self.optima:
+            pick = min(optima, key=lambda combo: tuple(sorted(nodes[i].key for i in combo)))
+            chosen.extend(nodes[i] for i in pick)
+        chosen.sort(key=lambda c: c.key)
+        return CoModularDecomposition(tuple(chosen), is_delta=True)
+
+
 def comodular_index(T: Tournament) -> int:
     """Largest number of pairwise disjoint co-modules of T.
 
     Equals the maximum independent set of the overlap graph on mc(T); 0
     exactly when T is indecomposable, and at least 2 otherwise.
     """
-    graph = conflict_graph(T)
-    if not graph.nodes:
-        return 0
-    return sum(len(_component_optima(graph, comp)[0]) for comp in graph.components())
+    return _Analysis(T).index
 
 
 def all_delta_decompositions(T: Tournament) -> Iterator[CoModularDecomposition]:
@@ -145,15 +238,7 @@ def all_delta_decompositions(T: Tournament) -> Iterator[CoModularDecomposition]:
     the choices combined, which enumerates every such decomposition
     exactly once.
     """
-    graph = conflict_graph(T)
-    if not graph.nodes:
-        raise ValueError("an indecomposable tournament has no decomposition")
-    per_comp = [_component_optima(graph, comp) for comp in graph.components()]
-    for pick in itertools.product(*per_comp):
-        parts = sorted(
-            (graph.nodes[i] for chosen in pick for i in chosen), key=lambda c: c.key
-        )
-        yield CoModularDecomposition(tuple(parts), is_delta=True)
+    return _Analysis(T).decompositions()
 
 
 def delta_decomposition(T: Tournament) -> CoModularDecomposition:
@@ -162,18 +247,7 @@ def delta_decomposition(T: Tournament) -> CoModularDecomposition:
     Ties are broken toward the lexicographically smallest selection of
     vertex sets (per overlap-graph component), so repeated runs agree.
     """
-    graph = conflict_graph(T)
-    if not graph.nodes:
-        raise ValueError("an indecomposable tournament has no decomposition")
-    chosen: list[CoModule] = []
-    for comp in graph.components():
-        optima = _component_optima(graph, comp)
-        pick = min(
-            optima, key=lambda combo: tuple(sorted(graph.nodes[i].key for i in combo))
-        )
-        chosen.extend(graph.nodes[i] for i in pick)
-    chosen.sort(key=lambda c: c.key)
-    return CoModularDecomposition(tuple(chosen), is_delta=True)
+    return _Analysis(T).decomposition()
 
 
 def _rel_all(T: Tournament, amask: int, bmask: int) -> bool:
@@ -203,20 +277,26 @@ def structured_delta_decomposition(
       (C2) M1 beats all of M2 and M2 beats all of M3, and (C3) some
       x in M4 beats all of M1 or loses to all of M3.
 
-    Such a decomposition always exists; the search scans every candidate
-    decomposition in a fixed order and re-checks the contract before
-    returning, so a failure can only signal an internal bug.
+    Candidate decompositions are scanned in the order of
+    ``all_delta_decompositions``.  At index 4 or more the parts of each are
+    tried as (M1, M2, M3, M4) in the lexicographic order of distinct index
+    quadruples, and a prefix is dropped as soon as it breaks (C1) or (C2),
+    so the labelling found is the first in that order.  Such a
+    decomposition always exists, so a failure can only signal an internal
+    bug.
     """
-    index = comodular_index(T)
-    if index < 2:
-        raise ValueError("tournament is indecomposable")
-    graph = conflict_graph(T)
-    overlap_count = {c.members.mask: graph.degree(i) for i, c in enumerate(graph.nodes)}
+    return _structured(_Analysis(T))
 
-    if index == 2:
-        decomp = delta_decomposition(T)
+
+def _structured(A: _Analysis) -> tuple[CoModularDecomposition, dict[str, CoModule]]:
+    if A.index < 2:
+        raise ValueError("tournament is indecomposable")
+    over = A.overlaps
+
+    if A.index == 2:
+        decomp = A.decomposition()
         a, b = decomp.parts
-        if overlap_count[a.members.mask] > 1 or overlap_count[b.members.mask] > 1:
+        if over[a.members.mask] > 1 or over[b.members.mask] > 1:
             raise RuntimeError("contract check failed for a two-part decomposition")
         # prefer a nontrivial-module part for the M label; one exists from
         # four vertices up, and below that the choice is immaterial
@@ -224,29 +304,37 @@ def structured_delta_decomposition(
             a, b = b, a
         return decomp, {"M": a, "N": b}
 
-    if index == 3:
-        for decomp in all_delta_decompositions(T):
-            if all(overlap_count[p.members.mask] <= 1 for p in decomp.parts):
+    if A.index == 3:
+        for decomp in A.decompositions():
+            if all(over[p.members.mask] <= 1 for p in decomp.parts):
                 labels = dict(zip(("M", "N", "L"), decomp.parts))
                 return decomp, labels
         raise RuntimeError("no three-part decomposition with all overlaps <= 1")
 
-    for decomp in all_delta_decompositions(T):
-        for quad in itertools.permutations(range(len(decomp.parts)), 4):
-            p = [decomp.parts[i] for i in quad]
-            if any(overlap_count[p[i].members.mask] > 1 for i in (0, 2, 3)):
+    T = A.tournament
+    for decomp in A.decompositions():
+        masks = [p.members.mask for p in decomp.parts]
+        free = [over[m] <= 1 for m in masks]
+        span = range(len(masks))
+        for i in span:
+            if not free[i]:
                 continue
-            m1, m2, m3, m4 = (c.members.mask for c in p)
-            if not (_rel_all(T, m1, m2) and _rel_all(T, m2, m3)):
-                continue
-            ok = any(
-                T.out_masks[x] & m1 == m1 or T.out_masks[x] & m3 == 0
-                for x in VertexSet(T.n, m4)
-            )
-            if not ok:
-                continue
-            labels = dict(zip(("M1", "M2", "M3", "M4"), p))
-            return decomp, labels
+            for j in span:
+                if j == i or not _rel_all(T, masks[i], masks[j]):
+                    continue
+                for k in span:
+                    if k in (i, j) or not free[k] or not _rel_all(T, masks[j], masks[k]):
+                        continue
+                    for l in span:
+                        if l in (i, j, k) or not free[l]:
+                            continue
+                        m1, m3 = masks[i], masks[k]
+                        if any(
+                            T.out_masks[x] & m1 == m1 or T.out_masks[x] & m3 == 0
+                            for x in VertexSet(T.n, masks[l])
+                        ):
+                            chosen = (decomp.parts[q] for q in (i, j, k, l))
+                            return decomp, dict(zip(("M1", "M2", "M3", "M4"), chosen))
     raise RuntimeError("no labelled four-part decomposition found")
 
 
@@ -265,7 +353,8 @@ def hereditary_witness(T: Tournament, k: int) -> VertexSet:
         raise ValueError("k must be between 1 and 4")
     if T.n < 3 + k:
         raise ValueError(f"needs at least {3 + k} vertices, got {T.n}")
-    index = comodular_index(T)
+    A = _Analysis(T)
+    index = A.index
     if index <= 4:
         if index == 0:
             designated = (0, 1, 2)
@@ -276,7 +365,7 @@ def hereditary_witness(T: Tournament, k: int) -> VertexSet:
             designated = (x, y, z)
         pool = [v for v in range(T.n) if v not in designated]
         return VertexSet.from_members(T.n, pool[:k])
-    decomp = delta_decomposition(T)
+    decomp = A.decomposition()
     big = [p for p in decomp.parts if len(p.members) >= 2]
     pool = sorted(set(big[0].members) | set(big[1].members))
     return VertexSet.from_members(T.n, pool[:k])

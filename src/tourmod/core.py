@@ -119,7 +119,13 @@ class VertexSet:
         return cls(n, mask)
 
     def members(self) -> tuple[int, ...]:
-        return tuple(v for v in range(self.n) if self.mask >> v & 1)
+        out = []
+        rest = self.mask
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            out.append(bit.bit_length() - 1)
+        return tuple(out)
 
     def complement(self) -> "VertexSet":
         return VertexSet(self.n, ((1 << self.n) - 1) ^ self.mask)
@@ -162,22 +168,29 @@ class Tournament:
         m = pair_count(self.n)
         if self.bits < 0 or self.bits >> m:
             raise ValueError(f"bits value does not fit {m} pair positions")
+        # one pass over the bit string, read from its high end (vertex 0's
+        # row, highest j first): shifting the big int once per pair would
+        # make construction quadratic in the pair count
+        s = format(self.bits, f"0{m}b") if m else ""
         outs = [0] * self.n
-        k = 0
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if self.bits >> k & 1:
-                    outs[i] |= 1 << j
-                else:
-                    outs[j] |= 1 << i
-                k += 1
+        end = m
+        for i in range(self.n - 1):
+            start = end - (self.n - 1 - i)
+            row = s[start:end]
+            end = start
+            outs[i] |= int(row, 2) << (i + 1)
+            bit = 1 << i
+            j = self.n
+            for c in row:
+                j -= 1
+                if c == "0":
+                    outs[j] |= bit
         object.__setattr__(self, "out_masks", tuple(outs))
 
     @property
     def orient(self) -> tuple[bool, ...]:
         """The orientation sequence as booleans, in idx order."""
-        m = pair_count(self.n)
-        return tuple(bool(self.bits >> k & 1) for k in range(m))
+        return tuple(c == "1" for c in self.bit_string())
 
     def relation(self, x: int, y: int) -> int:
         """1 if the arc (x, y) is present, else 0."""
@@ -201,10 +214,17 @@ class Tournament:
 
     def bit_string(self) -> str:
         """The orientation sequence as a string of '0'/'1', in idx order."""
-        return "".join("1" if b else "0" for b in self.orient)
+        m = pair_count(self.n)
+        return format(self.bits, f"0{m}b")[::-1] if m else ""
 
     def __repr__(self) -> str:
         return f"Tournament(n={self.n}, bits='{self.bit_string()}')"
+
+
+def _pack(entries: Iterable) -> int:
+    """The int whose bit k is set when entry k is truthy, built from one
+    string (setting bits one by one would be quadratic in the length)."""
+    return int("".join("1" if e else "0" for e in entries)[::-1] or "0", 2)
 
 
 def make_tournament(n: int, orient: Sequence) -> Tournament:
@@ -220,11 +240,7 @@ def make_tournament(n: int, orient: Sequence) -> Tournament:
         raise ValueError(
             f"expected {pair_count(n)} orientation entries for n={n}, got {len(entries)}"
         )
-    bits = 0
-    for k, e in enumerate(entries):
-        if e:
-            bits |= 1 << k
-    return Tournament(n, bits)
+    return Tournament(n, _pack(entries))
 
 
 def transitive(n: int) -> Tournament:
@@ -273,13 +289,7 @@ def subtournament(T: Tournament, W) -> tuple[Tournament, tuple[int, ...]]:
         if not 0 <= v < T.n:
             raise ValueError(f"vertex {v} out of range 0..{T.n - 1}")
     k = len(members)
-    bits = 0
-    pos = 0
-    for a in range(k):
-        for b in range(a + 1, k):
-            if T.relation(members[a], members[b]):
-                bits |= 1 << pos
-            pos += 1
+    bits = _pack(T.relation(members[a], members[b]) for a in range(k) for b in range(a + 1, k))
     return Tournament(k, bits), members
 
 
@@ -288,11 +298,7 @@ def random_tournament(n: int, seed: int) -> Tournament:
     if n < 1:
         raise ValueError("a tournament needs at least one vertex")
     rng = Xorshift64Star(seed)
-    bits = 0
-    for k in range(pair_count(n)):
-        if rng.next() >> 63 & 1:
-            bits |= 1 << k
-    return Tournament(n, bits)
+    return Tournament(n, _pack(rng.next() >> 63 for _ in range(pair_count(n))))
 
 
 class Xorshift64Star:

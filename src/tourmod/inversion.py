@@ -34,12 +34,8 @@ from dataclasses import dataclass
 from itertools import permutations as _permutations
 
 from .core import Arc, Tournament, VertexSet, invert, make_tournament, pair_count
-from .comodular import (
-    CoModularDecomposition,
-    comodular_index,
-    structured_delta_decomposition,
-)
-from .modular import _is_transitive_mask, is_indecomposable, nontrivial_modules, tilde
+from .comodular import _Analysis, _structured, comodular_index
+from .modular import _is_transitive_mask, is_indecomposable, nontrivial_modules
 
 __all__ = [
     "GuidedChoiceWarning",
@@ -86,10 +82,11 @@ def _arc_between(T: Tournament, x: int, y: int) -> Arc:
     return Arc(x, y) if T.relation(x, y) else Arc(y, x)
 
 
-def _scan_for_index(T: Tournament, target: int) -> Arc | None:
+def _scan_for_index(T: Tournament, target: int) -> tuple[Arc, _Analysis] | None:
     for a in T.arcs():
-        if comodular_index(invert(T, [a])) == target:
-            return a
+        after = _Analysis(invert(T, [a]))
+        if after.index == target:
+            return a, after
     return None
 
 
@@ -101,20 +98,27 @@ def reduction_arc_high(T: Tournament, D) -> Arc:
     vertices of the distinguished subsets of M1 and M3; the index drop is
     re-verified before returning.
     """
-    index = comodular_index(T)
-    if index < 4:
+    return _reduce_high(_Analysis(T), D)[0]
+
+
+def _reduce_high(A: _Analysis, D) -> tuple[Arc, _Analysis]:
+    """The arc of ``reduction_arc_high`` and the analysis of the state it
+    leads to."""
+    if A.index < 4:
         raise ValueError("this reduction applies only when the index is at least 4")
+    T = A.tournament
     _, labels = D
-    x = min(tilde(T, labels["M1"]))
-    y = min(tilde(T, labels["M3"]))
+    x = min(A.tilde(labels["M1"]))
+    y = min(A.tilde(labels["M3"]))
     arc = _arc_between(T, x, y)
-    if comodular_index(invert(T, [arc])) == index - 2:
-        return arc
+    after = _Analysis(invert(T, [arc]))
+    if after.index == A.index - 2:
+        return arc, after
     warnings.warn(
         "guided high-index reduction failed verification; scanning all arcs",
         GuidedChoiceWarning,
     )
-    found = _scan_for_index(T, index - 2)
+    found = _scan_for_index(T, A.index - 2)
     if found is None:
         raise RuntimeError("no single arc reversal lowers the index by two")
     return found
@@ -127,22 +131,30 @@ def reduction_arc_three(T: Tournament, D) -> Arc:
     x, z, y in their distinguished subsets with x -> z -> y, smallest
     vertices first; the first verified pattern wins.
     """
-    if comodular_index(T) != 3:
+    return _reduce_three(_Analysis(T), D)[0]
+
+
+def _reduce_three(A: _Analysis, D) -> tuple[Arc, _Analysis]:
+    """The arc of ``reduction_arc_three`` and the analysis of the state it
+    leads to."""
+    if A.index != 3:
         raise ValueError("this reduction applies only when the index is exactly 3")
+    T = A.tournament
     decomp, _ = D
     matched = False
     for part_m, part_n, part_l in _permutations(decomp.parts):
-        xs = sorted(tilde(T, part_m))
-        ys = sorted(tilde(T, part_n))
-        zs = sorted(tilde(T, part_l))
+        xs = sorted(A.tilde(part_m))
+        ys = sorted(A.tilde(part_n))
+        zs = sorted(A.tilde(part_l))
         for x in xs:
             for y in ys:
                 for z in zs:
                     if T.relation(x, z) and T.relation(z, y):
                         matched = True
                         arc = _arc_between(T, x, y)
-                        if comodular_index(invert(T, [arc])) == 2:
-                            return arc
+                        after = _Analysis(invert(T, [arc]))
+                        if after.index == 2:
+                            return arc, after
     warnings.warn(
         "guided three-part reduction "
         + ("failed verification" if matched else "found no pattern")
@@ -166,11 +178,16 @@ def reduction_arc_two(T: Tournament, D) -> Arc:
     arc scan locates it.
     """
     _require_size(T)
-    if comodular_index(T) != 2:
+    return _reduce_two(_Analysis(T), D)
+
+
+def _reduce_two(A: _Analysis, D) -> Arc:
+    T = A.tournament
+    if A.index != 2:
         raise ValueError("this reduction applies only when the index is exactly 2")
     _, labels = D
-    for x in sorted(tilde(T, labels["M"])):
-        for y in sorted(tilde(T, labels["N"])):
+    for x in sorted(A.tilde(labels["M"])):
+        for y in sorted(A.tilde(labels["N"])):
             arc = _arc_between(T, x, y)
             if is_indecomposable(invert(T, [arc])):
                 return arc
@@ -202,28 +219,24 @@ def synthesize_certificate(T: Tournament) -> InversionCertificate:
     arcs (none when T is already indecomposable).
     """
     _require_size(T)
-    cur = T
     arcs: list[Arc] = []
     trace: list[int] = []
-    index = comodular_index(cur)
-    while index >= 4:
-        step = reduction_arc_high(cur, structured_delta_decomposition(cur))
+    # one analysis per state: the step that reaches a state analyses it to
+    # verify the index drop, and the next step starts from that analysis
+    A = _Analysis(T)
+    while A.index >= 3:
+        reduce = _reduce_high if A.index >= 4 else _reduce_three
+        step, after = reduce(A, _structured(A))
         arcs.append(step)
-        trace.append(index)
-        cur = invert(cur, [step])
-        index = comodular_index(cur)
-    if index == 3:
-        step = reduction_arc_three(cur, structured_delta_decomposition(cur))
-        arcs.append(step)
-        trace.append(3)
-        cur = invert(cur, [step])
-        index = comodular_index(cur)
-    if index == 2:
-        step = reduction_arc_two(cur, structured_delta_decomposition(cur))
+        trace.append(A.index)
+        A = after
+    final = A.tournament
+    if A.index == 2:
+        step = _reduce_two(A, _structured(A))
         arcs.append(step)
         trace.append(2)
-        cur = invert(cur, [step])
-    return InversionCertificate(T, tuple(arcs), tuple(trace), cur)
+        final = invert(final, [step])
+    return InversionCertificate(T, tuple(arcs), tuple(trace), final)
 
 
 @dataclass(frozen=True)

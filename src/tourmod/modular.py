@@ -147,7 +147,14 @@ def _tree(T: Tournament) -> Iterator[tuple[int, bool, list[int]]]:
     todo = [(1 << T.n) - 1] if T.n > 1 else []
     while todo:
         S = todo.pop()
-        scores = sorted(((out[v] & S).bit_count(), v) for v in range(T.n) if S >> v & 1)
+        scores = []
+        rest = S
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            v = bit.bit_length() - 1
+            scores.append(((out[v] & S).bit_count(), v))
+        scores.sort()
         children = []
         block = total = 0
         for k, (score, v) in enumerate(reversed(scores), 1):
@@ -192,23 +199,14 @@ def nontrivial_modules(T: Tournament) -> list[VertexSet]:
     return _sorted_sets(T, masks)
 
 
-def _minimal_masks(masks: Iterable[int]) -> list[int]:
-    items = sorted(set(masks), key=lambda m: (m.bit_count(), m))
-    kept: list[int] = []
-    for m in items:
-        if not any(k & m == k for k in kept):
-            kept.append(m)
-    return kept
-
-
-def _extremal_module_masks(T: Tournament) -> tuple[list[int], list[int]]:
+def _extremal_module_masks(T: Tournament, tree: list) -> tuple[list[int], list[int]]:
     """The inclusion-minimal nontrivial modules (prime nodes below the root
     with single-vertex children, and pairs of consecutive single-vertex
     children of a linear node) and the inclusion-maximal ones (the root's
     children with two or more vertices; under a linear root with m >= 3
-    children, the two runs of m-1 children instead)."""
+    children, the two runs of m-1 children instead), from the nodes of
+    ``_tree(T)``."""
     full = (1 << T.n) - 1
-    tree = list(_tree(T))
     minimal = []
     for S, linear, children in tree:
         if linear:
@@ -227,12 +225,12 @@ def _extremal_module_masks(T: Tournament) -> tuple[list[int], list[int]]:
 
 def minimal_nontrivial_modules(T: Tournament) -> list[VertexSet]:
     """Inclusion-minimal nontrivial modules, read off the decomposition tree."""
-    return _sorted_sets(T, _extremal_module_masks(T)[0])
+    return _sorted_sets(T, _extremal_module_masks(T, list(_tree(T)))[0])
 
 
 def maximal_nontrivial_modules(T: Tournament) -> list[VertexSet]:
     """Inclusion-maximal nontrivial modules, read off the decomposition tree."""
-    return _sorted_sets(T, _extremal_module_masks(T)[1])
+    return _sorted_sets(T, _extremal_module_masks(T, list(_tree(T)))[1])
 
 
 def is_comodule(T: Tournament, M) -> bool:
@@ -280,11 +278,25 @@ def minimal_comodules(T: Tournament) -> list[CoModule]:
     complement of a maximal one, so filtering that candidate pool for
     inclusion-minimality is exhaustive.
     """
-    minimal, maximal = _extremal_module_masks(T)
+    return _minimal_comodules(T, list(_tree(T)))
+
+
+def _minimal_comodules(T: Tournament, tree: list) -> list[CoModule]:
+    """A minimal co-module that is a module is a minimal nontrivial one, and
+    one whose complement is a module is the complement of a maximal one, so
+    membership in the two families gives its kind.  Each family is an
+    antichain; only a set of one can contain a set of the other."""
+    minimal, maximal = _extremal_module_masks(T, tree)
     full = (1 << T.n) - 1
-    cands = set(minimal) | {full ^ m for m in maximal}
+    modules = set(minimal)
+    complements = {full ^ m for m in maximal}
+    kinds = {m: "module" for m in modules}
+    for m in complements:
+        kinds[m] = "both" if m in modules else "complement-module"
     out = [
-        CoModule(VertexSet(T.n, m), _comodule_kind(T, m)) for m in _minimal_masks(cands)
+        CoModule(VertexSet(T.n, m), kind)
+        for m, kind in kinds.items()
+        if not any(o & m == o and o != m for o in (complements if m in modules else modules))
     ]
     out.sort(key=lambda c: c.key)
     return out
@@ -352,8 +364,12 @@ def transitive_components(T: Tournament) -> TransitiveComponentPartition:
     maximal such runs, and every other vertex (a child of a prime node)
     is a block of its own.  Blocks are listed by their lowest vertex.
     """
+    return _transitive_blocks(T, _tree(T))
+
+
+def _transitive_blocks(T: Tournament, tree: Iterable) -> TransitiveComponentPartition:
     blocks = [] if T.n > 1 else [1]
-    for _, linear, children in _tree(T):
+    for _, linear, children in tree:
         for single, run in groupby(children, key=lambda c: c & (c - 1) == 0):
             if single:
                 blocks += [reduce(or_, run)] if linear else list(run)
@@ -378,8 +394,8 @@ def component_comodule(T: Tournament, C, k: int) -> CoModule:
     if T.n < 3:
         raise ValueError("needs a tournament with at least three vertices")
     mask = _as_mask(T, C)
-    parts = transitive_components(T)
-    if all(b.mask != mask for b in parts.blocks):
+    tree = list(_tree(T))
+    if all(b.mask != mask for b in _transitive_blocks(T, tree).blocks):
         raise ValueError("argument is not a transitive component of the tournament")
     size = mask.bit_count()
     if size < 2:
@@ -388,6 +404,6 @@ def component_comodule(T: Tournament, C, k: int) -> CoModule:
         raise ValueError(f"index k must lie in 0..{size - 2}, got {k}")
     order = _transitive_order(T, mask)
     twin = (1 << order[k]) | (1 << order[k + 1])
-    hits = [c for c in minimal_comodules(T) if c.members.mask & ~twin == 0]
+    hits = [c for c in _minimal_comodules(T, tree) if c.members.mask & ~twin == 0]
     assert len(hits) == 1, "a twin must contain exactly one minimal co-module"
     return hits[0]

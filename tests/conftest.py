@@ -8,6 +8,7 @@ from tourmod import (
     enumerate_tournaments,
     make_tournament,
     pair_count,
+    transitive,
 )
 
 
@@ -65,6 +66,23 @@ def composed_random(rng: Xorshift64Star, n: int) -> Tournament:
     outer = random_bits_tournament(rng, q)
     inner = random_bits_tournament(rng, n - q + 1)
     return substitute(outer, inner, rng.below(q))
+
+
+def relabelled_chain(n: int, seed: int) -> Tournament:
+    """transitive(n) with its vertices renamed by a seeded shuffle, so that
+    its transitive order is not the label order."""
+    rng = Xorshift64Star(seed)
+    perm = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = rng.below(i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    old = [0] * n
+    for v, p in enumerate(perm):
+        old[p] = v
+    T = transitive(n)
+    return make_tournament(
+        n, [T.relation(old[i], old[j]) for i in range(n) for j in range(i + 1, n)]
+    )
 
 
 def all_classes_up_to(max_n: int, bound: int = 7):

@@ -94,6 +94,19 @@ class TestAnalyze:
         record = json.loads(capsys.readouterr().out)
         assert record["Delta"] == 0 and record["delta"] == 0
 
+    def test_long_chain_finishes(self, tmp_path):
+        # a 32-vertex chain once hung in the co-modular index; the timeout
+        # turns a regression into a failure instead of a stalled suite
+        path = write_tourn(tmp_path / "chain32.tourn", transitive(32))
+        proc = subprocess.run(
+            [sys.executable, "-m", "tourmod", "analyze", path],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["Delta"] == 17
+
     def test_parse_error_exit_two(self, tmp_path):
         bad = tmp_path / "bad.tourn"
         bad.write_text("nonsense\n")

@@ -1,6 +1,12 @@
+import itertools
+
 import pytest
 
 from tourmod import (
+    CoModularDecomposition,
+    CoModule,
+    ConflictGraph,
+    VertexSet,
     Xorshift64Star,
     all_delta_decompositions,
     brute_Delta,
@@ -20,8 +26,9 @@ from tourmod import (
     subtournament,
     transitive,
 )
+from tourmod.comodular import _component_optima
 
-from conftest import all_classes_up_to, composed_random, random_bits_tournament
+from conftest import all_classes_up_to, composed_random, random_bits_tournament, relabelled_chain
 
 
 def ceil_half(x):
@@ -35,6 +42,12 @@ def parts_of(decomp):
 class TestComodularIndex:
     def test_transitive_closed_form(self):
         for n in range(3, 13):
+            assert comodular_index(transitive(n)) == (n + 2) // 2
+
+    def test_long_chains_closed_form(self):
+        # the overlap graph of a chain is one long path, whose optima the
+        # subset enumeration this replaced could not reach past n ~ 30
+        for n in range(13, 201):
             assert comodular_index(transitive(n)) == (n + 2) // 2
 
     def test_prime_is_zero(self, c3):
@@ -234,3 +247,152 @@ class TestHereditaryWitness:
                     X = hereditary_witness(T, k)
                     assert len(X) == k
                     assert comodular_index(T) <= comodular_index(removed(T, X)) + 2
+
+
+# ---------------------------------------------------------------------------
+# Equivalence with the exhaustive searches the closed forms replaced.
+
+
+def reference_component_optima(graph, comp):
+    """Every maximum independent set of a component, by subset enumeration."""
+    adjacent = set(graph.edges)
+    best = [()]
+    for size in range(1, len(comp) + 1):
+        found = [
+            combo
+            for combo in itertools.combinations(comp, size)
+            if all(
+                (combo[a], combo[b]) not in adjacent
+                for a in range(size)
+                for b in range(a + 1, size)
+            )
+        ]
+        if found:
+            best = found
+    return best
+
+
+def reference_decompositions(T):
+    graph = conflict_graph(T)
+    per_comp = [reference_component_optima(graph, comp) for comp in graph.components()]
+    for pick in itertools.product(*per_comp):
+        parts = sorted((graph.nodes[i] for chosen in pick for i in chosen), key=lambda c: c.key)
+        yield CoModularDecomposition(tuple(parts), is_delta=True)
+
+
+def reference_delta_parts(T):
+    graph = conflict_graph(T)
+    chosen = []
+    for comp in graph.components():
+        optima = reference_component_optima(graph, comp)
+        pick = min(optima, key=lambda combo: tuple(sorted(graph.nodes[i].key for i in combo)))
+        chosen.extend(graph.nodes[i] for i in pick)
+    return sorted(chosen, key=lambda c: c.key)
+
+
+def _rel_all(T, amask, bmask):
+    return all(T.relation(x, y) for x in VertexSet(T.n, amask) for y in VertexSet(T.n, bmask))
+
+
+def reference_structured(T):
+    """The labelled decomposition by scanning every decomposition against
+    every ordered quadruple of its parts."""
+    index = comodular_index(T)
+    graph = conflict_graph(T)
+    over = {c.members.mask: graph.degree(i) for i, c in enumerate(graph.nodes)}
+    if index == 2:
+        parts = reference_delta_parts(T)
+        a, b = parts
+        if a.kind == "complement-module" and b.kind in ("module", "both"):
+            a, b = b, a
+        return parts, {"M": a, "N": b}
+    for decomp in reference_decompositions(T):
+        if index == 3:
+            if all(over[p.members.mask] <= 1 for p in decomp.parts):
+                return list(decomp.parts), dict(zip(("M", "N", "L"), decomp.parts))
+            continue
+        for quad in itertools.permutations(range(len(decomp.parts)), 4):
+            p = [decomp.parts[i] for i in quad]
+            if any(over[p[i].members.mask] > 1 for i in (0, 2, 3)):
+                continue
+            m1, m2, m3, m4 = (c.members.mask for c in p)
+            if not (_rel_all(T, m1, m2) and _rel_all(T, m2, m3)):
+                continue
+            if any(
+                T.out_masks[x] & m1 == m1 or T.out_masks[x] & m3 == 0
+                for x in VertexSet(T.n, m4)
+            ):
+                return list(decomp.parts), dict(zip(("M1", "M2", "M3", "M4"), p))
+    raise AssertionError("reference scan found no labelling")
+
+
+def equivalence_corpus():
+    yield from all_classes_up_to(7)
+    rng = Xorshift64Star(43)
+    for _ in range(200):
+        yield composed_random(rng, 6 + rng.below(9))  # 6..14
+
+
+def synthetic_graph(k, cycle, rng):
+    """A path or cycle on k nodes, walked in a shuffled node order, with
+    two extra isolated nodes so that the component is not all of the graph."""
+    order = list(range(k))
+    for i in range(k - 1, 0, -1):
+        j = rng.below(i + 1)
+        order[i], order[j] = order[j], order[i]
+    pairs = list(zip(order, order[1:])) + ([(order[-1], order[0])] if cycle else [])
+    edges = tuple(sorted((min(a, b), max(a, b)) for a, b in pairs))
+    nodes = tuple(CoModule(VertexSet(k + 2, 1 << i), "module") for i in range(k + 2))
+    return ConflictGraph(nodes, edges), sorted(order)
+
+
+class TestClosedFormOptima:
+    def test_synthetic_paths_and_cycles(self):
+        rng = Xorshift64Star(47)
+        for k in range(1, 13):
+            for cycle in (False, True) if k >= 3 else (False,):
+                for _ in range(4):
+                    graph, comp = synthetic_graph(k, cycle, rng)
+                    assert graph.components()[0] == comp
+                    optima = _component_optima(graph, comp)
+                    assert optima == reference_component_optima(graph, comp)
+                    size = k // 2 if cycle else (k + 1) // 2
+                    count = (2 if k % 2 == 0 else k) if cycle else (k // 2 + 1 if k % 2 == 0 else 1)
+                    assert all(len(o) == size for o in optima)
+                    assert len(optima) == count
+
+    def test_degree_above_two_rejected(self):
+        nodes = tuple(CoModule(VertexSet(4, 1 << i), "module") for i in range(4))
+        star = ConflictGraph(nodes, ((0, 1), (0, 2), (0, 3)))
+        with pytest.raises(AssertionError):
+            _component_optima(star, [0, 1, 2, 3])
+
+    def test_degree_reads_adjacency(self):
+        graph = conflict_graph(transitive(9))
+        assert [graph.degree(i) for i in range(len(graph.nodes))] == [
+            sum(i in e for e in graph.edges) for i in range(len(graph.nodes))
+        ]
+
+    def test_matches_subset_enumeration(self):
+        for T in equivalence_corpus():
+            graph = conflict_graph(T)
+            for comp in graph.components():
+                assert _component_optima(graph, comp) == reference_component_optima(graph, comp)
+            if not graph.nodes:
+                continue
+            assert delta_decomposition(T).parts == tuple(reference_delta_parts(T))
+            assert [d.parts for d in all_delta_decompositions(T)] == [
+                d.parts for d in reference_decompositions(T)
+            ]
+
+    def test_labels_match_permutation_scan(self):
+        # relabelled chains add inputs of index 4 to 7, whose parts are
+        # not listed in dominance order
+        chains = (relabelled_chain(n, seed) for n in range(6, 13) for seed in (1, 2))
+        for T in itertools.chain(equivalence_corpus(), chains):
+            if comodular_index(T) < 2:
+                continue
+            D, labels = structured_delta_decomposition(T)
+            parts, ref_labels = reference_structured(T)
+            assert list(D.parts) == parts
+            assert labels == ref_labels

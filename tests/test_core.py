@@ -76,6 +76,46 @@ class TestMakeTournament:
                     assert T.relation(i, j) + T.relation(j, i) == 1
 
 
+def pairwise_out_masks(n: int, bits: int) -> list[int]:
+    """Out-neighbourhoods read one pair at a time, straight from the layout."""
+    outs = [0] * n
+    for k, (i, j) in enumerate((i, j) for i in range(n) for j in range(i + 1, n)):
+        if bits >> k & 1:
+            outs[i] |= 1 << j
+        else:
+            outs[j] |= 1 << i
+    return outs
+
+
+class TestConstruction:
+    def test_out_masks_match_pairwise_reading(self):
+        rng = Xorshift64Star(53)
+        for n in range(1, 41):
+            for bits in (0, (1 << pair_count(n)) - 1, random_bits_tournament(rng, n).bits):
+                T = Tournament(n, bits)
+                assert list(T.out_masks) == pairwise_out_masks(n, bits)
+                assert T.bit_string() == "".join(str(bits >> k & 1) for k in range(pair_count(n)))
+                assert T.orient == tuple(bool(bits >> k & 1) for k in range(pair_count(n)))
+
+    def test_builders_keep_bits(self):
+        rng = Xorshift64Star(59)
+        for n in (1, 2, 5, 17, 40):
+            orient = [rng.below(2) for _ in range(pair_count(n))]
+            T = make_tournament(n, orient)
+            assert T.orient == tuple(map(bool, orient))
+            S, labels = subtournament(T, range(0, n, 2))
+            assert all(
+                S.relation(a, b) == T.relation(labels[a], labels[b])
+                for a in range(S.n)
+                for b in range(S.n)
+                if a != b
+            )
+
+    def test_random_tournament_reads_one_output_per_pair(self):
+        for n, seed in ((1, 3), (6, 0), (19, 7), (64, 2**64 + 5)):
+            assert random_tournament(n, seed) == random_bits_tournament(Xorshift64Star(seed), n)
+
+
 class TestTransitive:
     def test_three(self):
         assert transitive(3) == make_tournament(3, [1, 1, 1])

@@ -18,6 +18,7 @@ from tourmod import (
     enumerate_tournaments,
     erdos_transitive_extension,
     feasible_single_arcs,
+    format_tourn_v1,
     invert,
     is_indecomposable,
     is_module,
@@ -33,8 +34,10 @@ from tourmod import (
     transitive,
     verify_certificate,
 )
+from tourmod import inversion
+from tourmod.cli import main
 
-from conftest import all_classes_up_to
+from conftest import all_classes_up_to, composed_random, relabelled_chain
 
 
 @pytest.fixture(autouse=True)
@@ -196,6 +199,35 @@ class TestSynthesize:
     def test_small_tournaments_rejected(self):
         with pytest.raises(ValueError):
             synthesize_certificate(transitive(4))
+
+    def test_long_chain(self):
+        T = transitive(64)
+        cert = synthesize_certificate(T)
+        assert len(cert.arcs) == 17
+        assert verify_certificate(T, cert)
+
+    @pytest.mark.parametrize(
+        "T",
+        [transitive(9), relabelled_chain(15, 3), composed_random(Xorshift64Star(1), 14)]
+        + [first_indecomposable(6)],
+        ids=["chain-9", "relabelled-chain-15", "composed-14", "prime-6"],
+    )
+    def test_one_analysis_per_state(self, T, monkeypatch):
+        # every state before the last reversal is analysed once, by the
+        # step that reaches it; the final state only needs a primality test
+        analysed = []
+        build = inversion._Analysis
+
+        def counting(U):
+            analysed.append(U)
+            return build(U)
+
+        monkeypatch.setattr(inversion, "_Analysis", counting)
+        cert = synthesize_certificate(T)
+        states = [T]
+        for arc in cert.arcs:
+            states.append(invert(states[-1], [arc]))
+        assert analysed == (states[:-1] if cert.arcs else states)
 
 
 class TestVerify:
@@ -390,3 +422,35 @@ class TestIndexLawsSmall:
                     continue
                 E = erdos_transitive_extension(T)
                 assert decomposability_index(T) <= decomposability_index(E)
+
+
+class TestBytePins:
+    """Whole output lines of ``analyze`` and of a certificate, pinned byte
+    for byte: a relabelled chain (index 9, every reduction step) and a
+    composed input (index 3)."""
+
+    CASES = {
+        "chain-17": (
+            lambda: relabelled_chain(17, 17),
+            '{"n": 17, "indecomposable": false, "Delta": 9, "delta": 5, "mc": [[0], [1], [2, 7], [2, 14], [3, 7], [3, 12], [4, 12], [5, 8], [5, 10], [6, 9], [6, 14], [8, 13], [9, 10], [11, 15], [11, 16], [13, 15]], "components": [[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16]], "delta_decomposition": [[0], [1], [2, 7], [3, 12], [5, 8], [6, 14], [9, 10], [11, 16], [13, 15]]}\n',
+            '{"n": 17, "base_bits": "0000000000000000111111111111111110010000100001000000010000000000000000110110101001000010100000010000110101000010100010100111100000100000", "arcs": [[11, 0], [13, 12], [5, 7], [1, 14], [9, 0]], "trace": [9, 7, 5, 3, 2], "final_bits": "0000000010100000111111111111011110010000100001000000010000000000000000100110101001000010100000010000110101000010100010100111101000100000"}',
+        ),
+        "composed-14": (
+            lambda: composed_random(Xorshift64Star(1), 14),
+            '{"n": 14, "indecomposable": false, "Delta": 3, "delta": 2, "mc": [[0], [1], [2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13]], "components": [[0], [1], [2], [3], [4], [5], [6], [7], [8], [9], [10], [11], [12], [13]], "delta_decomposition": [[0], [1], [2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13]]}\n',
+            '{"n": 14, "base_bits": "1111111111111000000000000011101000111001100100111000010000010101100111111111001110101100111", "arcs": [[0, 1], [0, 2]], "trace": [3, 2], "final_bits": "0011111111111000000000000011101000111001100100111000010000010101100111111111001110101100111"}',
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_analyze_stdout(self, name, tmp_path, capsys):
+        make, analyze_line, _ = self.CASES[name]
+        path = tmp_path / "t.tourn"
+        path.write_text(format_tourn_v1(make()))
+        assert main(["analyze", str(path)]) == 0
+        assert capsys.readouterr().out == analyze_line
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_certificate_line(self, name):
+        make, _, cert_line = self.CASES[name]
+        assert certificate_to_json(synthesize_certificate(make())) == cert_line

@@ -22,7 +22,7 @@ from tourmod import (
     transitive,
     transitive_components,
 )
-from tourmod import Xorshift64Star
+from tourmod import Xorshift64Star, modular
 from tourmod.modular import _is_transitive_mask
 
 from conftest import all_classes_up_to, composed_random, substitute
@@ -301,6 +301,34 @@ class TestTransitiveComponents:
                         is_module(T, bigger) and _is_transitive_mask(T, bigger.mask)
                     )
             assert union == (1 << T.n) - 1
+
+
+class TestOneTreePerCall:
+    @pytest.mark.parametrize(
+        "query",
+        [
+            lambda T: component_comodule(T, T.vertex_set(), 2),
+            lambda T: tilde(T, [1, 2]),
+            lambda T: overlap_set(T, [1, 2]),
+            minimal_comodules,
+            transitive_components,
+            minimal_nontrivial_modules,
+            maximal_nontrivial_modules,
+        ],
+        ids=["component_comodule", "tilde", "overlap_set", "minimal_comodules",
+             "transitive_components", "minimal_nontrivial", "maximal_nontrivial"],
+    )
+    def test_tree_built_once(self, query, monkeypatch):
+        builds = []
+        build = modular._tree
+
+        def counting(T):
+            builds.append(T)
+            return build(T)
+
+        monkeypatch.setattr(modular, "_tree", counting)
+        query(transitive(7))
+        assert len(builds) == 1
 
 
 class TestComponentComodule:
