@@ -20,7 +20,7 @@ from .core import (
 )
 from .comodular import _Analysis, comodular_index
 from .inversion import certificate_to_json, synthesize_certificate, verify_certificate
-from .modular import nontrivial_modules, transitive_components
+from .modular import _transitive_blocks, nontrivial_modules
 from .oracle import (
     DELTA_SEARCH_BOUND,
     PACKING_BOUND,
@@ -56,7 +56,7 @@ def cmd_analyze(args) -> int:
         "Delta": index,
         "delta": (None if T.n < 5 else (index + 1) // 2),
         "mc": [list(c.members) for c in A.graph.nodes],
-        "components": [list(b) for b in transitive_components(T).blocks],
+        "components": [list(b) for b in _transitive_blocks(T, A.tree).blocks],
         "delta_decomposition": (
             [] if indec else [list(p.members) for p in A.decomposition().parts]
         ),

@@ -24,8 +24,11 @@ from .core import Tournament, VertexSet
 from .modular import (
     CoModule,
     minimal_comodules,
-    minimal_nontrivial_modules,
+    _extremal_module_masks,
+    _minimal_comodules,
     _overlaps,
+    _sorted_sets,
+    _tree,
 )
 
 __all__ = [
@@ -165,15 +168,16 @@ class CoModularDecomposition:
 
 class _Analysis:
     """What the index, the decompositions and a certificate step read from
-    one tournament, built from one decomposition tree: mc(T) with the
-    co-module kinds (the graph's nodes), the overlap graph, its components,
-    the index and the distinguished subset of every minimal co-module with
-    at most one overlap.  The optima of the components are enumerated on
-    first use."""
+    one tournament, built from one decomposition tree: the tree's nodes,
+    mc(T) with the co-module kinds (the graph's nodes), the overlap graph,
+    its components, the index and the distinguished subset of every
+    minimal co-module with at most one overlap.  The optima of the
+    components are enumerated on first use."""
 
     def __init__(self, T: Tournament):
         self.tournament = T
-        self.graph = graph = _conflict_graph(minimal_comodules(T))
+        self.tree = list(_tree(T))
+        self.graph = graph = _conflict_graph(_minimal_comodules(T, self.tree))
         self.components = graph.components()
         self.index = sum(
             len(comp) // 2 if _is_cycle(graph, comp) else (len(comp) + 1) // 2
@@ -359,7 +363,7 @@ def hereditary_witness(T: Tournament, k: int) -> VertexSet:
         if index == 0:
             designated = (0, 1, 2)
         else:
-            module = minimal_nontrivial_modules(T)[0]
+            module = _sorted_sets(T, _extremal_module_masks(T, A.tree)[0])[0]
             x, y = module.members()[:2]
             z = next(v for v in range(T.n) if v not in module)
             designated = (x, y, z)

@@ -243,6 +243,20 @@ def make_tournament(n: int, orient: Sequence) -> Tournament:
     return Tournament(n, _pack(entries))
 
 
+def _from_bit_string(n: int, bits: str) -> Tournament:
+    """The tournament whose orientation sequence is the '0'/'1' string
+    ``bits`` (as ``Tournament.bit_string`` writes it), read in one
+    conversion; raises ValueError for n < 1, a wrong length or any other
+    character."""
+    if n < 1:
+        raise ValueError("a tournament needs at least one vertex")
+    if len(bits) != pair_count(n):
+        raise ValueError(f"expected {pair_count(n)} orientation bits for n={n}, got {len(bits)}")
+    if bits.strip("01"):
+        raise ValueError("orientation bits may contain only '0' and '1'")
+    return Tournament(n, int(bits[::-1] or "0", 2))
+
+
 def transitive(n: int) -> Tournament:
     """The transitive tournament 0 -> 1 -> ... -> n-1 (all bits set)."""
     if n < 1:
@@ -506,16 +520,6 @@ def parse_tourn_v1(text: str) -> Tournament:
         raise ValueError("missing tourn-v1 header")
     if not lines[1].startswith("n=") or not lines[1][2:].isdigit():
         raise ValueError("second line must be n=<count>")
-    n = int(lines[1][2:])
-    if n < 1:
-        raise ValueError("vertex count must be at least 1")
     if not lines[2].startswith("bits="):
         raise ValueError("third line must be bits=<0/1 string>")
-    bit_str = lines[2][5:]
-    if len(bit_str) != pair_count(n):
-        raise ValueError(
-            f"expected {pair_count(n)} orientation bits for n={n}, got {len(bit_str)}"
-        )
-    if bit_str.strip("01") != "":
-        raise ValueError("bits line may contain only '0' and '1'")
-    return make_tournament(n, [c == "1" for c in bit_str])
+    return _from_bit_string(int(lines[1][2:]), lines[2][5:])

@@ -33,7 +33,7 @@ import warnings
 from dataclasses import dataclass
 from itertools import permutations as _permutations
 
-from .core import Arc, Tournament, VertexSet, invert, make_tournament, pair_count
+from .core import Arc, Tournament, VertexSet, _from_bit_string, invert, pair_count
 from .comodular import _Analysis, _structured, comodular_index
 from .modular import _is_transitive_mask, is_indecomposable, nontrivial_modules
 
@@ -307,7 +307,7 @@ def certificate_from_json(line: str) -> InversionCertificate:
     if type(n) is not int:  # JSON true/false would pass isinstance(n, int)
         raise ValueError("certificate field n must be an integer")
     bit_strings = (record["base_bits"], record["final_bits"])
-    if not all(isinstance(b, str) and not b.strip("01") for b in bit_strings):
+    if not all(isinstance(b, str) for b in bit_strings):
         raise ValueError("certificate bit fields must be strings of 0s and 1s")
     if not isinstance(arcs, list) or not all(
         isinstance(a, list) and len(a) == 2 and all(type(v) is int for v in a) for a in arcs
@@ -315,7 +315,7 @@ def certificate_from_json(line: str) -> InversionCertificate:
         raise ValueError("certificate field arcs must be a list of integer pairs")
     if not isinstance(trace, list) or not all(type(t) is int for t in trace):
         raise ValueError("certificate field trace must be a list of integers")
-    base, final = (make_tournament(n, [c == "1" for c in b]) for b in bit_strings)
+    base, final = (_from_bit_string(n, b) for b in bit_strings)
     return InversionCertificate(base, tuple(Arc(a, b) for a, b in arcs), tuple(trace), final)
 
 

@@ -4,8 +4,10 @@ import sys
 
 import pytest
 
-from tourmod import format_tourn_v1, parse_tourn_v1, transitive
+from tourmod import Xorshift64Star, format_tourn_v1, modular, parse_tourn_v1, transitive
 from tourmod.cli import main
+
+from conftest import composed_random
 
 
 def run_cli(*args):
@@ -106,6 +108,24 @@ class TestAnalyze:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["Delta"] == 17
+
+    def test_tree_built_once(self, tmp_path, capsys, monkeypatch):
+        # the index, mc, the decomposition and the transitive components
+        # are all read off one decomposition tree
+        builds = []
+        build = modular._tree
+
+        def counting(T):
+            builds.append(T)
+            return build(T)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("tourmod") and getattr(module, "_tree", None) is build:
+                monkeypatch.setattr(module, "_tree", counting)
+        path = write_tourn(tmp_path / "r.tourn", composed_random(Xorshift64Star(7), 12))
+        assert main(["analyze", path]) == 0
+        assert json.loads(capsys.readouterr().out)["components"]
+        assert len(builds) == 1
 
     def test_parse_error_exit_two(self, tmp_path):
         bad = tmp_path / "bad.tourn"

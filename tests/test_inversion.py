@@ -363,6 +363,7 @@ class TestCertificateJson:
             json.dumps(dict(GOOD, arcs="04")),
             json.dumps(dict(GOOD, trace=["3"])),
             json.dumps(dict(GOOD, trace=3)),
+            json.dumps(dict(GOOD, base_bits="111111111")),
         ],
     )
     def test_malformed_rejected(self, line):

@@ -1,3 +1,6 @@
+from functools import reduce
+from operator import or_
+
 import pytest
 
 from tourmod import (
@@ -16,6 +19,7 @@ from tourmod import (
     minimal_nontrivial_modules,
     nontrivial_modules,
     overlap_set,
+    random_tournament,
     smallest_module_containing,
     subtournament,
     tilde,
@@ -25,7 +29,7 @@ from tourmod import (
 from tourmod import Xorshift64Star, modular
 from tourmod.modular import _is_transitive_mask
 
-from conftest import all_classes_up_to, composed_random, substitute
+from conftest import all_classes_up_to, composed_random, relabelled_chain, substitute
 
 
 def members(sets):
@@ -329,6 +333,95 @@ class TestOneTreePerCall:
         monkeypatch.setattr(modular, "_tree", counting)
         query(transitive(7))
         assert len(builds) == 1
+
+
+def reference_tree(T):
+    """``modular._tree`` with the plain prime-node child rule: one full
+    closure per part of the partition avoiding the lowest vertex."""
+    out = T.out_masks
+    todo = [(1 << T.n) - 1] if T.n > 1 else []
+    while todo:
+        S = todo.pop()
+        scores = sorted(
+            ((out[v] & S).bit_count(), v) for v in range(T.n) if S >> v & 1
+        )
+        children = []
+        block = total = 0
+        for k, (score, v) in enumerate(reversed(scores), 1):
+            block |= 1 << v
+            total += score
+            if total == k * (k - 1) // 2 + k * (len(scores) - k):
+                children.append(block)
+                block = 0
+        linear = len(children) > 1
+        if not linear:
+            low = S & -S
+            parts = modular._modular_partition_avoiding(T, S, low.bit_length() - 1)
+            children = [x for x in parts if modular._closure_mask(T, x | low) == S]
+            children.append(S ^ reduce(or_, children, 0))
+        yield S, linear, children
+        todo += [c for c in children if c & (c - 1)]
+
+
+def nested_substitution(rng):
+    """A random tournament with two to four levels of substituted blocks,
+    each new block wrapping the last result or placed beside it."""
+    T = random_tournament(2 + rng.below(5), rng.next())
+    for _ in range(2 + rng.below(3)):
+        other = random_tournament(2 + rng.below(5), rng.next())
+        if rng.below(2):
+            T = substitute(other, T, rng.below(other.n))
+        else:
+            T = substitute(T, other, rng.below(T.n))
+    return T
+
+
+def prime_in_prime(k):
+    """A k-vertex random tournament substituted into vertex 0 of another."""
+    return substitute(random_tournament(k, 2 * k), random_tournament(k, 2 * k + 1), 0)
+
+
+class CountingRows(tuple):
+    """A tuple of out-masks that counts its element reads."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return tuple.__getitem__(self, i)
+
+
+class TestTreeChildRule:
+    def inputs(self):
+        yield from all_classes_up_to(7)
+        rng = Xorshift64Star(41)
+        for _ in range(300):
+            yield composed_random(rng, 6 + rng.below(35))
+        for _ in range(100):
+            yield nested_substitution(rng)
+        for n in range(5, 41):
+            yield relabelled_chain(n, n)
+        for n in range(1, 61):
+            yield random_tournament(n, n)
+        for k in range(3, 31):
+            yield prime_in_prime(k)
+
+    def test_matches_closure_per_part(self):
+        for T in self.inputs():
+            assert list(modular._tree(T)) == list(reference_tree(T)), T
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: random_tournament(400, 3), lambda: prime_in_prime(200)],
+        ids=["random400", "prime_in_prime399"],
+    )
+    def test_reads_linear_in_n(self, build):
+        # one full closure per part read about n^2 rows on both inputs
+        T = build()
+        rows = CountingRows(T.out_masks)
+        object.__setattr__(T, "out_masks", rows)
+        minimal_comodules(T)
+        assert rows.reads <= 40 * T.n
 
 
 class TestComponentComodule:
