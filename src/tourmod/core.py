@@ -40,12 +40,9 @@ and the orientation bit for pair position k is bit 63 of the k-th output.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Sequence
-
-import numpy as np
 
 __all__ = [
     "Arc",
@@ -340,78 +337,85 @@ class Xorshift64Star:
 # Canonical forms and enumeration up to isomorphism.
 #
 # The canonical form of a tournament is the lexicographically smallest
-# orientation sequence over all relabelings of its vertices, found by full
-# minimisation over the n! permutations.  The permutation action is
-# precomputed per n as two (n!, m) tables: POS maps each target pair
-# position to its source position, FLIP records whether the bit reverses
-# (the relabeled pair comes out in descending order).
-
-_perm_tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _permutation_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    cached = _perm_tables.get(n)
-    if cached is not None:
-        return cached
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int8)
-    inv = np.argsort(perms, axis=1).astype(np.int8)
-    m = pair_count(n)
-    idx_lookup = np.zeros((n, n), dtype=np.int16)
-    for k, (i, j) in enumerate(_pairs(n)):
-        idx_lookup[i, j] = k
-    pos = np.empty((len(perms), m), dtype=np.int16)
-    flip = np.empty((len(perms), m), dtype=np.uint8)
-    for k, (a, b) in enumerate(_pairs(n)):
-        u = inv[:, a].astype(np.int16)
-        v = inv[:, b].astype(np.int16)
-        lo = np.minimum(u, v)
-        hi = np.maximum(u, v)
-        pos[:, k] = idx_lookup[lo, hi]
-        flip[:, k] = (u > v).astype(np.uint8)
-    _perm_tables[n] = (pos, flip)
-    return pos, flip
+# orientation sequence over all relabelings of its vertices.  Row i of the
+# sequence holds the pairs (i, j), j > i, so the search fixes labels in
+# order.  With labels 0..i-1 fixed, the unlabelled vertices form an ordered
+# partition (held as bitmasks): each cell relates alike to every labelled
+# vertex, and the cells are in label order.  Row i then reads, cell by
+# cell, 0 for each in-neighbour and 1 for each out-neighbour of the vertex
+# labelled i, so the row is smallest when that vertex comes from the first
+# cell, has the lexicographically largest in-neighbour counts read cell by
+# cell, and every cell is split into its in-part, then its out-part.  This
+# is individualisation with ordered partition refinement, as in McKay and
+# Piperno, "Practical Graph Isomorphism II" (2014).
+#
+# The search is breadth first.  All branches alive at one depth share their
+# prefix rows and so their cell sizes, which makes the count vectors
+# comparable across branches: at each depth only the candidates with the
+# largest vector survive, so the search branches only on ties and drops
+# every branch whose prefix is larger than the best one.
 
 
-def _bits_to_array(bits: int, m: int) -> np.ndarray:
-    return np.array([bits >> k & 1 for k in range(m)], dtype=np.uint8)
+def _canonical_order(outs: Sequence[int]) -> tuple[int, ...]:
+    """A labelling (order[k] is the vertex labelled k) under which the
+    tournament with out-neighbourhoods ``outs`` reads its canonical form."""
+    n = len(outs)
+    full = (1 << n) - 1
+    ins = [full ^ out ^ (1 << v) for v, out in enumerate(outs)]
+    frontier = [((), (full,))]
+    for _ in range(n):
+        best = None
+        picks = []
+        for order, cells in frontier:
+            first = cells[0]
+            rest = first
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                v = low.bit_length() - 1
+                in_v = ins[v]
+                key = [(in_v & cell).bit_count() for cell in cells]
+                if best is None or key > best:
+                    best = key
+                    picks = [(order, cells, v)]
+                elif key == best:
+                    picks.append((order, cells, v))
+        frontier = []
+        for order, cells, v in picks:
+            in_v = ins[v]
+            split = []
+            for cell in cells:
+                cell &= ~(1 << v)
+                if cell & in_v:
+                    split.append(cell & in_v)
+                if cell & ~in_v:
+                    split.append(cell & ~in_v)
+            frontier.append((order + (v,), tuple(split)))
+    return frontier[0][0]
 
 
-def _place_weights(m: int) -> np.ndarray:
-    """Weight 2^(m-1-k) of target position k; keys then order like the
-    orientation sequences.  Exact in float64 for m <= 52."""
-    return 2.0 ** (m - 1 - np.arange(m, dtype=np.float64))
-
-
-def _key_to_bits(key: int, m: int) -> int:
-    """Unpack a position-weighted key back into an orientation int."""
-    bits = 0
-    for k in range(m):
-        if key >> (m - 1 - k) & 1:
-            bits |= 1 << k
-    return bits
+def _canonical_string(outs: Sequence[int]) -> str:
+    """The canonical orientation sequence as a '0'/'1' string in idx order."""
+    order = _canonical_order(outs)
+    n = len(order)
+    return "".join(
+        "1" if outs[order[a]] >> order[b] & 1 else "0"
+        for a in range(n)
+        for b in range(a + 1, n)
+    )
 
 
 @lru_cache(maxsize=200_000)
 def _canonical_bits(n: int, bits: int) -> int:
-    pos, flip = _permutation_tables(n)
-    m = pair_count(n)
-    arr = _bits_to_array(bits, m)
-    place = _place_weights(m)
-    best = None
-    chunk = 40320  # keep the candidate matrix a few MB at most
-    for start in range(0, len(pos), chunk):
-        cand = arr[pos[start : start + chunk]] ^ flip[start : start + chunk]
-        lo = int(cand.astype(np.float64).dot(place).min())
-        if best is None or lo < best:
-            best = lo
-    return _key_to_bits(best, m)
+    return int(_canonical_string(Tournament(n, bits).out_masks)[::-1] or "0", 2)
 
 
 def canonical_form(T: Tournament, bound: int = CANONICAL_BOUND) -> tuple[bool, ...]:
     """Lexicographically minimal orientation sequence over all relabelings.
 
     Two tournaments are isomorphic exactly when their canonical forms are
-    equal.  Full permutation minimisation; refuses n above ``bound``.
+    equal.  Found by individualisation and partition refinement (see the
+    comment above), which branches only on ties; refuses n above ``bound``.
     """
     if T.n > bound:
         raise ValueError(f"canonicalization limited to n <= {bound}, got n={T.n}")
@@ -420,80 +424,40 @@ def canonical_form(T: Tournament, bound: int = CANONICAL_BOUND) -> tuple[bool, .
     return tuple(bool(cbits >> k & 1) for k in range(m))
 
 
-def _canonical_batch(n: int, bit_rows: np.ndarray) -> np.ndarray:
-    """Canonical keys (position-weighted, float64-exact) for a batch of
-    orientation rows.
-
-    The key of row b under permutation p is an affine function of the
-    row, sum_k (bits[b, pos[p,k]] XOR flip[p,k]) * 2^(m-1-k)
-    = const[p] + bits[b] . W[p], so one matrix product per permutation
-    chunk covers the whole batch.
-    """
-    pos, flip = _permutation_tables(n)
-    m = pair_count(n)
-    place = _place_weights(m)
-    rows = bit_rows.astype(np.float64)
-    best = np.full(len(rows), np.inf)
-    # keep each product block around a hundred MB
-    chunk = max(1, min(len(pos), (1 << 24) // max(len(rows), 1)))
-    for start in range(0, len(pos), chunk):
-        p_slice = slice(start, start + chunk)
-        pos_c = pos[p_slice]
-        flip_c = flip[p_slice].astype(np.float64)
-        signed = (1.0 - 2.0 * flip_c) * place  # per (perm, target k)
-        weights = np.zeros((len(pos_c), m))
-        weights[np.arange(len(pos_c))[:, None], pos_c] = signed
-        const = flip_c @ place
-        keys = rows @ weights.T
-        keys += const
-        np.minimum(best, keys.min(axis=1), out=best)
-    return best
-
-
-def _all_orientation_rows(m: int) -> np.ndarray:
-    count = 1 << m
-    codes = np.arange(count, dtype=np.uint32)
-    return (codes[:, None] >> np.arange(m, dtype=np.uint32)[None, :] & 1).astype(np.uint8)
-
-
-def _rows_from_reps(reps: list[int], n: int) -> np.ndarray:
-    """Extend each (n-1)-vertex rep by a new last vertex in all 2^(n-1) ways."""
-    m_old = pair_count(n - 1)
-    ext = _all_orientation_rows(n - 1)  # orientation of pairs {i, n-1}
-    rows = np.empty((len(reps) * len(ext), pair_count(n)), dtype=np.uint8)
-    # target layout: pair {i, j} of the old tournament keeps relative order,
-    # pair {i, n-1} lands at idx(i, n-1)
-    old_pos = [pair_index(n, i, j) for (i, j) in _pairs(n - 1)]
-    new_pos = [pair_index(n, i, n - 1) for i in range(n - 1)]
-    r = 0
-    for bits in reps:
-        old_row = np.array([bits >> k & 1 for k in range(m_old)], dtype=np.uint8)
-        block = rows[r : r + len(ext)]
-        block[:, old_pos] = old_row[None, :]
-        block[:, new_pos] = ext
-        r += len(ext)
-    return rows
-
-
 @lru_cache(maxsize=None)
 def _enumerate_bits(n: int) -> tuple[int, ...]:
-    m = pair_count(n)
-    if n <= 6:
-        keys = _canonical_batch(n, _all_orientation_rows(m))
-    else:
-        rows = _rows_from_reps(list(_enumerate_bits(n - 1)), n)
-        keys = _canonical_batch(n, rows)
-    return tuple(_key_to_bits(int(k), m) for k in np.unique(keys))
+    """Canonical bits of every class on n vertices, in canonical-form order.
+
+    Every class has a vertex of highest score, and deleting it leaves some
+    class on n-1 vertices.  So extending each (n-1)-vertex representative
+    by a new vertex n-1 in all 2^(n-1) ways, keeping only the extensions in
+    which the new vertex has the highest score, reaches every class.
+    """
+    if n == 1:
+        return (0,)
+    old_vertices = (1 << (n - 1)) - 1
+    forms = set()
+    for bits in _enumerate_bits(n - 1):
+        outs = Tournament(n - 1, bits).out_masks
+        scores = [out.bit_count() for out in outs]
+        for ext in range(1 << (n - 1)):
+            # bit i of ext set: the arc (i, n-1); clear: the arc (n-1, i)
+            new_score = n - 1 - ext.bit_count()
+            if any(s + (ext >> i & 1) > new_score for i, s in enumerate(scores)):
+                continue
+            new_outs = [out | (ext >> i & 1) << (n - 1) for i, out in enumerate(outs)]
+            new_outs.append(old_vertices ^ ext)
+            forms.add(_canonical_string(new_outs))
+    return tuple(int(s[::-1], 2) for s in sorted(forms))
 
 
 def enumerate_tournaments(n: int, bound: int = ENUMERATION_BOUND) -> list[Tournament]:
     """One representative per isomorphism class, in canonical-form order.
 
-    Representatives are themselves canonical.  For n <= 6 all labeled
-    tournaments are scanned; for larger n each class on n-1 vertices is
-    extended by one vertex in every way and the results deduplicated.
-    ``bound`` (default 7) may be raised to 8 when the extra half-minute
-    of enumeration work is acceptable.
+    Representatives are themselves canonical.  Each class on n-1
+    vertices is extended by a new vertex of highest score in every way
+    and the canonical forms deduplicated.  ``bound`` (default 7) may be
+    raised to 8, which takes under a second more.
     """
     if n < 1:
         raise ValueError("a tournament needs at least one vertex")

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -211,3 +213,26 @@ class TestSweepCommand:
         code2, out2, _ = run_cli("sweep", "--max-n", "5", "--jobs", "3")
         assert code1 == code2 == 0
         assert out1 == out2
+
+    def test_sweep_does_not_import_numpy(self):
+        # runs the module as ``python -m tourmod sweep --max-n 5`` does, then
+        # reports whether numpy was ever imported
+        script = (
+            "import runpy, sys\n"
+            "sys.argv = ['tourmod', 'sweep', '--max-n', '5']\n"
+            "try:\n"
+            "    runpy.run_module('tourmod', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    print('exit', exc.code)\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-2:] == ["exit 0", "False"]

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -23,6 +24,44 @@ from tourmod import (
 )
 
 from conftest import random_bits_tournament
+
+
+def brute_canonical(T: Tournament) -> tuple[bool, ...]:
+    """The smallest orientation sequence over all n! relabelings, read
+    straight off the pair layout: q[a] is the vertex labelled a."""
+    n = T.n
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    outs = T.out_masks
+    best = min(
+        "".join("1" if outs[q[a]] >> q[b] & 1 else "0" for a, b in pairs)
+        for q in itertools.permutations(range(n))
+    )
+    return tuple(c == "1" for c in best)
+
+
+def paley7() -> Tournament:
+    # i -> j when j - i is a nonzero square mod 7: vertex-transitive, so
+    # all seven vertices tie at the first level of the canonical search
+    return make_tournament(7, [(j - i) % 7 in (1, 2, 4) for i in range(7) for j in range(i + 1, 7)])
+
+
+def cycle_of_cycles() -> Tournament:
+    # the 3-cycle with each vertex replaced by a 3-cycle (9 vertices,
+    # vertex-transitive, 81 automorphisms)
+    def beats(i, j):
+        if i // 3 != j // 3:
+            return (j // 3 - i // 3) % 3 == 1
+        return (j - i) % 3 == 1
+
+    return make_tournament(9, [beats(i, j) for i in range(9) for j in range(i + 1, 9)])
+
+
+def random_perm(rng: Xorshift64Star, n: int) -> list[int]:
+    perm = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = rng.below(i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
 
 
 def relabeled(T: Tournament, perm) -> Tournament:
@@ -219,6 +258,57 @@ class TestCanonicalForm:
         with pytest.raises(ValueError):
             canonical_form(transitive(10))
 
+    def test_matches_permutation_scan_on_all_small_classes(self):
+        rng = Xorshift64Star(5)
+        for n in range(1, 7):
+            for T in enumerate_tournaments(n):
+                expected = brute_canonical(T)
+                assert canonical_form(T) == expected
+                assert canonical_form(relabeled(T, random_perm(rng, n))) == expected
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_matches_permutation_scan_on_relabelings(self, n):
+        rng = Xorshift64Star(100 + n)
+        T = random_bits_tournament(rng, n)
+        expected = brute_canonical(T)
+        for _ in range(20):
+            assert canonical_form(relabeled(T, random_perm(rng, n))) == expected
+
+    def test_paley_tournament_matches_permutation_scan(self):
+        T = paley7()
+        expected = brute_canonical(T)
+        rng = Xorshift64Star(7)
+        for _ in range(10):
+            assert canonical_form(relabeled(T, random_perm(rng, 7))) == expected
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            cycle_of_cycles,
+            lambda: random_bits_tournament(Xorshift64Star(9), 9),
+            lambda: random_bits_tournament(Xorshift64Star(10), 9),
+        ],
+        ids=["cycle_of_cycles", "random9_seed9", "random9_seed10"],
+    )
+    def test_relabeling_invariance_at_bound(self, make):
+        T = make()
+        base = canonical_form(T)
+        rng = Xorshift64Star(11)
+        for _ in range(10):
+            assert canonical_form(relabeled(T, random_perm(rng, T.n))) == base
+
+
+REPRESENTATIVE_DIGESTS = {
+    1: "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    2: "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9",
+    3: "cf13902bae18fdcb1aa6d32989d110d63ac60aea394ea7e3f6cd0cb458090495",
+    4: "abe29de9fdfce7a7a82dd71e01fe7ccf79a36e96090a74fc14f563f11864c9f5",
+    5: "c860fd3127668cc249786136390e1ce50062d24df12c11ed2b1ea4c4778a232a",
+    6: "19b1706067fb0107b87f521fffbea03500e144ce276edcadcf7bf9d5d1432ece",
+    7: "13400bec677a3bb07553b465cdb7ae1ea9ef6f5f654f3820cb4024eb74c7f3c3",
+    8: "cda7ebc640161eb812fef4d217d5ca092e4aeea73481c811b186f2be4dfef4d1",
+}
+
 
 class TestEnumeration:
     def test_class_counts(self):
@@ -243,6 +333,18 @@ class TestEnumeration:
     def test_bound_enforced(self):
         with pytest.raises(ValueError):
             enumerate_tournaments(8)
+
+    def test_class_counts_match_oeis(self):
+        # OEIS A000568
+        counts = [len(enumerate_tournaments(n, bound=8)) for n in range(1, 9)]
+        assert counts == [1, 1, 2, 4, 12, 56, 456, 6880]
+
+    @pytest.mark.parametrize("n", sorted(REPRESENTATIVE_DIGESTS))
+    def test_representatives_pinned(self, n):
+        # sha256 of the representatives' bit strings, newline-joined in
+        # enumeration order: pins both the forms and their order
+        joined = "\n".join(T.bit_string() for T in enumerate_tournaments(n, bound=8))
+        assert hashlib.sha256(joined.encode()).hexdigest() == REPRESENTATIVE_DIGESTS[n]
 
 
 class TestRandomTournament:
