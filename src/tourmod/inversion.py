@@ -14,13 +14,12 @@ co-modular decomposition.  The bound from above is constructive, and
   are representatives x, z, y of the distinguished subsets with
   x -> z -> y, and reversing the pair {x, y} lands at index 2;
 * at index 2, some single reversal between the distinguished subsets of
-  the two parts yields an indecomposable tournament, unless deleting a
-  vertex already leaves one indecomposable, in which case a single
-  reversal still suffices and a full arc scan finds it.
+  the two parts yields an indecomposable tournament.
 
-Every guided step re-verifies its postcondition; if verification ever
-failed (it cannot, short of an implementation bug), the step would warn
-and fall back to an exhaustive arc scan, keeping results correct.
+Each step is the one path the proof gives.  It still checks its
+postcondition (the index drops by 2, reaches 2, or the result is
+indecomposable), and a failed check raises RuntimeError naming the
+input, since it can only mean an implementation bug.
 
 Certificates serialise to single-line JSON objects with the fields
 ``n``, ``base_bits``, ``arcs``, ``trace`` and ``final_bits``.
@@ -29,13 +28,12 @@ Certificates serialise to single-line JSON objects with the fields
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass
 from itertools import permutations as _permutations
 
-from .core import Arc, Tournament, VertexSet, _from_bit_string, invert, pair_count
+from .core import Arc, Tournament, _from_bit_string, invert, make_tournament
 from .comodular import _Analysis, _structured, comodular_index
-from .modular import _is_transitive_mask, is_indecomposable, nontrivial_modules
+from .modular import _is_transitive_mask, _tree, is_indecomposable
 
 __all__ = [
     "GuidedChoiceWarning",
@@ -57,7 +55,9 @@ MIN_VERTICES = 5
 
 
 class GuidedChoiceWarning(UserWarning):
-    """A guided reduction step failed verification and fell back to a scan."""
+    """Formerly warned that a guided reduction step fell back to an arc
+    scan.  Every step now has a single proven path, so nothing raises it;
+    it stays exported for callers that still count it."""
 
 
 def _require_size(T: Tournament):
@@ -82,12 +82,8 @@ def _arc_between(T: Tournament, x: int, y: int) -> Arc:
     return Arc(x, y) if T.relation(x, y) else Arc(y, x)
 
 
-def _scan_for_index(T: Tournament, target: int) -> tuple[Arc, _Analysis] | None:
-    for a in T.arcs():
-        after = _Analysis(invert(T, [a]))
-        if after.index == target:
-            return a, after
-    return None
+def _failed_check(T: Tournament, step: str) -> RuntimeError:
+    return RuntimeError(f"guided {step} failed its check on n={T.n} bits={T.bit_string()}")
 
 
 def reduction_arc_high(T: Tournament, D) -> Arc:
@@ -108,28 +104,20 @@ def _reduce_high(A: _Analysis, D) -> tuple[Arc, _Analysis]:
         raise ValueError("this reduction applies only when the index is at least 4")
     T = A.tournament
     _, labels = D
-    x = min(A.tilde(labels["M1"]))
-    y = min(A.tilde(labels["M3"]))
-    arc = _arc_between(T, x, y)
+    arc = _arc_between(T, min(A.tilde(labels["M1"])), min(A.tilde(labels["M3"])))
     after = _Analysis(invert(T, [arc]))
-    if after.index == A.index - 2:
-        return arc, after
-    warnings.warn(
-        "guided high-index reduction failed verification; scanning all arcs",
-        GuidedChoiceWarning,
-    )
-    found = _scan_for_index(T, A.index - 2)
-    if found is None:
-        raise RuntimeError("no single arc reversal lowers the index by two")
-    return found
+    if after.index != A.index - 2:
+        raise _failed_check(T, "high-index reduction")
+    return arc, after
 
 
 def reduction_arc_three(T: Tournament, D) -> Arc:
     """Arc whose reversal takes a co-modular index of 3 down to 2.
 
-    Tries all 6 role assignments of the three parts and all choices of
-    x, z, y in their distinguished subsets with x -> z -> y, smallest
-    vertices first; the first verified pattern wins.
+    Reverses {x, y} for the first x -> z -> y with x, y, z in the
+    distinguished subsets of the three parts, trying the 6 role
+    assignments in order and the smallest vertices first.  The paper shows
+    that every such pattern works; the result is checked once.
     """
     return _reduce_three(_Analysis(T), D)[0]
 
@@ -141,41 +129,36 @@ def _reduce_three(A: _Analysis, D) -> tuple[Arc, _Analysis]:
         raise ValueError("this reduction applies only when the index is exactly 3")
     T = A.tournament
     decomp, _ = D
-    matched = False
     for part_m, part_n, part_l in _permutations(decomp.parts):
-        xs = sorted(A.tilde(part_m))
-        ys = sorted(A.tilde(part_n))
         zs = sorted(A.tilde(part_l))
-        for x in xs:
-            for y in ys:
-                for z in zs:
-                    if T.relation(x, z) and T.relation(z, y):
-                        matched = True
-                        arc = _arc_between(T, x, y)
-                        after = _Analysis(invert(T, [arc]))
-                        if after.index == 2:
-                            return arc, after
-    warnings.warn(
-        "guided three-part reduction "
-        + ("failed verification" if matched else "found no pattern")
-        + "; scanning all arcs",
-        GuidedChoiceWarning,
-    )
-    found = _scan_for_index(T, 2)
-    if found is None:
-        raise RuntimeError("no single arc reversal brings the index to two")
-    return found
+        for x in sorted(A.tilde(part_m)):
+            for y in sorted(A.tilde(part_n)):
+                if any(T.relation(x, z) and T.relation(z, y) for z in zs):
+                    arc = _arc_between(T, x, y)
+                    after = _Analysis(invert(T, [arc]))
+                    if after.index != 2:
+                        raise _failed_check(T, "three-part reduction")
+                    return arc, after
+    raise _failed_check(T, "three-part reduction")
 
 
 def reduction_arc_two(T: Tournament, D) -> Arc:
     """Arc whose reversal makes a tournament of co-modular index 2
     indecomposable.
 
-    Scans pairs from the distinguished subsets of the two labelled parts
-    first (guaranteed to succeed whenever every one-vertex deletion
-    leaves the tournament decomposable); otherwise one vertex deletion is
-    already indecomposable, a single reversal still suffices, and a full
-    arc scan locates it.
+    Scans the pairs of tilde(M) x tilde(N), where M and N are the two
+    labelled parts, and returns the first that works.  One always does:
+
+    * Reversing an arc ab keeps every module that holds both endpoints or
+      neither.  So an arc whose reversal makes T indecomposable has
+      exactly one endpoint in every nontrivial module, and so in every
+      co-module.
+    * When M overlaps some M' in mc(T), both are twins {a, c} and
+      {c, b}.  Their union {a, b, c} is a module, nontrivial for n >= 5,
+      so a feasible arc has one endpoint in it; lying in M and in M', that
+      endpoint is c, and tilde(M) = {c}.
+    * So every feasible arc joins tilde(M) to tilde(N), and the main
+      theorem (delta = 1 at index 2) says that one exists.
     """
     _require_size(T)
     return _reduce_two(_Analysis(T), D)
@@ -191,10 +174,7 @@ def _reduce_two(A: _Analysis, D) -> Arc:
             arc = _arc_between(T, x, y)
             if is_indecomposable(invert(T, [arc])):
                 return arc
-    for arc in T.arcs():
-        if is_indecomposable(invert(T, [arc])):
-            return arc
-    raise RuntimeError("no single arc reversal makes the tournament indecomposable")
+    raise _failed_check(T, "two-part reduction")
 
 
 @dataclass(frozen=True)
@@ -319,41 +299,32 @@ def certificate_from_json(line: str) -> InversionCertificate:
     return InversionCertificate(base, tuple(Arc(a, b) for a, b in arcs), tuple(trace), final)
 
 
-def erdos_transitive_extension(T: Tournament, bound: int = 7) -> Tournament:
+def erdos_transitive_extension(T: Tournament) -> Tournament:
     """A transitive tournament on the same vertices whose module family
     strictly contains that of the non-transitive input.
 
-    Vertex orderings are scanned lexicographically; an ordering works when
-    every nontrivial module of T occupies consecutive positions.  Strict
-    growth is then automatic, but is checked anyway.
+    It orders the vertices by a depth-first walk of the decomposition
+    tree, taking linear children in dominance order.  Every node is then
+    an interval, and so is every run of consecutive children of a linear
+    node, so every module of T is a module of the transitive tournament on
+    that order.  T is not transitive, so some node is prime with at least
+    three children; its first two children form an interval that is no
+    module of T.
     """
-    if T.n > bound:
-        raise ValueError(f"ordering scan limited to n <= {bound}, got n={T.n}")
-    if _is_transitive_mask(T, (1 << T.n) - 1):
+    full = (1 << T.n) - 1
+    if _is_transitive_mask(T, full):
         raise ValueError("input is already transitive")
-    module_masks = {s.mask for s in nontrivial_modules(T)}
-    interval_count = pair_count(T.n) - 1  # intervals of length 2..n-1
-    if len(module_masks) >= interval_count:
-        # all intervals being modules forces transitivity, contradicting the pre
-        raise RuntimeError("module family already saturates the interval family")
-    for order in _permutations(range(T.n)):
-        position = [0] * T.n
-        for pos, v in enumerate(order):
-            position[v] = pos
-        ok = True
-        for mask in module_masks:
-            spots = [position[v] for v in range(T.n) if mask >> v & 1]
-            if max(spots) - min(spots) + 1 != len(spots):
-                ok = False
-                break
-        if not ok:
-            continue
-        bits = 0
-        k = 0
-        for i in range(T.n):
-            for j in range(i + 1, T.n):
-                if position[i] < position[j]:
-                    bits |= 1 << k
-                k += 1
-        return Tournament(T.n, bits)
-    raise RuntimeError("no module-preserving transitive ordering found")
+    children = {S: kids for S, _, kids in _tree(T)}
+    position = [0] * T.n
+    stack = [full]
+    rank = 0
+    while stack:
+        S = stack.pop()
+        if S in children:
+            stack += reversed(children[S])
+        else:
+            position[S.bit_length() - 1] = rank
+            rank += 1
+    return make_tournament(
+        T.n, [position[i] < position[j] for i in range(T.n) for j in range(i + 1, T.n)]
+    )

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from functools import reduce
 from multiprocessing import Pool
 
-from .core import Tournament, VertexSet, Xorshift64Star, dual, enumerate_tournaments, invert
-from .comodular import comodular_index, delta_decomposition
+from .core import Tournament, VertexSet, dual, enumerate_tournaments, invert
+from .comodular import comodular_index
 from .inversion import synthesize_certificate, verify_certificate
 from .modular import _is_module_mask, is_indecomposable
 
@@ -32,8 +32,7 @@ __all__ = [
 MODULE_SCAN_BOUND = 16
 PACKING_BOUND = 12
 DELTA_SEARCH_BOUND = 8
-SWEEP_BOUND = 7
-SPOT_CHECK_DRAWS = 1000
+SWEEP_BOUND = 8
 
 
 def brute_modules(T: Tournament) -> list[VertexSet]:
@@ -56,8 +55,9 @@ def _brute_comodule_masks(T: Tournament) -> list[int]:
     return sorted(masks, key=lambda m: (m.bit_count(), m))
 
 
-def brute_Delta(T: Tournament) -> int:
-    """Maximum number of pairwise disjoint co-modules, by branch and bound.
+def _brute_packing(T: Tournament) -> list[int]:
+    """The masks of a maximum set of pairwise disjoint co-modules, by
+    branch and bound.
 
     Candidates are every co-module (from the module subset scan and the
     complements), ordered by size; the bound uses the vertices still free
@@ -67,31 +67,41 @@ def brute_Delta(T: Tournament) -> int:
         raise ValueError(f"exact packing limited to n <= {PACKING_BOUND}")
     comods = _brute_comodule_masks(T)
     sizes = [m.bit_count() for m in comods]
-    best = 0
+    best: list[int] = []
+    chosen: list[int] = []
 
-    def search(start: int, used: int, count: int):
+    def search(start: int, used: int):
         nonlocal best
-        if count > best:
-            best = count
+        if len(chosen) > len(best):
+            best = chosen[:]
         free = T.n - used.bit_count()
         for i in range(start, len(comods)):
-            if count + min(len(comods) - i, free // sizes[i]) <= best:
+            if len(chosen) + min(len(comods) - i, free // sizes[i]) <= len(best):
                 return
             if comods[i] & used:
                 continue
-            search(i + 1, used | comods[i], count + 1)
+            chosen.append(comods[i])
+            search(i + 1, used | comods[i])
+            chosen.pop()
 
-    search(0, 0, 0)
+    search(0, 0)
     return best
+
+
+def brute_Delta(T: Tournament) -> int:
+    """Maximum number of pairwise disjoint co-modules: the size of
+    ``_brute_packing``."""
+    return len(_brute_packing(T))
 
 
 def brute_delta(T: Tournament) -> int:
     """Least number of arc reversals reaching indecomposability, by
     breadth-first search over arc subsets of increasing size.
 
-    Subsets whose endpoints miss a part of a maximum co-modular
-    decomposition cannot work and are skipped.  The search depth is capped
-    at ceil((n+1)/4), the worst case over all tournaments of that size.
+    Subsets whose endpoints miss a part of the brute-force maximum
+    packing cannot work (an untouched co-module survives) and are
+    skipped.  The search depth is capped at ceil((n+1)/4), the worst case
+    over all tournaments of that size.
     """
     if T.n < 5:
         raise ValueError("the decomposability index is only defined from 5 vertices up")
@@ -99,7 +109,7 @@ def brute_delta(T: Tournament) -> int:
         raise ValueError(f"arc-subset search limited to n <= {DELTA_SEARCH_BOUND}")
     if is_indecomposable(T):
         return 0
-    part_masks = [p.members.mask for p in delta_decomposition(T).parts]
+    part_masks = _brute_packing(T)
     arcs = list(T.arcs())
     arc_masks = [(1 << a.tail) | (1 << a.head) for a in arcs]
     cap = -(-(T.n + 1) // 4)
@@ -137,7 +147,7 @@ def report_to_json(report: SweepReport) -> str:
 
 def _check_class(task) -> tuple[str, int, int | None, bool]:
     """Validate one isomorphism class; returns (bits, Delta, delta, ok)."""
-    n, bits, run_brute_delta = task
+    n, bits = task
     T = Tournament(n, bits)
     index = comodular_index(T)
     ok = index == brute_Delta(T)
@@ -148,47 +158,26 @@ def _check_class(task) -> tuple[str, int, int | None, bool]:
         inv_count = len(cert.arcs)
         ok = ok and bool(verify_certificate(T, cert))
         ok = ok and inv_count == (index + 1) // 2
-        if run_brute_delta:
-            ok = ok and brute_delta(T) == inv_count
+        ok = ok and brute_delta(T) == inv_count
     return T.bit_string(), index, inv_count, ok
 
 
-def _spot_check_flags(n: int, class_count: int) -> list[bool]:
-    """Which classes receive a brute-force inversion check.
-
-    Sizes 5 and 6 are checked in full.  At size 7 the checks are drawn by
-    the fixed generator (seed 0) over class indices, SPOT_CHECK_DRAWS
-    times with replacement.
-    """
-    if n < 5:
-        return [False] * class_count
-    if n <= 6:
-        return [True] * class_count
-    flags = [False] * class_count
-    rng = Xorshift64Star(0)
-    for _ in range(SPOT_CHECK_DRAWS):
-        flags[rng.below(class_count)] = True
-    return flags
-
-
 def sweep_verify(max_n: int, jobs: int = 1) -> list[SweepReport]:
-    """Validate every isomorphism class of sizes 3..max_n (max_n <= 7).
+    """Validate every isomorphism class of sizes 3..max_n (max_n <= 8).
 
     Per class: the guided co-modular index must agree with the packing
     oracle and be invariant under dualisation; from five vertices up a
     certificate is synthesised, replay-verified, and required to contain
     exactly ceil(index/2) arcs, with the breadth-first inversion oracle
-    confirming the count on every class at sizes 5-6 and on sampled
-    classes at size 7.  Violations list the canonical bit strings of the
-    offending classes.
+    confirming the count.  Violations list the canonical bit strings of
+    the offending classes.
     """
     if max_n > SWEEP_BOUND:
         raise ValueError(f"sweeps limited to max_n <= {SWEEP_BOUND}")
     reports = []
     for n in range(3, max_n + 1):
-        classes = enumerate_tournaments(n)
-        flags = _spot_check_flags(n, len(classes))
-        tasks = [(n, T.bits, flag) for T, flag in zip(classes, flags)]
+        classes = enumerate_tournaments(n, bound=SWEEP_BOUND)
+        tasks = [(n, T.bits) for T in classes]
         if jobs > 1:
             with Pool(jobs) as pool:
                 results = pool.map(_check_class, tasks, chunksize=16)

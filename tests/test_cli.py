@@ -206,7 +206,14 @@ class TestSweepCommand:
         assert all(r["max_delta"] is None for r in records)
 
     def test_bound_exit_two(self):
-        assert main(["sweep", "--max-n", "8"]) == 2
+        assert main(["sweep", "--max-n", "9"]) == 2
+
+    def test_max_n_eight(self):
+        code, out, _ = run_cli("sweep", "--max-n", "8")
+        assert code == 0
+        assert out.splitlines()[-1] == (
+            '{"n": 8, "class_count": 6880, "max_Delta": 5, "max_delta": 3, "violations": []}'
+        )
 
     def test_jobs_do_not_change_output(self):
         code1, out1, _ = run_cli("sweep", "--max-n", "5", "--jobs", "1")

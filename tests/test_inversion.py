@@ -1,11 +1,9 @@
 import json
-import warnings
 
 import pytest
 
 from tourmod import (
     Arc,
-    GuidedChoiceWarning,
     InversionCertificate,
     Xorshift64Star,
     brute_delta,
@@ -38,14 +36,6 @@ from tourmod import inversion
 from tourmod.cli import main
 
 from conftest import all_classes_up_to, composed_random, relabelled_chain
-
-
-@pytest.fixture(autouse=True)
-def forbid_guided_fallbacks():
-    # any fallback from a guided reduction signals a bug in the machinery
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", GuidedChoiceWarning)
-        yield
 
 
 def first_indecomposable(n):
@@ -149,6 +139,27 @@ class TestReductions:
             for role in ("M", "N"):
                 assert amask & labels[role].members.mask
                 assert amask & tilde(T, labels[role]).mask
+
+    def test_failed_high_check_names_input(self, monkeypatch):
+        T = transitive(6)
+        D = structured_delta_decomposition(T)
+        monkeypatch.setattr(inversion, "invert", lambda U, arcs: U)
+        with pytest.raises(RuntimeError, match=f"n=6 bits={T.bit_string()}"):
+            reduction_arc_high(T, D)
+
+    def test_failed_three_check_names_input(self, monkeypatch):
+        T = transitive(5)
+        D = structured_delta_decomposition(T)
+        monkeypatch.setattr(inversion, "invert", lambda U, arcs: U)
+        with pytest.raises(RuntimeError, match=f"n=5 bits={T.bit_string()}"):
+            reduction_arc_three(T, D)
+
+    def test_failed_two_check_names_input(self, monkeypatch):
+        T = invert(transitive(5), [(0, 4)])
+        D = structured_delta_decomposition(T)
+        monkeypatch.setattr(inversion, "is_indecomposable", lambda U: False)
+        with pytest.raises(RuntimeError, match=f"n=5 bits={T.bit_string()}"):
+            reduction_arc_two(T, D)
 
     def test_wrong_index_rejected(self):
         T = transitive(6)
@@ -402,9 +413,18 @@ class TestErdosExtension:
         with pytest.raises(ValueError):
             erdos_transitive_extension(transitive(5))
 
-    def test_bound(self, c3):
-        with pytest.raises(ValueError):
-            erdos_transitive_extension(random_tournament(8, 1))
+    @pytest.mark.parametrize(
+        "T",
+        [random_tournament(40, 1)] + [composed_random(Xorshift64Star(s), 40) for s in (1, 2, 3)],
+        ids=["random", "composed-1", "composed-2", "composed-3"],
+    )
+    def test_forty_vertices(self, T):
+        # no size bound: the order comes from the decomposition tree
+        E = erdos_transitive_extension(T)
+        assert len({E.out_degree(v) for v in range(T.n)}) == T.n
+        old = {s.mask for s in nontrivial_modules(T)}
+        new = {s.mask for s in nontrivial_modules(E)}
+        assert old < new
 
 
 class TestIndexLawsSmall:

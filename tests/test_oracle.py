@@ -16,6 +16,7 @@ from tourmod import (
     sweep_verify,
     transitive,
 )
+from tourmod import comodular
 
 from conftest import all_classes_up_to, composed_random
 
@@ -83,6 +84,16 @@ class TestBruteInversionCount:
         with pytest.raises(ValueError):
             brute_delta(transitive(9))
 
+    def test_independent_of_guided_analysis(self, monkeypatch):
+        expected = [(T, (comodular_index(T) + 1) // 2) for T in enumerate_tournaments(6)]
+
+        def refuse(T):
+            raise AssertionError("brute_delta must not use the guided analysis")
+
+        monkeypatch.setattr(comodular, "_Analysis", refuse)
+        for T, delta in expected:
+            assert brute_delta(T) == delta
+
     def test_half_index_lower_bound(self):
         for n in (5, 6):
             for T in enumerate_tournaments(n):
@@ -100,7 +111,7 @@ class TestSweep:
 
     def test_bound(self):
         with pytest.raises(ValueError):
-            sweep_verify(8)
+            sweep_verify(9)
 
     def test_report_json_fields(self):
         rep = SweepReport(n=5, class_count=12, max_Delta=3, max_delta=2, violations=[])
