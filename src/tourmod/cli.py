@@ -22,8 +22,6 @@ from .comodular import _Analysis, comodular_index
 from .inversion import certificate_to_json, synthesize_certificate, verify_certificate
 from .modular import _transitive_blocks, nontrivial_modules
 from .oracle import (
-    DELTA_SEARCH_BOUND,
-    PACKING_BOUND,
     SWEEP_BOUND,
     brute_Delta,
     brute_delta,
@@ -84,27 +82,28 @@ def cmd_certify(args) -> int:
     return 0
 
 
+# --check value -> (brute side, guided side).  Each brute oracle checks its
+# own bound before any work, so it runs first; the lambdas look the names
+# up at call time, so rebinding them (tracing, tests) takes effect.
+_ORACLE_CHECKS = {
+    "delta": (lambda T: brute_delta(T), lambda T: (comodular_index(T) + 1) // 2),
+    "Delta": (lambda T: brute_Delta(T), lambda T: comodular_index(T)),
+    "modules": (
+        lambda T: [list(s) for s in brute_modules(T) if 2 <= len(s) < T.n],
+        lambda T: [list(s) for s in nontrivial_modules(T)],
+    ),
+}
+
+
 def cmd_oracle(args) -> int:
     T = _load(args.file)
+    brute_side, guided_side = _ORACLE_CHECKS[args.check]
     try:
-        if args.check == "Delta":
-            if T.n > PACKING_BOUND:
-                raise ValueError(f"Delta oracle limited to n <= {PACKING_BOUND}")
-            guided = comodular_index(T)
-            brute = brute_Delta(T)
-        elif args.check == "delta":
-            if T.n < 5 or T.n > DELTA_SEARCH_BOUND:
-                raise ValueError(
-                    f"delta oracle limited to 5 <= n <= {DELTA_SEARCH_BOUND}"
-                )
-            guided = (comodular_index(T) + 1) // 2
-            brute = brute_delta(T)
-        else:
-            guided = [list(s) for s in nontrivial_modules(T)]
-            brute = [list(s) for s in brute_modules(T) if 2 <= len(s) < T.n]
+        brute = brute_side(T)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    guided = guided_side(T)
     agree = guided == brute
     print(
         json.dumps(
@@ -125,8 +124,8 @@ def _expected_max_inversions(n: int) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.max_n > SWEEP_BOUND:
-        print(f"error: sweeps limited to max-n <= {SWEEP_BOUND}", file=sys.stderr)
+    if args.max_n > SWEEP_BOUND or args.jobs < 1:
+        print(f"error: sweeps need max-n <= {SWEEP_BOUND} and jobs >= 1", file=sys.stderr)
         return USAGE_ERROR
     reports = sweep_verify(args.max_n, jobs=args.jobs)
     failed = False
@@ -181,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="cross-check guided against brute force")
     p.add_argument("file")
-    p.add_argument("--check", required=True, choices=["delta", "Delta", "modules"])
+    p.add_argument("--check", required=True, choices=list(_ORACLE_CHECKS))
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("sweep", help="verify all classes up to a size")

@@ -158,9 +158,6 @@ class CoModularDecomposition:
     def __len__(self) -> int:
         return len(self.parts)
 
-    def part_sets(self) -> list[VertexSet]:
-        return [p.members for p in self.parts]
-
     @property
     def key(self) -> tuple:
         return tuple(p.key for p in self.parts)
@@ -204,26 +201,19 @@ class _Analysis:
             raise ValueError("tilde needs a minimal co-module with at most one overlap")
         return found
 
-    def _require_decomposable(self):
+    def decompositions(self) -> Iterator[CoModularDecomposition]:
         if not self.graph.nodes:
             raise ValueError("an indecomposable tournament has no decomposition")
-
-    def decompositions(self) -> Iterator[CoModularDecomposition]:
-        self._require_decomposable()
         nodes = self.graph.nodes
         for pick in itertools.product(*self.optima):
             parts = sorted((nodes[i] for chosen in pick for i in chosen), key=lambda c: c.key)
             yield CoModularDecomposition(tuple(parts), is_delta=True)
 
     def decomposition(self) -> CoModularDecomposition:
-        self._require_decomposable()
-        nodes = self.graph.nodes
-        chosen: list[CoModule] = []
-        for optima in self.optima:
-            pick = min(optima, key=lambda combo: tuple(sorted(nodes[i].key for i in combo)))
-            chosen.extend(nodes[i] for i in pick)
-        chosen.sort(key=lambda c: c.key)
-        return CoModularDecomposition(tuple(chosen), is_delta=True)
+        """The first of ``decompositions``: the nodes are in key order and
+        each component's optima are sorted index tuples, so it takes the
+        smallest selection of vertex sets per component."""
+        return next(self.decompositions())
 
 
 def comodular_index(T: Tournament) -> int:
@@ -246,7 +236,8 @@ def all_delta_decompositions(T: Tournament) -> Iterator[CoModularDecomposition]:
 
 
 def delta_decomposition(T: Tournament) -> CoModularDecomposition:
-    """A deterministic maximum decomposition into minimal co-modules.
+    """A deterministic maximum decomposition into minimal co-modules: the
+    first of ``all_delta_decompositions``.
 
     Ties are broken toward the lexicographically smallest selection of
     vertex sets (per overlap-graph component), so repeated runs agree.

@@ -64,7 +64,7 @@ __all__ = [
 ]
 
 CANONICAL_BOUND = 9
-ENUMERATION_BOUND = 7
+ENUMERATION_BOUND = 8
 
 _MASK64 = (1 << 64) - 1
 _ZERO_SEED_STATE = 0x9E3779B97F4A7C15
@@ -410,15 +410,15 @@ def _canonical_bits(n: int, bits: int) -> int:
     return int(_canonical_string(Tournament(n, bits).out_masks)[::-1] or "0", 2)
 
 
-def canonical_form(T: Tournament, bound: int = CANONICAL_BOUND) -> tuple[bool, ...]:
+def canonical_form(T: Tournament) -> tuple[bool, ...]:
     """Lexicographically minimal orientation sequence over all relabelings.
 
     Two tournaments are isomorphic exactly when their canonical forms are
     equal.  Found by individualisation and partition refinement (see the
-    comment above), which branches only on ties; refuses n above ``bound``.
+    comment above), which branches only on ties; refuses n above 9.
     """
-    if T.n > bound:
-        raise ValueError(f"canonicalization limited to n <= {bound}, got n={T.n}")
+    if T.n > CANONICAL_BOUND:
+        raise ValueError(f"canonicalization limited to n <= {CANONICAL_BOUND}, got n={T.n}")
     cbits = _canonical_bits(T.n, T.bits)
     m = pair_count(T.n)
     return tuple(bool(cbits >> k & 1) for k in range(m))
@@ -451,18 +451,18 @@ def _enumerate_bits(n: int) -> tuple[int, ...]:
     return tuple(int(s[::-1], 2) for s in sorted(forms))
 
 
-def enumerate_tournaments(n: int, bound: int = ENUMERATION_BOUND) -> list[Tournament]:
+def enumerate_tournaments(n: int) -> list[Tournament]:
     """One representative per isomorphism class, in canonical-form order.
 
     Representatives are themselves canonical.  Each class on n-1
     vertices is extended by a new vertex of highest score in every way
-    and the canonical forms deduplicated.  ``bound`` (default 7) may be
-    raised to 8, which takes under a second more.
+    and the canonical forms deduplicated.  Refuses n above 8 (the 6,880
+    classes on 8 vertices take under a second).
     """
     if n < 1:
         raise ValueError("a tournament needs at least one vertex")
-    if n > bound:
-        raise ValueError(f"enumeration limited to n <= {bound}, got n={n}")
+    if n > ENUMERATION_BOUND:
+        raise ValueError(f"enumeration limited to n <= {ENUMERATION_BOUND}, got n={n}")
     return [Tournament(n, bits) for bits in _enumerate_bits(n)]
 
 

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
+from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from multiprocessing import Pool
 
 from .core import Tournament, VertexSet, dual, enumerate_tournaments, invert
@@ -55,13 +57,15 @@ def _brute_comodule_masks(T: Tournament) -> list[int]:
     return sorted(masks, key=lambda m: (m.bit_count(), m))
 
 
-def _brute_packing(T: Tournament) -> list[int]:
+@lru_cache(maxsize=1)
+def _brute_packing(T: Tournament) -> tuple[int, ...]:
     """The masks of a maximum set of pairwise disjoint co-modules, by
     branch and bound.
 
     Candidates are every co-module (from the module subset scan and the
     complements), ordered by size; the bound uses the vertices still free
-    divided by the smallest remaining candidate size.
+    divided by the smallest remaining candidate size.  The last result is
+    kept, so ``brute_Delta`` and ``brute_delta`` on one tournament share it.
     """
     if T.n > PACKING_BOUND:
         raise ValueError(f"exact packing limited to n <= {PACKING_BOUND}")
@@ -85,7 +89,7 @@ def _brute_packing(T: Tournament) -> list[int]:
             chosen.pop()
 
     search(0, 0)
-    return best
+    return tuple(best)
 
 
 def brute_Delta(T: Tournament) -> int:
@@ -170,28 +174,30 @@ def sweep_verify(max_n: int, jobs: int = 1) -> list[SweepReport]:
     certificate is synthesised, replay-verified, and required to contain
     exactly ceil(index/2) arcs, with the breadth-first inversion oracle
     confirming the count.  Violations list the canonical bit strings of
-    the offending classes.
+    the offending classes.  With ``jobs`` above 1 the classes are checked
+    in one pool of at most ``os.cpu_count()`` processes; the reports do not
+    depend on ``jobs``.
     """
     if max_n > SWEEP_BOUND:
         raise ValueError(f"sweeps limited to max_n <= {SWEEP_BOUND}")
+    if jobs < 1:
+        raise ValueError("sweeps need at least one job")
     reports = []
-    for n in range(3, max_n + 1):
-        classes = enumerate_tournaments(n, bound=SWEEP_BOUND)
-        tasks = [(n, T.bits) for T in classes]
-        if jobs > 1:
-            with Pool(jobs) as pool:
+    with Pool(min(jobs, os.cpu_count() or 1)) if jobs > 1 else nullcontext() as pool:
+        for n in range(3, max_n + 1):
+            tasks = [(n, T.bits) for T in enumerate_tournaments(n)]
+            if pool is None:
+                results = [_check_class(t) for t in tasks]
+            else:
                 results = pool.map(_check_class, tasks, chunksize=16)
-        else:
-            results = [_check_class(t) for t in tasks]
-        max_index = max(r[1] for r in results)
-        inv_counts = [r[2] for r in results if r[2] is not None]
-        reports.append(
-            SweepReport(
-                n=n,
-                class_count=len(classes),
-                max_Delta=max_index,
-                max_delta=max(inv_counts) if inv_counts else None,
-                violations=[r[0] for r in results if not r[3]],
+            inv_counts = [r[2] for r in results if r[2] is not None]
+            reports.append(
+                SweepReport(
+                    n=n,
+                    class_count=len(results),
+                    max_Delta=max(r[1] for r in results),
+                    max_delta=max(inv_counts, default=None),
+                    violations=[r[0] for r in results if not r[3]],
+                )
             )
-        )
     return reports

@@ -85,7 +85,7 @@ def relabelled_chain(n: int, seed: int) -> Tournament:
     )
 
 
-def all_classes_up_to(max_n: int, bound: int = 7):
+def all_classes_up_to(max_n: int):
     for n in range(1, max_n + 1):
-        for T in enumerate_tournaments(n, bound=bound):
+        for T in enumerate_tournaments(n):
             yield T

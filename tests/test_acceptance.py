@@ -62,7 +62,7 @@ def sweep_reports():
 def classes_to_eight():
     table = {}
     for n in range(3, 9):
-        table[n] = enumerate_tournaments(n, bound=8)
+        table[n] = enumerate_tournaments(n)
     return table
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from tourmod import Xorshift64Star, format_tourn_v1, modular, parse_tourn_v1, transitive
+from tourmod import cli
 from tourmod.cli import main
 
 from conftest import composed_random
@@ -188,6 +189,27 @@ class TestOracleCommand:
         path = write_tourn(tmp_path / "c3.tourn", c3)
         assert main(["oracle", path, "--check", "delta"]) == 2
 
+    @pytest.mark.parametrize("check", ["modules", "Delta", "delta"])
+    def test_bound_checked_before_guided_side(self, tmp_path, capsys, monkeypatch, check):
+        def refuse(T):
+            raise AssertionError("the guided side ran past the oracle's bound")
+
+        monkeypatch.setattr(cli, "nontrivial_modules", refuse)
+        monkeypatch.setattr(cli, "comodular_index", refuse)
+        path = write_tourn(tmp_path / "chain40.tourn", transitive(40))
+        assert main(["oracle", path, "--check", check]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "limited to n <=" in err
+
+    def test_guided_value_error_is_not_a_usage_error(self, tmp_path, monkeypatch):
+        def broken(T):
+            raise ValueError("guided failure")
+
+        monkeypatch.setattr(cli, "comodular_index", broken)
+        path = write_tourn(tmp_path / "six.tourn", transitive(6))
+        with pytest.raises(ValueError, match="guided failure"):
+            main(["oracle", path, "--check", "Delta"])
+
 
 class TestSweepCommand:
     def test_max_n_five(self, tmp_path, capsys):
@@ -207,6 +229,10 @@ class TestSweepCommand:
 
     def test_bound_exit_two(self):
         assert main(["sweep", "--max-n", "9"]) == 2
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exit_two(self, jobs):
+        assert main(["sweep", "--max-n", "5", "--jobs", jobs]) == 2
 
     def test_max_n_eight(self):
         code, out, _ = run_cli("sweep", "--max-n", "8")

@@ -332,18 +332,18 @@ class TestEnumeration:
 
     def test_bound_enforced(self):
         with pytest.raises(ValueError):
-            enumerate_tournaments(8)
+            enumerate_tournaments(9)
 
     def test_class_counts_match_oeis(self):
         # OEIS A000568
-        counts = [len(enumerate_tournaments(n, bound=8)) for n in range(1, 9)]
+        counts = [len(enumerate_tournaments(n)) for n in range(1, 9)]
         assert counts == [1, 1, 2, 4, 12, 56, 456, 6880]
 
     @pytest.mark.parametrize("n", sorted(REPRESENTATIVE_DIGESTS))
     def test_representatives_pinned(self, n):
         # sha256 of the representatives' bit strings, newline-joined in
         # enumeration order: pins both the forms and their order
-        joined = "\n".join(T.bit_string() for T in enumerate_tournaments(n, bound=8))
+        joined = "\n".join(T.bit_string() for T in enumerate_tournaments(n))
         assert hashlib.sha256(joined.encode()).hexdigest() == REPRESENTATIVE_DIGESTS[n]
 
 

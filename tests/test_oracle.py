@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -16,7 +17,7 @@ from tourmod import (
     sweep_verify,
     transitive,
 )
-from tourmod import comodular
+from tourmod import comodular, oracle
 
 from conftest import all_classes_up_to, composed_random
 
@@ -121,3 +122,43 @@ class TestSweep:
 
     def test_parallel_matches_serial(self):
         assert sweep_verify(4, jobs=2) == sweep_verify(4)
+
+    def test_jobs_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            sweep_verify(5, jobs=0)
+
+    def test_one_pool_capped_at_cpu_count(self, monkeypatch):
+        pools = []
+
+        class FakePool:
+            # records its size and maps in process: no worker is started
+            def __init__(self, processes):
+                pools.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return [fn(t) for t in tasks]
+
+        monkeypatch.setattr(oracle, "Pool", FakePool)
+        assert sweep_verify(5, jobs=10**6) == sweep_verify(5)
+        assert len(pools) == 1 and 1 <= pools[0] <= (os.cpu_count() or 1)
+
+    def test_one_packing_per_class(self, monkeypatch):
+        calls = []
+        scan = oracle._brute_comodule_masks
+
+        def counting(T):
+            calls.append(T)
+            return scan(T)
+
+        monkeypatch.setattr(oracle, "_brute_comodule_masks", counting)
+        oracle._brute_packing.cache_clear()
+        classes = enumerate_tournaments(6)
+        for T in classes:
+            assert oracle._check_class((6, T.bits))[3]
+        assert calls == classes
