@@ -8,6 +8,7 @@ identity failure, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -124,8 +125,8 @@ def _expected_max_inversions(n: int) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.max_n > SWEEP_BOUND or args.jobs < 1:
-        print(f"error: sweeps need max-n <= {SWEEP_BOUND} and jobs >= 1", file=sys.stderr)
+    if not 3 <= args.max_n <= SWEEP_BOUND or args.jobs < 1:
+        print(f"error: sweeps need 3 <= max-n <= {SWEEP_BOUND} and jobs >= 1", file=sys.stderr)
         return USAGE_ERROR
     reports = sweep_verify(args.max_n, jobs=args.jobs)
     failed = False
@@ -162,7 +163,11 @@ def cmd_gen(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``tourmod`` argument parser, built once per process and shared
+    by every ``main`` call (argparse returns a fresh namespace on each
+    ``parse_args``, so no state carries over between calls)."""
     parser = argparse.ArgumentParser(
         prog="tourmod",
         description="Tournament modular structure: indices, decompositions, "
@@ -172,34 +177,31 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="structural summary of a tournament file")
     p.add_argument("file")
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("certify", help="minimum inversion certificate")
     p.add_argument("file")
-    p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("oracle", help="cross-check guided against brute force")
     p.add_argument("file")
     p.add_argument("--check", required=True, choices=list(_ORACLE_CHECKS))
-    p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("sweep", help="verify all classes up to a size")
     p.add_argument("--max-n", type=int, required=True, dest="max_n")
     p.add_argument("--jobs", type=int, default=1)
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("gen", help="write a tournament file")
     p.add_argument("--type", required=True, choices=["transitive", "random"])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_gen)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    # looked up at call time, so rebinding a handler (tracing, tests) takes
+    # effect although the parser is cached
+    return globals()[f"cmd_{args.command}"](args)
 
 
 if __name__ == "__main__":

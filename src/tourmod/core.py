@@ -482,8 +482,9 @@ def parse_tourn_v1(text: str) -> Tournament:
         raise ValueError("tourn-v1 input must have exactly three lines")
     if lines[0] != "tourn-v1":
         raise ValueError("missing tourn-v1 header")
-    if not lines[1].startswith("n=") or not lines[1][2:].isdigit():
+    count = lines[1][2:]
+    if not lines[1].startswith("n=") or not (count.isascii() and count.isdigit()):
         raise ValueError("second line must be n=<count>")
     if not lines[2].startswith("bits="):
         raise ValueError("third line must be bits=<0/1 string>")
-    return _from_bit_string(int(lines[1][2:]), lines[2][5:])
+    return _from_bit_string(int(count), lines[2][5:])

@@ -279,7 +279,10 @@ def certificate_to_json(cert: InversionCertificate) -> str:
 def certificate_from_json(line: str) -> InversionCertificate:
     """Parse one certificate line (its shape only: ``verify_certificate``
     checks its claims); anything malformed raises ValueError."""
-    record = json.loads(line)
+    try:
+        record = json.loads(line)
+    except RecursionError:
+        raise ValueError("certificate JSON is nested too deeply") from None
     fields = ("n", "base_bits", "arcs", "trace", "final_bits")
     if not isinstance(record, dict) or any(k not in record for k in fields):
         raise ValueError(f"a certificate is a JSON object with the fields {', '.join(fields)}")

@@ -167,7 +167,7 @@ def _check_class(task) -> tuple[str, int, int | None, bool]:
 
 
 def sweep_verify(max_n: int, jobs: int = 1) -> list[SweepReport]:
-    """Validate every isomorphism class of sizes 3..max_n (max_n <= 8).
+    """Validate every isomorphism class of sizes 3..max_n (3 <= max_n <= 8).
 
     Per class: the guided co-modular index must agree with the packing
     oracle and be invariant under dualisation; from five vertices up a
@@ -178,8 +178,8 @@ def sweep_verify(max_n: int, jobs: int = 1) -> list[SweepReport]:
     in one pool of at most ``os.cpu_count()`` processes; the reports do not
     depend on ``jobs``.
     """
-    if max_n > SWEEP_BOUND:
-        raise ValueError(f"sweeps limited to max_n <= {SWEEP_BOUND}")
+    if not 3 <= max_n <= SWEEP_BOUND:
+        raise ValueError(f"sweeps need 3 <= max_n <= {SWEEP_BOUND}")
     if jobs < 1:
         raise ValueError("sweeps need at least one job")
     reports = []

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -230,6 +231,11 @@ class TestSweepCommand:
     def test_bound_exit_two(self):
         assert main(["sweep", "--max-n", "9"]) == 2
 
+    @pytest.mark.parametrize("max_n", ["2", "0", "-5"])
+    def test_max_n_below_three_exit_two(self, capsys, max_n):
+        assert main(["sweep", "--max-n", max_n]) == 2
+        assert capsys.readouterr().out == ""
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_exit_two(self, jobs):
         assert main(["sweep", "--max-n", "5", "--jobs", jobs]) == 2
@@ -269,3 +275,54 @@ class TestSweepCommand:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-2:] == ["exit 0", "False"]
+
+
+class TestRepeatedMain:
+    """``main`` may be called many times in one process (the benchmark
+    drives it in-process); the parser is built once and shared."""
+
+    def test_parser_built_once(self, tmp_path, monkeypatch):
+        path = write_tourn(tmp_path / "six.tourn", transitive(6))
+        main(["analyze", path])
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        assert main(["analyze", path]) == 0
+        assert main(["certify", path]) == 0
+        assert main(["gen", "--type", "transitive", "--n", "4", "-o", str(tmp_path / "g")]) == 0
+        with pytest.raises(SystemExit) as err:
+            main(["gen", "--type", "spiral", "--n", "4", "-o", str(tmp_path / "x")])
+        assert err.value.code == 2
+        assert main(["analyze", path]) == 0
+        assert built == []
+
+    def test_handler_rebound_after_first_call(self, tmp_path, monkeypatch):
+        # the perfbench tracer and tests rebind cli.cmd_* after the parser
+        # exists; dispatch must find the rebound handler
+        path = write_tourn(tmp_path / "six.tourn", transitive(6))
+        assert main(["analyze", path]) == 0
+        seen = []
+
+        def patched(args):
+            seen.append(args.file)
+            return 7
+
+        monkeypatch.setattr(cli, "cmd_analyze", patched)
+        assert main(["analyze", path]) == 7
+        assert seen == [path]
+
+    def test_parse_error_leaves_no_state(self, tmp_path, capsys):
+        path = write_tourn(tmp_path / "six.tourn", transitive(6))
+        assert main(["analyze", path]) == 0
+        first = capsys.readouterr().out
+        with pytest.raises(SystemExit) as err:
+            main(["analyze", path, "--check", "Delta"])
+        assert err.value.code == 2
+        capsys.readouterr()
+        assert main(["analyze", path]) == 0
+        assert capsys.readouterr().out == first

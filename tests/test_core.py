@@ -389,6 +389,7 @@ class TestTournV1:
             "tourn-v1\nn=3",
             "tourn-v1\nn=3\nbits=111\nextra",
             "tourn-v1\nn=x\nbits=111",
+            "tourn-v1\nn=\u0663\nbits=111",  # ARABIC-INDIC DIGIT THREE passes str.isdigit
             "tourn-v1\nn=3\nbits=11",
             "tourn-v1\nn=3\nbits=1a1",
             "tourn-v1\nn=0\nbits=",

@@ -375,6 +375,7 @@ class TestCertificateJson:
             json.dumps(dict(GOOD, trace=["3"])),
             json.dumps(dict(GOOD, trace=3)),
             json.dumps(dict(GOOD, base_bits="111111111")),
+            pytest.param("[" * 100000, id="nested-too-deep"),
         ],
     )
     def test_malformed_rejected(self, line):

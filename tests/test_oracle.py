@@ -114,6 +114,12 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_verify(9)
 
+    @pytest.mark.parametrize("max_n", [2, 0, -5])
+    def test_max_n_below_three_rejected(self, max_n):
+        # a sweep over no size would report nothing and read as a pass
+        with pytest.raises(ValueError):
+            sweep_verify(max_n)
+
     def test_report_json_fields(self):
         rep = SweepReport(n=5, class_count=12, max_Delta=3, max_delta=2, violations=[])
         record = json.loads(report_to_json(rep))
