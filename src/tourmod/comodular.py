@@ -5,9 +5,10 @@ co-modular index of a tournament is the largest size such a set can have
 (0 exactly for indecomposable tournaments, never 1).  Any maximum
 decomposition can be shrunk part-by-part to one made of minimal
 co-modules only, so the index equals the maximum independent set of the
-overlap graph on mc(T).  That graph has maximum degree 2, hence splits
-into paths and cycles where the optimum is trivial to compute and all
-optima are easy to enumerate.
+overlap graph on mc(T).  Only twins overlap, so the decomposition tree
+lists that graph as paths, each a run of consecutive twins along one
+linear node, where the optimum is trivial to compute and all optima are
+easy to enumerate.
 
 A "delta decomposition" below always means a maximum decomposition whose
 parts are all minimal co-modules.
@@ -23,10 +24,8 @@ from typing import Iterator
 from .core import Tournament, VertexSet
 from .modular import (
     CoModule,
-    minimal_comodules,
     _extremal_module_masks,
     _minimal_comodules,
-    _overlaps,
     _sorted_sets,
     _tree,
 )
@@ -83,66 +82,54 @@ class ConflictGraph:
         return comps
 
 
-def _conflict_graph(mc: list[CoModule]) -> ConflictGraph:
-    """Overlapping sets intersect, so only pairs sharing a vertex are tested
-    (at most three minimal co-modules hold any one vertex)."""
-    holders: dict[int, list[int]] = {}
-    for i, c in enumerate(mc):
-        rest = c.members.mask
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            holders.setdefault(bit, []).append(i)
-    edges = {
-        (i, j)
-        for group in holders.values()
-        for i, j in itertools.combinations(group, 2)
-        if _overlaps(mc[i].members.mask, mc[j].members.mask)
-    }
-    return ConflictGraph(tuple(mc), tuple(sorted(edges)))
-
-
 def conflict_graph(T: Tournament) -> ConflictGraph:
-    return _conflict_graph(minimal_comodules(T))
+    return _Analysis(T).graph
 
 
-def _is_cycle(graph: ConflictGraph, comp: list[int]) -> bool:
-    return len(comp) >= 3 and all(graph.degree(i) == 2 for i in comp)
+def _walks(tree: list, mc: list[CoModule]) -> list[list[int]]:
+    """The components of the overlap graph on mc, each as the indices of
+    its nodes in path order, in the order of their smallest index.
 
-
-def _component_optima(graph: ConflictGraph, comp: list[int]) -> list[tuple[int, ...]]:
-    """All maximum independent sets of one component, as sorted index
-    tuples in lexicographic order (the order of ``itertools.combinations``).
-
-    The overlap graph has maximum degree 2, so the component is walked in
-    path or cycle order w_0 .. w_{k-1} and the optima are read off in closed
-    form.  A path has optima of size ceil(k/2): the even positions when k
-    is odd; for even k the k/2 + 1 sets that take even positions up to some
-    point and odd positions after it.  A cycle has optima of size
-    floor(k/2): the even and the odd positions when k is even; for odd k
-    the k rotations of every other position, starting anywhere.
+    Only twins (2-vertex modules) overlap, and a twin is a pair of
+    consecutive single-vertex children of a linear node.  Twins {a, b} and
+    {b, c} that overlap both hold b, so b's one parent lists a, b, c as
+    consecutive children.  The twin at position i of a linear node's
+    children therefore overlaps only those at i-1 and i+1: a component is
+    a run of twins of mc at consecutive positions of one linear node, or a
+    single node, and no cycle can arise.
     """
-    adj = graph.adjacency
-    assert all(len(adj[i]) <= 2 for i in comp), "overlap graph degree above 2"
-    k = len(comp)
-    cycle = _is_cycle(graph, comp)
-    walk = [comp[0] if cycle else next(i for i in comp if len(adj[i]) < 2)]
-    prev = None
-    while len(walk) < k:
-        here = walk[-1]
-        walk.append(next(u for u in adj[here] if u != prev))
-        prev = here
-    half = k // 2
-    if cycle and k % 2 == 0:
-        positions = [range(0, k, 2), range(1, k, 2)]
-    elif cycle:
-        positions = [[(s + 2 * t) % k for t in range(half)] for s in range(k)]
-    elif k % 2:
+    index = {c.members.mask: i for i, c in enumerate(mc)}
+    walks = []
+    for _, linear, children in tree:
+        if not linear:
+            continue
+        at = [
+            index.get(a | b) if (a | b).bit_count() == 2 else None
+            for a, b in zip(children, children[1:])
+        ]
+        runs = itertools.groupby(at, lambda i: i is not None)
+        walks += [list(run) for found, run in runs if found]
+    covered = {i for walk in walks for i in walk}
+    walks += [[i] for i in range(len(mc)) if i not in covered]
+    return sorted(walks, key=min)
+
+
+def _path_optima(walk: list[int]) -> list[tuple[int, ...]]:
+    """All maximum independent sets of the path walk[0] - walk[1] - ...,
+    as sorted index tuples in lexicographic order (the order of
+    ``itertools.combinations``).
+
+    They have ceil(k/2) nodes for a path of k: the even positions when k
+    is odd; for even k the k/2 + 1 sets that take even positions up to
+    some point and odd positions after it.
+    """
+    k = len(walk)
+    if k % 2:
         positions = [range(0, k, 2)]
     else:
         positions = [
-            [2 * t for t in range(j)] + [2 * t + 1 for t in range(j, half)]
-            for j in range(half + 1)
+            [2 * t for t in range(j)] + [2 * t + 1 for t in range(j, k // 2)]
+            for j in range(k // 2 + 1)
         ]
     return sorted(tuple(sorted(walk[p] for p in pos)) for pos in positions)
 
@@ -166,20 +153,19 @@ class CoModularDecomposition:
 class _Analysis:
     """What the index, the decompositions and a certificate step read from
     one tournament, built from one decomposition tree: the tree's nodes,
-    mc(T) with the co-module kinds (the graph's nodes), the overlap graph,
-    its components, the index and the distinguished subset of every
-    minimal co-module with at most one overlap.  The optima of the
-    components are enumerated on first use."""
+    mc(T) with the co-module kinds (the graph's nodes), the overlap graph
+    and its components as walks, the index and the distinguished subset
+    of every minimal co-module with at most one overlap.  The optima of
+    the components are enumerated on first use."""
 
     def __init__(self, T: Tournament):
         self.tournament = T
         self.tree = list(_tree(T))
-        self.graph = graph = _conflict_graph(_minimal_comodules(T, self.tree))
-        self.components = graph.components()
-        self.index = sum(
-            len(comp) // 2 if _is_cycle(graph, comp) else (len(comp) + 1) // 2
-            for comp in self.components
-        )
+        mc = _minimal_comodules(T, self.tree)
+        self.walks = _walks(self.tree, mc)
+        edges = sorted((min(e), max(e)) for walk in self.walks for e in zip(walk, walk[1:]))
+        self.graph = graph = ConflictGraph(tuple(mc), tuple(edges))
+        self.index = sum((len(walk) + 1) // 2 for walk in self.walks)
         self.overlaps: dict[int, int] = {}  # overlap count per member mask
         self.tildes: dict[int, VertexSet] = {}
         for c, near in zip(graph.nodes, graph.adjacency):
@@ -191,7 +177,7 @@ class _Analysis:
 
     @cached_property
     def optima(self) -> list[list[tuple[int, ...]]]:
-        return [_component_optima(self.graph, comp) for comp in self.components]
+        return [_path_optima(walk) for walk in self.walks]
 
     def tilde(self, part: CoModule) -> VertexSet:
         """As ``modular.tilde``: defined for minimal co-modules with at most

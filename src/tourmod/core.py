@@ -11,8 +11,7 @@ and is True when the arc (i, j) is present, False when (j, i) is.  The
 sequence is packed into a single int (bit k = entry k), which makes
 tournaments cheap to hash, compare and transform.
 
-All values in this module are immutable; every function is pure.  The
-canonical-form cache is per-process, so forked worker processes are safe.
+All values in this module are immutable; every function is pure.
 
 Text format "tourn-v1"
 ----------------------
@@ -80,12 +79,6 @@ def pair_index(n: int, i: int, j: int) -> int:
     if not 0 <= i < j < n:
         raise ValueError(f"bad pair ({i}, {j}) for n={n}")
     return i * (2 * n - i - 1) // 2 + (j - i - 1)
-
-
-@lru_cache(maxsize=None)
-def _pairs(n: int) -> tuple[tuple[int, int], ...]:
-    """All pairs (i, j), i < j, in idx order."""
-    return tuple((i, j) for i in range(n) for j in range(i + 1, n))
 
 
 class Arc(NamedTuple):
@@ -200,8 +193,9 @@ class Tournament:
 
     def arcs(self) -> Iterator[Arc]:
         """All arcs, one per pair, in idx order of the underlying pair."""
-        for i, j in _pairs(self.n):
-            yield Arc(i, j) if self.relation(i, j) else Arc(j, i)
+        for i in range(self.n):
+            for j in range(i + 1, self.n):
+                yield Arc(i, j) if self.relation(i, j) else Arc(j, i)
 
     def out_degree(self, v: int) -> int:
         return self.out_masks[v].bit_count()
@@ -405,11 +399,6 @@ def _canonical_string(outs: Sequence[int]) -> str:
     )
 
 
-@lru_cache(maxsize=200_000)
-def _canonical_bits(n: int, bits: int) -> int:
-    return int(_canonical_string(Tournament(n, bits).out_masks)[::-1] or "0", 2)
-
-
 def canonical_form(T: Tournament) -> tuple[bool, ...]:
     """Lexicographically minimal orientation sequence over all relabelings.
 
@@ -419,9 +408,7 @@ def canonical_form(T: Tournament) -> tuple[bool, ...]:
     """
     if T.n > CANONICAL_BOUND:
         raise ValueError(f"canonicalization limited to n <= {CANONICAL_BOUND}, got n={T.n}")
-    cbits = _canonical_bits(T.n, T.bits)
-    m = pair_count(T.n)
-    return tuple(bool(cbits >> k & 1) for k in range(m))
+    return tuple(c == "1" for c in _canonical_string(T.out_masks))
 
 
 @lru_cache(maxsize=None)

@@ -235,8 +235,13 @@ def verify_certificate(T: Tournament, cert: InversionCertificate) -> Verificatio
 
     Checks, in order: the base matches T, each arc is present when its
     turn comes, the stored final state matches the replay, the final
-    state is indecomposable, and the number of arcs equals
-    ceil(comodular_index(T) / 2).
+    state is indecomposable, the number of arcs k equals
+    ceil(comodular_index(T) / 2), and the trace has one entry per arc.
+    Its first entry must equal comodular_index(T) exactly; entry i is
+    checked only up to the pair {2(k-i)-1, 2(k-i)}, the indices whose
+    half rounded up is the k-i reversals still to come (from five
+    vertices up, each reversal of a minimum certificate lowers that half
+    by exactly one).
     """
     if cert.base != T:
         return VerificationResult(False, "base mismatch")
@@ -250,8 +255,17 @@ def verify_certificate(T: Tournament, cert: InversionCertificate) -> Verificatio
         return VerificationResult(False, "final mismatch")
     if not is_indecomposable(cur):
         return VerificationResult(False, "final decomposable")
-    if len(cert.arcs) != (comodular_index(T) + 1) // 2:
+    index = comodular_index(T)
+    k = len(cert.arcs)
+    if k != (index + 1) // 2:
         return VerificationResult(False, "length mismatch")
+    trace = cert.trace
+    if (
+        len(trace) != k
+        or (k and trace[0] != index)
+        or any((t + 1) // 2 != k - i for i, t in enumerate(trace))
+    ):
+        return VerificationResult(False, "trace mismatch")
     return VerificationResult(True)
 
 

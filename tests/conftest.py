@@ -8,6 +8,7 @@ from tourmod import (
     enumerate_tournaments,
     make_tournament,
     pair_count,
+    random_tournament,
     transitive,
 )
 
@@ -66,6 +67,19 @@ def composed_random(rng: Xorshift64Star, n: int) -> Tournament:
     outer = random_bits_tournament(rng, q)
     inner = random_bits_tournament(rng, n - q + 1)
     return substitute(outer, inner, rng.below(q))
+
+
+def nested_substitution(rng: Xorshift64Star) -> Tournament:
+    """A random tournament with two to four levels of substituted blocks,
+    each new block wrapping the last result or placed beside it."""
+    T = random_tournament(2 + rng.below(5), rng.next())
+    for _ in range(2 + rng.below(3)):
+        other = random_tournament(2 + rng.below(5), rng.next())
+        if rng.below(2):
+            T = substitute(other, T, rng.below(other.n))
+        else:
+            T = substitute(T, other, rng.below(T.n))
+    return T
 
 
 def relabelled_chain(n: int, seed: int) -> Tournament:

@@ -26,9 +26,16 @@ from tourmod import (
     subtournament,
     transitive,
 )
-from tourmod.comodular import _component_optima
+from tourmod.comodular import _Analysis, _path_optima
+from tourmod.modular import _overlaps
 
-from conftest import all_classes_up_to, composed_random, random_bits_tournament, relabelled_chain
+from conftest import (
+    all_classes_up_to,
+    composed_random,
+    nested_substitution,
+    random_bits_tournament,
+    relabelled_chain,
+)
 
 
 def ceil_half(x):
@@ -102,6 +109,27 @@ class TestConflictGraph:
         g = conflict_graph(transitive(7))
         assert len(g.nodes) == 6
         assert len(g.edges) == 3  # the interior twins {1,2}-{2,3}-{3,4}-{4,5}
+
+    def test_edges_are_all_overlapping_pairs(self):
+        # the graph is read off the tree's twin runs; every pair of mc is
+        # tested for overlap here, and each component must be a path
+        rng = Xorshift64Star(53)
+        corpus = itertools.chain(
+            all_classes_up_to(8),
+            (composed_random(rng, 6 + rng.below(35)) for _ in range(300)),  # 6..40
+            (nested_substitution(rng) for _ in range(100)),
+            (relabelled_chain(n, n) for n in range(5, 41)),
+        )
+        for T in corpus:
+            g = conflict_graph(T)
+            masks = [c.members.mask for c in g.nodes]
+            assert g.edges == tuple(
+                (i, j)
+                for i, j in itertools.combinations(range(len(masks)), 2)
+                if _overlaps(masks[i], masks[j])
+            )
+            for comp in g.components():
+                assert sum(i in comp for i, _ in g.edges) == len(comp) - 1
 
 
 class TestDeltaDecomposition:
@@ -333,39 +361,30 @@ def equivalence_corpus():
         yield composed_random(rng, 6 + rng.below(9))  # 6..14
 
 
-def synthetic_graph(k, cycle, rng):
-    """A path or cycle on k nodes, walked in a shuffled node order, with
-    two extra isolated nodes so that the component is not all of the graph."""
+def synthetic_path(k, rng):
+    """A path on k nodes, walked in a shuffled node order, with two extra
+    isolated nodes so that the component is not all of the graph."""
     order = list(range(k))
     for i in range(k - 1, 0, -1):
         j = rng.below(i + 1)
         order[i], order[j] = order[j], order[i]
-    pairs = list(zip(order, order[1:])) + ([(order[-1], order[0])] if cycle else [])
-    edges = tuple(sorted((min(a, b), max(a, b)) for a, b in pairs))
+    edges = tuple(sorted((min(a, b), max(a, b)) for a, b in zip(order, order[1:])))
     nodes = tuple(CoModule(VertexSet(k + 2, 1 << i), "module") for i in range(k + 2))
-    return ConflictGraph(nodes, edges), sorted(order)
+    return ConflictGraph(nodes, edges), order
 
 
 class TestClosedFormOptima:
-    def test_synthetic_paths_and_cycles(self):
+    def test_synthetic_paths(self):
         rng = Xorshift64Star(47)
         for k in range(1, 13):
-            for cycle in (False, True) if k >= 3 else (False,):
-                for _ in range(4):
-                    graph, comp = synthetic_graph(k, cycle, rng)
-                    assert graph.components()[0] == comp
-                    optima = _component_optima(graph, comp)
-                    assert optima == reference_component_optima(graph, comp)
-                    size = k // 2 if cycle else (k + 1) // 2
-                    count = (2 if k % 2 == 0 else k) if cycle else (k // 2 + 1 if k % 2 == 0 else 1)
-                    assert all(len(o) == size for o in optima)
-                    assert len(optima) == count
-
-    def test_degree_above_two_rejected(self):
-        nodes = tuple(CoModule(VertexSet(4, 1 << i), "module") for i in range(4))
-        star = ConflictGraph(nodes, ((0, 1), (0, 2), (0, 3)))
-        with pytest.raises(AssertionError):
-            _component_optima(star, [0, 1, 2, 3])
+            for _ in range(4):
+                graph, walk = synthetic_path(k, rng)
+                comp = sorted(walk)
+                assert graph.components()[0] == comp
+                optima = _path_optima(walk)
+                assert optima == reference_component_optima(graph, comp)
+                assert all(len(o) == (k + 1) // 2 for o in optima)
+                assert len(optima) == (k // 2 + 1 if k % 2 == 0 else 1)
 
     def test_degree_reads_adjacency(self):
         graph = conflict_graph(transitive(9))
@@ -375,9 +394,11 @@ class TestClosedFormOptima:
 
     def test_matches_subset_enumeration(self):
         for T in equivalence_corpus():
-            graph = conflict_graph(T)
-            for comp in graph.components():
-                assert _component_optima(graph, comp) == reference_component_optima(graph, comp)
+            A = _Analysis(T)
+            graph = A.graph
+            assert A.optima == [
+                reference_component_optima(graph, comp) for comp in graph.components()
+            ]
             if not graph.nodes:
                 continue
             assert delta_decomposition(T).parts == tuple(reference_delta_parts(T))

@@ -276,6 +276,18 @@ class TestVerify:
         res = verify_certificate(T, bad)
         assert not res and res.reason == "arc absent"
 
+    @pytest.mark.parametrize("trace", [(), (1, 2, 3), (99,), (6, 3, 2)])
+    def test_trace_mismatch(self, trace):
+        T = transitive(9)
+        cert = synthesize_certificate(T)
+        res = verify_certificate(T, InversionCertificate(T, cert.arcs, trace, cert.final))
+        assert not res and res.reason == "trace mismatch"
+
+    def test_truthful_trace_accepted(self):
+        T = transitive(9)
+        cert = synthesize_certificate(T)
+        assert verify_certificate(T, InversionCertificate(T, cert.arcs, (5, 3, 2), cert.final))
+
 
 class TestFeasibleArcs:
     def test_consistency_with_definition(self):

@@ -29,7 +29,13 @@ from tourmod import (
 from tourmod import Xorshift64Star, modular
 from tourmod.modular import _is_transitive_mask
 
-from conftest import all_classes_up_to, composed_random, relabelled_chain, substitute
+from conftest import (
+    all_classes_up_to,
+    composed_random,
+    nested_substitution,
+    relabelled_chain,
+    substitute,
+)
 
 
 def members(sets):
@@ -361,19 +367,6 @@ def reference_tree(T):
             children.append(S ^ reduce(or_, children, 0))
         yield S, linear, children
         todo += [c for c in children if c & (c - 1)]
-
-
-def nested_substitution(rng):
-    """A random tournament with two to four levels of substituted blocks,
-    each new block wrapping the last result or placed beside it."""
-    T = random_tournament(2 + rng.below(5), rng.next())
-    for _ in range(2 + rng.below(3)):
-        other = random_tournament(2 + rng.below(5), rng.next())
-        if rng.below(2):
-            T = substitute(other, T, rng.below(other.n))
-        else:
-            T = substitute(T, other, rng.below(T.n))
-    return T
 
 
 def prime_in_prime(k):
