@@ -14,6 +14,7 @@ import sys
 
 from .core import (
     Tournament,
+    _members,
     format_tourn_v1,
     parse_tourn_v1,
     random_tournament,
@@ -54,10 +55,10 @@ def cmd_analyze(args) -> int:
         "indecomposable": indec,
         "Delta": index,
         "delta": (None if T.n < 5 else (index + 1) // 2),
-        "mc": [list(c.members) for c in A.graph.nodes],
-        "components": [list(b) for b in _transitive_blocks(T, A.tree).blocks],
+        "mc": [list(_members(m)) for m in A.mc],
+        "components": [list(_members(b)) for b in _transitive_blocks(T, A.tree)],
         "delta_decomposition": (
-            [] if indec else [list(p.members) for p in A.decomposition().parts]
+            [] if indec else [list(_members(m)) for m in next(A.decompositions())]
         ),
     }
     print(json.dumps(record, separators=(", ", ": ")))

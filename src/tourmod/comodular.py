@@ -21,12 +21,12 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator
 
-from .core import Tournament, VertexSet
+from .core import Tournament, VertexSet, _members
 from .modular import (
     CoModule,
     _extremal_module_masks,
+    _mask_key,
     _minimal_comodules,
-    _sorted_sets,
     _tree,
 )
 
@@ -86,9 +86,10 @@ def conflict_graph(T: Tournament) -> ConflictGraph:
     return _Analysis(T).graph
 
 
-def _walks(tree: list, mc: list[CoModule]) -> list[list[int]]:
-    """The components of the overlap graph on mc, each as the indices of
-    its nodes in path order, in the order of their smallest index.
+def _walks(tree: list, mc: list[int]) -> list[list[int]]:
+    """The components of the overlap graph on the masks mc, each as the
+    indices of its nodes in path order, in the order of their smallest
+    index.
 
     Only twins (2-vertex modules) overlap, and a twin is a pair of
     consecutive single-vertex children of a linear node.  Twins {a, b} and
@@ -98,7 +99,7 @@ def _walks(tree: list, mc: list[CoModule]) -> list[list[int]]:
     a run of twins of mc at consecutive positions of one linear node, or a
     single node, and no cycle can arise.
     """
-    index = {c.members.mask: i for i, c in enumerate(mc)}
+    index = {m: i for i, m in enumerate(mc)}
     walks = []
     for _, linear, children in tree:
         if not linear:
@@ -152,54 +153,58 @@ class CoModularDecomposition:
 
 class _Analysis:
     """What the index, the decompositions and a certificate step read from
-    one tournament, built from one decomposition tree: the tree's nodes,
-    mc(T) with the co-module kinds (the graph's nodes), the overlap graph
-    and its components as walks, the index and the distinguished subset
-    of every minimal co-module with at most one overlap.  The optima of
-    the components are enumerated on first use."""
+    one tournament's decomposition tree, kept as masks: the tree's nodes,
+    mc(T) as a mask -> kind dict in key order, the overlap graph's
+    components as walks over mc's positions, the index, and the tilde of
+    each minimal co-module with at most one overlap.  Optima and public
+    objects (``graph``, ``as_decomposition``) are built on first use."""
 
     def __init__(self, T: Tournament):
         self.tournament = T
         self.tree = list(_tree(T))
-        mc = _minimal_comodules(T, self.tree)
-        self.walks = _walks(self.tree, mc)
-        edges = sorted((min(e), max(e)) for walk in self.walks for e in zip(walk, walk[1:]))
-        self.graph = graph = ConflictGraph(tuple(mc), tuple(edges))
+        self.mc = _minimal_comodules(T, self.tree)
+        masks = list(self.mc)
+        self.walks = _walks(self.tree, masks)
         self.index = sum((len(walk) + 1) // 2 for walk in self.walks)
-        self.overlaps: dict[int, int] = {}  # overlap count per member mask
-        self.tildes: dict[int, VertexSet] = {}
-        for c, near in zip(graph.nodes, graph.adjacency):
-            mask = c.members.mask
-            self.overlaps[mask] = len(near)
-            if len(near) <= 1:
-                shared = mask & graph.nodes[near[0]].members.mask if near else mask
-                self.tildes[mask] = VertexSet(T.n, shared)
+        # the ends of a walk overlap at most one node, its inner nodes two
+        self.tildes: dict[int, int] = {}
+        for w in ([masks[i] for i in walk] for walk in self.walks):
+            self.tildes[w[0]] = w[0] & w[1] if len(w) > 1 else w[0]
+            self.tildes[w[-1]] = w[-1] & w[-2] if len(w) > 1 else w[-1]
 
     @cached_property
     def optima(self) -> list[list[tuple[int, ...]]]:
         return [_path_optima(walk) for walk in self.walks]
 
-    def tilde(self, part: CoModule) -> VertexSet:
+    @cached_property
+    def graph(self) -> ConflictGraph:
+        nodes = tuple(self.comodule(m) for m in self.mc)
+        edges = sorted((min(e), max(e)) for walk in self.walks for e in zip(walk, walk[1:]))
+        return ConflictGraph(nodes, tuple(edges))
+
+    def comodule(self, mask: int) -> CoModule:
+        return CoModule(VertexSet(self.tournament.n, mask), self.mc[mask])
+
+    def tilde(self, mask: int) -> int:
         """As ``modular.tilde``: defined for minimal co-modules with at most
         one overlap."""
-        found = self.tildes.get(part.members.mask)
+        found = self.tildes.get(mask)
         if found is None:
             raise ValueError("tilde needs a minimal co-module with at most one overlap")
         return found
 
-    def decompositions(self) -> Iterator[CoModularDecomposition]:
-        if not self.graph.nodes:
+    def decompositions(self) -> Iterator[tuple[int, ...]]:
+        """The parts of each delta decomposition as masks in key order, as
+        mc is.  The first takes the smallest selection of vertex sets per
+        component, since each component's optima are sorted tuples."""
+        if not self.mc:
             raise ValueError("an indecomposable tournament has no decomposition")
-        nodes = self.graph.nodes
+        masks = list(self.mc)
         for pick in itertools.product(*self.optima):
-            parts = sorted((nodes[i] for chosen in pick for i in chosen), key=lambda c: c.key)
-            yield CoModularDecomposition(tuple(parts), is_delta=True)
+            yield tuple(masks[i] for i in sorted(itertools.chain.from_iterable(pick)))
 
-    def decomposition(self) -> CoModularDecomposition:
-        """The first of ``decompositions``: the nodes are in key order and
-        each component's optima are sorted index tuples, so it takes the
-        smallest selection of vertex sets per component."""
-        return next(self.decompositions())
+    def as_decomposition(self, parts: tuple[int, ...]) -> CoModularDecomposition:
+        return CoModularDecomposition(tuple(map(self.comodule, parts)), is_delta=True)
 
 
 def comodular_index(T: Tournament) -> int:
@@ -218,7 +223,8 @@ def all_delta_decompositions(T: Tournament) -> Iterator[CoModularDecomposition]:
     the choices combined, which enumerates every such decomposition
     exactly once.
     """
-    return _Analysis(T).decompositions()
+    A = _Analysis(T)
+    return map(A.as_decomposition, A.decompositions())
 
 
 def delta_decomposition(T: Tournament) -> CoModularDecomposition:
@@ -228,18 +234,13 @@ def delta_decomposition(T: Tournament) -> CoModularDecomposition:
     Ties are broken toward the lexicographically smallest selection of
     vertex sets (per overlap-graph component), so repeated runs agree.
     """
-    return _Analysis(T).decomposition()
+    A = _Analysis(T)
+    return A.as_decomposition(next(A.decompositions()))
 
 
-def _rel_all(T: Tournament, amask: int, bmask: int) -> bool:
+def _rel_all(out: tuple[int, ...], amask: int, bmask: int) -> bool:
     """True when every vertex of amask beats every vertex of bmask."""
-    rest = amask
-    while rest:
-        bit = rest & -rest
-        rest ^= bit
-        if T.out_masks[bit.bit_length() - 1] & bmask != bmask:
-            return False
-    return True
+    return all(out[v] & bmask == bmask for v in _members(amask))
 
 
 def structured_delta_decomposition(
@@ -266,56 +267,57 @@ def structured_delta_decomposition(
     decomposition always exists, so a failure can only signal an internal
     bug.
     """
-    return _structured(_Analysis(T))
+    A = _Analysis(T)
+    parts, labels = _structured(A)
+    return A.as_decomposition(parts), {k: A.comodule(m) for k, m in labels.items()}
 
 
-def _structured(A: _Analysis) -> tuple[CoModularDecomposition, dict[str, CoModule]]:
+def _structured(A: _Analysis) -> tuple[tuple[int, ...], dict[str, int]]:
+    """``structured_delta_decomposition`` on masks: the parts and the
+    labelled parts as masks."""
     if A.index < 2:
         raise ValueError("tournament is indecomposable")
-    over = A.overlaps
+    single = A.tildes  # the parts with at most one overlap
 
     if A.index == 2:
-        decomp = A.decomposition()
-        a, b = decomp.parts
-        if over[a.members.mask] > 1 or over[b.members.mask] > 1:
+        parts = next(A.decompositions())
+        a, b = parts
+        if a not in single or b not in single:
             raise RuntimeError("contract check failed for a two-part decomposition")
         # prefer a nontrivial-module part for the M label; one exists from
         # four vertices up, and below that the choice is immaterial
-        if a.kind == "complement-module" and b.kind in ("module", "both"):
+        if A.mc[a] == "complement-module" and A.mc[b] in ("module", "both"):
             a, b = b, a
-        return decomp, {"M": a, "N": b}
+        return parts, {"M": a, "N": b}
 
     if A.index == 3:
-        for decomp in A.decompositions():
-            if all(over[p.members.mask] <= 1 for p in decomp.parts):
-                labels = dict(zip(("M", "N", "L"), decomp.parts))
-                return decomp, labels
+        for parts in A.decompositions():
+            if all(p in single for p in parts):
+                return parts, dict(zip(("M", "N", "L"), parts))
         raise RuntimeError("no three-part decomposition with all overlaps <= 1")
 
-    T = A.tournament
-    for decomp in A.decompositions():
-        masks = [p.members.mask for p in decomp.parts]
-        free = [over[m] <= 1 for m in masks]
-        span = range(len(masks))
+    out = A.tournament.out_masks
+    for parts in A.decompositions():
+        free = [m in single for m in parts]
+        span = range(len(parts))
         for i in span:
             if not free[i]:
                 continue
             for j in span:
-                if j == i or not _rel_all(T, masks[i], masks[j]):
+                if j == i or not _rel_all(out, parts[i], parts[j]):
                     continue
                 for k in span:
-                    if k in (i, j) or not free[k] or not _rel_all(T, masks[j], masks[k]):
+                    if k in (i, j) or not free[k] or not _rel_all(out, parts[j], parts[k]):
                         continue
                     for l in span:
                         if l in (i, j, k) or not free[l]:
                             continue
-                        m1, m3 = masks[i], masks[k]
+                        m1, m3 = parts[i], parts[k]
                         if any(
-                            T.out_masks[x] & m1 == m1 or T.out_masks[x] & m3 == 0
-                            for x in VertexSet(T.n, masks[l])
+                            out[x] & m1 == m1 or out[x] & m3 == 0 for x in _members(parts[l])
                         ):
-                            chosen = (decomp.parts[q] for q in (i, j, k, l))
-                            return decomp, dict(zip(("M1", "M2", "M3", "M4"), chosen))
+                            chosen = (parts[q] for q in (i, j, k, l))
+                            return parts, dict(zip(("M1", "M2", "M3", "M4"), chosen))
     raise RuntimeError("no labelled four-part decomposition found")
 
 
@@ -340,13 +342,11 @@ def hereditary_witness(T: Tournament, k: int) -> VertexSet:
         if index == 0:
             designated = (0, 1, 2)
         else:
-            module = _sorted_sets(T, _extremal_module_masks(T, A.tree)[0])[0]
-            x, y = module.members()[:2]
-            z = next(v for v in range(T.n) if v not in module)
+            module = min(_extremal_module_masks(T, A.tree)[0], key=lambda m: _mask_key(T.n, m))
+            x, y = _members(module)[:2]
+            z = next(v for v in range(T.n) if not module >> v & 1)
             designated = (x, y, z)
         pool = [v for v in range(T.n) if v not in designated]
         return VertexSet.from_members(T.n, pool[:k])
-    decomp = A.decomposition()
-    big = [p for p in decomp.parts if len(p.members) >= 2]
-    pool = sorted(set(big[0].members) | set(big[1].members))
-    return VertexSet.from_members(T.n, pool[:k])
+    big = [p for p in next(A.decompositions()) if p.bit_count() >= 2]
+    return VertexSet.from_members(T.n, _members(big[0] | big[1])[:k])

@@ -9,7 +9,8 @@ pair {i, j} with i < j sits at position
 
 and is True when the arc (i, j) is present, False when (j, i) is.  The
 sequence is packed into a single int (bit k = entry k), which makes
-tournaments cheap to hash, compare and transform.
+tournaments cheap to hash and compare.  The out-neighbourhood masks are
+decoded from it once; ``invert`` and ``dual`` derive theirs by flipping.
 
 All values in this module are immutable; every function is pure.
 
@@ -67,6 +68,7 @@ ENUMERATION_BOUND = 8
 
 _MASK64 = (1 << 64) - 1
 _ZERO_SEED_STATE = 0x9E3779B97F4A7C15
+_FLIP = bytes.maketrans(b"01", b"10")
 
 
 def pair_count(n: int) -> int:
@@ -79,6 +81,16 @@ def pair_index(n: int, i: int, j: int) -> int:
     if not 0 <= i < j < n:
         raise ValueError(f"bad pair ({i}, {j}) for n={n}")
     return i * (2 * n - i - 1) // 2 + (j - i - 1)
+
+
+def _members(mask: int) -> tuple[int, ...]:
+    """The vertices of a mask in ascending order."""
+    out = []
+    while mask:
+        bit = mask & -mask
+        mask ^= bit
+        out.append(bit.bit_length() - 1)
+    return tuple(out)
 
 
 class Arc(NamedTuple):
@@ -109,13 +121,7 @@ class VertexSet:
         return cls(n, mask)
 
     def members(self) -> tuple[int, ...]:
-        out = []
-        rest = self.mask
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            out.append(bit.bit_length() - 1)
-        return tuple(out)
+        return _members(self.mask)
 
     def complement(self) -> "VertexSet":
         return VertexSet(self.n, ((1 << self.n) - 1) ^ self.mask)
@@ -155,27 +161,27 @@ class Tournament:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("a tournament needs at least one vertex")
-        m = pair_count(self.n)
+        n, m = self.n, pair_count(self.n)
         if self.bits < 0 or self.bits >> m:
             raise ValueError(f"bits value does not fit {m} pair positions")
-        # one pass over the bit string, read from its high end (vertex 0's
-        # row, highest j first): shifting the big int once per pair would
-        # make construction quadratic in the pair count
-        s = format(self.bits, f"0{m}b") if m else ""
-        outs = [0] * self.n
-        end = m
-        for i in range(self.n - 1):
-            start = end - (self.n - 1 - i)
-            row = s[start:end]
-            end = start
-            outs[i] |= int(row, 2) << (i + 1)
-            bit = 1 << i
-            j = self.n
-            for c in row:
-                j -= 1
-                if c == "0":
-                    outs[j] |= bit
-        object.__setattr__(self, "out_masks", tuple(outs))
+        # read from its high end, the bit string lists the rows (i, j > i)
+        # from i = n-1 down, each from its highest j: row i is i's out-arcs
+        # above i as one binary number.  Padded, complemented and stacked,
+        # the rows form a grid whose column n-1-i has i's out-arcs below i.
+        s = format(self.bits, f"0{m}b").encode() if m else b""
+        rows = [s[pair_count(n - 1 - i) : pair_count(n - i)] for i in range(n)]
+        grid = b"".join(rows[i] + b"0" * (i + 1) for i in reversed(range(n))).translate(_FLIP)
+        outs = tuple(
+            [int(rows[i] + b"0" + grid[(n - i) * n + n - 1 - i :: n], 2) for i in range(n)]
+        )
+        object.__setattr__(self, "out_masks", outs)
+
+    @classmethod
+    def _derived(cls, n: int, bits: int, out_masks: Sequence[int]) -> "Tournament":
+        """A tournament whose bits and rows come from a valid one by the same flips."""
+        T = object.__new__(cls)
+        vars(T).update(n=n, bits=bits, out_masks=tuple(out_masks))
+        return T
 
     @property
     def orient(self) -> tuple[bool, ...]:
@@ -184,6 +190,8 @@ class Tournament:
 
     def relation(self, x: int, y: int) -> int:
         """1 if the arc (x, y) is present, else 0."""
+        if not (0 <= x < self.n and 0 <= y < self.n):
+            raise ValueError(f"pair ({x}, {y}) has a vertex outside 0..{self.n - 1}")
         if x == y:
             raise ValueError("no self-pairs in a tournament")
         return self.out_masks[x] >> y & 1
@@ -193,9 +201,9 @@ class Tournament:
 
     def arcs(self) -> Iterator[Arc]:
         """All arcs, one per pair, in idx order of the underlying pair."""
-        for i in range(self.n):
+        for i, out in enumerate(self.out_masks):
             for j in range(i + 1, self.n):
-                yield Arc(i, j) if self.relation(i, j) else Arc(j, i)
+                yield Arc(i, j) if out >> j & 1 else Arc(j, i)
 
     def out_degree(self, v: int) -> int:
         return self.out_masks[v].bit_count()
@@ -212,26 +220,13 @@ class Tournament:
         return f"Tournament(n={self.n}, bits='{self.bit_string()}')"
 
 
-def _pack(entries: Iterable) -> int:
-    """The int whose bit k is set when entry k is truthy, built from one
-    string (setting bits one by one would be quadratic in the length)."""
-    return int("".join("1" if e else "0" for e in entries)[::-1] or "0", 2)
-
-
 def make_tournament(n: int, orient: Sequence) -> Tournament:
     """Build a tournament from its orientation sequence.
 
     ``orient`` must contain exactly n(n-1)/2 entries; entry k decides the
     pair at position k (truthy: arc (i, j) with i < j; falsy: arc (j, i)).
     """
-    if n < 1:
-        raise ValueError("a tournament needs at least one vertex")
-    entries = list(orient)
-    if len(entries) != pair_count(n):
-        raise ValueError(
-            f"expected {pair_count(n)} orientation entries for n={n}, got {len(entries)}"
-        )
-    return Tournament(n, _pack(entries))
+    return _from_bit_string(n, "".join("1" if e else "0" for e in orient))
 
 
 def _from_bit_string(n: int, bits: str) -> Tournament:
@@ -256,17 +251,21 @@ def transitive(n: int) -> Tournament:
 
 
 def dual(T: Tournament) -> Tournament:
-    """Reverse every arc.  An involution."""
-    return Tournament(T.n, T.bits ^ ((1 << pair_count(T.n)) - 1))
+    """Reverse every arc.  An involution; each row is complemented, not decoded."""
+    full = (1 << T.n) - 1
+    outs = [full ^ (1 << v) ^ out for v, out in enumerate(T.out_masks)]
+    return Tournament._derived(T.n, T.bits ^ ((1 << pair_count(T.n)) - 1), outs)
 
 
 def invert(T: Tournament, arcs: Iterable) -> Tournament:
     """Reverse the given arcs.
 
     Every element of ``arcs`` must be an arc of T (its stated orientation
-    must be present), and no two elements may share a vertex pair.
+    must be present), and no two elements may share a vertex pair.  Each
+    reversal flips its bit and its two row bits, so nothing is decoded.
     """
     flip = 0
+    outs = list(T.out_masks)
     seen = set()
     for a in arcs:
         x, y = a
@@ -277,7 +276,9 @@ def invert(T: Tournament, arcs: Iterable) -> Tournament:
             raise ValueError(f"duplicate pair {pair} in inversion set")
         seen.add(pair)
         flip |= 1 << pair_index(T.n, *pair)
-    return Tournament(T.n, T.bits ^ flip)
+        outs[x] ^= 1 << y
+        outs[y] ^= 1 << x
+    return Tournament._derived(T.n, T.bits ^ flip, outs)
 
 
 def subtournament(T: Tournament, W) -> tuple[Tournament, tuple[int, ...]]:
@@ -294,8 +295,8 @@ def subtournament(T: Tournament, W) -> tuple[Tournament, tuple[int, ...]]:
         if not 0 <= v < T.n:
             raise ValueError(f"vertex {v} out of range 0..{T.n - 1}")
     k = len(members)
-    bits = _pack(T.relation(members[a], members[b]) for a in range(k) for b in range(a + 1, k))
-    return Tournament(k, bits), members
+    pairs = ((members[a], members[b]) for a in range(k) for b in range(a + 1, k))
+    return _from_bit_string(k, "".join(str(T.relation(x, y)) for x, y in pairs)), members
 
 
 def random_tournament(n: int, seed: int) -> Tournament:
@@ -303,7 +304,7 @@ def random_tournament(n: int, seed: int) -> Tournament:
     if n < 1:
         raise ValueError("a tournament needs at least one vertex")
     rng = Xorshift64Star(seed)
-    return Tournament(n, _pack(rng.next() >> 63 for _ in range(pair_count(n))))
+    return _from_bit_string(n, "".join("01"[rng.next() >> 63] for _ in range(pair_count(n))))
 
 
 class Xorshift64Star:

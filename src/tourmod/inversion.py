@@ -31,7 +31,7 @@ import json
 from dataclasses import dataclass
 from itertools import permutations as _permutations
 
-from .core import Arc, Tournament, _from_bit_string, invert, make_tournament
+from .core import Arc, Tournament, _from_bit_string, _members, invert, make_tournament
 from .comodular import _Analysis, _structured, comodular_index
 from .modular import _is_transitive_mask, _tree, is_indecomposable
 
@@ -86,6 +86,13 @@ def _failed_check(T: Tournament, step: str) -> RuntimeError:
     return RuntimeError(f"guided {step} failed its check on n={T.n} bits={T.bit_string()}")
 
 
+def _part_masks(D) -> tuple[tuple[int, ...], dict[str, int]]:
+    """D from ``structured_delta_decomposition`` as ``_structured`` gives it."""
+    decomp, labels = D
+    parts = tuple(p.members.mask for p in decomp.parts)
+    return parts, {k: c.members.mask for k, c in labels.items()}
+
+
 def reduction_arc_high(T: Tournament, D) -> Arc:
     """Arc whose reversal lowers a co-modular index >= 4 by exactly 2.
 
@@ -94,17 +101,17 @@ def reduction_arc_high(T: Tournament, D) -> Arc:
     vertices of the distinguished subsets of M1 and M3; the index drop is
     re-verified before returning.
     """
-    return _reduce_high(_Analysis(T), D)[0]
+    return _reduce_high(_Analysis(T), _part_masks(D))[0]
 
 
 def _reduce_high(A: _Analysis, D) -> tuple[Arc, _Analysis]:
     """The arc of ``reduction_arc_high`` and the analysis of the state it
-    leads to."""
+    leads to; ``D`` holds masks, as ``_structured`` returns them."""
     if A.index < 4:
         raise ValueError("this reduction applies only when the index is at least 4")
     T = A.tournament
     _, labels = D
-    arc = _arc_between(T, min(A.tilde(labels["M1"])), min(A.tilde(labels["M3"])))
+    arc = _arc_between(T, _members(A.tilde(labels["M1"]))[0], _members(A.tilde(labels["M3"]))[0])
     after = _Analysis(invert(T, [arc]))
     if after.index != A.index - 2:
         raise _failed_check(T, "high-index reduction")
@@ -119,20 +126,20 @@ def reduction_arc_three(T: Tournament, D) -> Arc:
     assignments in order and the smallest vertices first.  The paper shows
     that every such pattern works; the result is checked once.
     """
-    return _reduce_three(_Analysis(T), D)[0]
+    return _reduce_three(_Analysis(T), _part_masks(D))[0]
 
 
 def _reduce_three(A: _Analysis, D) -> tuple[Arc, _Analysis]:
     """The arc of ``reduction_arc_three`` and the analysis of the state it
-    leads to."""
+    leads to; ``D`` holds masks, as ``_structured`` returns them."""
     if A.index != 3:
         raise ValueError("this reduction applies only when the index is exactly 3")
     T = A.tournament
-    decomp, _ = D
-    for part_m, part_n, part_l in _permutations(decomp.parts):
-        zs = sorted(A.tilde(part_l))
-        for x in sorted(A.tilde(part_m)):
-            for y in sorted(A.tilde(part_n)):
+    parts, _ = D
+    for part_m, part_n, part_l in _permutations(parts):
+        zs = _members(A.tilde(part_l))
+        for x in _members(A.tilde(part_m)):
+            for y in _members(A.tilde(part_n)):
                 if any(T.relation(x, z) and T.relation(z, y) for z in zs):
                     arc = _arc_between(T, x, y)
                     after = _Analysis(invert(T, [arc]))
@@ -161,7 +168,7 @@ def reduction_arc_two(T: Tournament, D) -> Arc:
       theorem (delta = 1 at index 2) says that one exists.
     """
     _require_size(T)
-    return _reduce_two(_Analysis(T), D)
+    return _reduce_two(_Analysis(T), _part_masks(D))
 
 
 def _reduce_two(A: _Analysis, D) -> Arc:
@@ -169,8 +176,8 @@ def _reduce_two(A: _Analysis, D) -> Arc:
     if A.index != 2:
         raise ValueError("this reduction applies only when the index is exactly 2")
     _, labels = D
-    for x in sorted(A.tilde(labels["M"])):
-        for y in sorted(A.tilde(labels["N"])):
+    for x in _members(A.tilde(labels["M"])):
+        for y in _members(A.tilde(labels["N"])):
             arc = _arc_between(T, x, y)
             if is_indecomposable(invert(T, [arc])):
                 return arc

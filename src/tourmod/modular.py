@@ -33,7 +33,7 @@ from itertools import accumulate, groupby
 from operator import or_
 from typing import Iterable, Iterator
 
-from .core import Tournament, VertexSet
+from .core import Tournament, VertexSet, _members
 
 __all__ = [
     "CoModule",
@@ -221,8 +221,15 @@ def is_indecomposable(T: Tournament) -> bool:
     return not linear and all(c & (c - 1) == 0 for c in children)
 
 
+def _mask_key(n: int, mask: int) -> tuple[int, str]:
+    """Orders masks as ``VertexSet.key`` orders their sets: by size, then
+    first the set holding the lowest vertex in which two sets differ, whose
+    complement, written from vertex 0 up, is then the smaller string."""
+    return mask.bit_count(), format(((1 << n) - 1) ^ mask, f"0{n}b")[::-1]
+
+
 def _sorted_sets(T: Tournament, masks: Iterable[int]) -> list[VertexSet]:
-    return sorted((VertexSet(T.n, m) for m in masks), key=lambda s: s.key)
+    return [VertexSet(T.n, m) for m in sorted(masks, key=lambda m: _mask_key(T.n, m))]
 
 
 def nontrivial_modules(T: Tournament) -> list[VertexSet]:
@@ -274,7 +281,10 @@ def maximal_nontrivial_modules(T: Tournament) -> list[VertexSet]:
 
 def is_comodule(T: Tournament, M) -> bool:
     """True when M or its complement is a nontrivial module of T."""
-    return _comodule_kind(T, _as_mask(T, M)) is not None
+    mask = _as_mask(T, M)
+    return any(
+        2 <= m.bit_count() < T.n and _is_module_mask(T, m) for m in (mask, ((1 << T.n) - 1) ^ mask)
+    )
 
 
 @dataclass(frozen=True)
@@ -296,20 +306,6 @@ class CoModule:
         return f"CoModule({{{', '.join(map(str, self.members.members()))}}}, {self.kind})"
 
 
-def _comodule_kind(T: Tournament, mask: int) -> str | None:
-    full = (1 << T.n) - 1
-    as_module = 2 <= mask.bit_count() < T.n and _is_module_mask(T, mask)
-    comp = full & ~mask
-    comp_module = 2 <= comp.bit_count() < T.n and _is_module_mask(T, comp)
-    if as_module and comp_module:
-        return "both"
-    if as_module:
-        return "module"
-    if comp_module:
-        return "complement-module"
-    return None
-
-
 def minimal_comodules(T: Tournament) -> list[CoModule]:
     """The inclusion-minimal co-modules mc(T); empty iff T is indecomposable.
 
@@ -317,14 +313,16 @@ def minimal_comodules(T: Tournament) -> list[CoModule]:
     complement of a maximal one, so filtering that candidate pool for
     inclusion-minimality is exhaustive.
     """
-    return _minimal_comodules(T, list(_tree(T)))
+    mc = _minimal_comodules(T, list(_tree(T)))
+    return [CoModule(VertexSet(T.n, m), kind) for m, kind in mc.items()]
 
 
-def _minimal_comodules(T: Tournament, tree: list) -> list[CoModule]:
-    """A minimal co-module that is a module is a minimal nontrivial one, and
-    one whose complement is a module is the complement of a maximal one, so
-    membership in the two families gives its kind.  Each family is an
-    antichain; only a set of one can contain a set of the other."""
+def _minimal_comodules(T: Tournament, tree: list) -> dict[int, str]:
+    """mc(T) as a mask -> kind dict in key order.  A minimal co-module that
+    is a module is a minimal nontrivial one, and one whose complement is a
+    module is the complement of a maximal one, so membership in the two
+    families gives its kind.  Each family is an antichain; only a set of
+    one can contain a set of the other."""
     minimal, maximal = _extremal_module_masks(T, tree)
     full = (1 << T.n) - 1
     modules = set(minimal)
@@ -332,13 +330,11 @@ def _minimal_comodules(T: Tournament, tree: list) -> list[CoModule]:
     kinds = {m: "module" for m in modules}
     for m in complements:
         kinds[m] = "both" if m in modules else "complement-module"
-    out = [
-        CoModule(VertexSet(T.n, m), kind)
-        for m, kind in kinds.items()
+    return {
+        m: kinds[m]
+        for m in sorted(kinds, key=lambda m: _mask_key(T.n, m))
         if not any(o & m == o and o != m for o in (complements if m in modules else modules))
-    ]
-    out.sort(key=lambda c: c.key)
-    return out
+    }
 
 
 def _overlaps(a: int, b: int) -> bool:
@@ -365,11 +361,7 @@ def tilde(T: Tournament, M) -> VertexSet:
     over = overlap_set(T, VertexSet(T.n, mask))
     if len(over) > 1:
         raise ValueError("tilde is undefined when two minimal co-modules overlap")
-    if not over:
-        return VertexSet(T.n, mask)
-    shared = mask & over[0].members.mask
-    assert shared, "overlapping sets must intersect"
-    return VertexSet(T.n, shared)
+    return VertexSet(T.n, mask & over[0].members.mask if over else mask)
 
 
 # ---------------------------------------------------------------------------
@@ -403,24 +395,22 @@ def transitive_components(T: Tournament) -> TransitiveComponentPartition:
     maximal such runs, and every other vertex (a child of a prime node)
     is a block of its own.  Blocks are listed by their lowest vertex.
     """
-    return _transitive_blocks(T, _tree(T))
+    blocks = _transitive_blocks(T, _tree(T))
+    return TransitiveComponentPartition(tuple(VertexSet(T.n, m) for m in blocks))
 
 
-def _transitive_blocks(T: Tournament, tree: Iterable) -> TransitiveComponentPartition:
+def _transitive_blocks(T: Tournament, tree: Iterable) -> list[int]:
     blocks = [] if T.n > 1 else [1]
     for _, linear, children in tree:
         for single, run in groupby(children, key=lambda c: c & (c - 1) == 0):
             if single:
                 blocks += [reduce(or_, run)] if linear else list(run)
-    blocks.sort(key=lambda m: m & -m)
-    return TransitiveComponentPartition(tuple(VertexSet(T.n, m) for m in blocks))
+    return sorted(blocks, key=lambda m: m & -m)
 
 
 def _transitive_order(T: Tournament, mask: int) -> list[int]:
     """Members of a transitive set, source first (descending inner out-degree)."""
-    members = [v for v in range(T.n) if mask >> v & 1]
-    members.sort(key=lambda v: -(T.out_masks[v] & mask).bit_count())
-    return members
+    return sorted(_members(mask), key=lambda v: -(T.out_masks[v] & mask).bit_count())
 
 
 def component_comodule(T: Tournament, C, k: int) -> CoModule:
@@ -434,7 +424,7 @@ def component_comodule(T: Tournament, C, k: int) -> CoModule:
         raise ValueError("needs a tournament with at least three vertices")
     mask = _as_mask(T, C)
     tree = list(_tree(T))
-    if all(b.mask != mask for b in _transitive_blocks(T, tree).blocks):
+    if mask not in _transitive_blocks(T, tree):
         raise ValueError("argument is not a transitive component of the tournament")
     size = mask.bit_count()
     if size < 2:
@@ -443,6 +433,7 @@ def component_comodule(T: Tournament, C, k: int) -> CoModule:
         raise ValueError(f"index k must lie in 0..{size - 2}, got {k}")
     order = _transitive_order(T, mask)
     twin = (1 << order[k]) | (1 << order[k + 1])
-    hits = [c for c in _minimal_comodules(T, tree) if c.members.mask & ~twin == 0]
+    mc = _minimal_comodules(T, tree)
+    hits = [m for m in mc if m & ~twin == 0]
     assert len(hits) == 1, "a twin must contain exactly one minimal co-module"
-    return hits[0]
+    return CoModule(VertexSet(T.n, hits[0]), mc[hits[0]])

@@ -2,7 +2,7 @@ import hashlib
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tourmod import (
@@ -20,7 +20,9 @@ from tourmod import (
     parse_tourn_v1,
     random_tournament,
     subtournament,
+    synthesize_certificate,
     transitive,
+    verify_certificate,
 )
 
 from conftest import random_bits_tournament
@@ -129,7 +131,8 @@ def pairwise_out_masks(n: int, bits: int) -> list[int]:
 class TestConstruction:
     def test_out_masks_match_pairwise_reading(self):
         rng = Xorshift64Star(53)
-        for n in range(1, 41):
+        # past 40, sizes around the 64-bit word boundaries and one large n
+        for n in [*range(1, 41), 63, 64, 65, 127, 128, 129, 300]:
             for bits in (0, (1 << pair_count(n)) - 1, random_bits_tournament(rng, n).bits):
                 T = Tournament(n, bits)
                 assert list(T.out_masks) == pairwise_out_masks(n, bits)
@@ -211,6 +214,31 @@ class TestInvert:
         T = Tournament(6, bits)
         arcs = [a for k, a in enumerate(T.arcs()) if k in positions]
         assert invert(invert(T, arcs), [(y, x) for x, y in arcs]) == T
+
+    @settings(max_examples=60, derandomize=True)
+    @given(st.integers(1, 14), st.integers(min_value=0), st.integers(min_value=0))
+    @example(1, 0, 0)
+    @example(9, 2**36 - 1, 0)
+    def test_flipped_masks_match_rebuild(self, n, bits, chosen):
+        # invert and dual derive their rows by flipping the parent's; a
+        # rebuild from the bits decodes them afresh
+        T = Tournament(n, bits % (1 << pair_count(n)))
+        arcs = [a for k, a in enumerate(T.arcs()) if chosen >> k & 1]
+        for U in (invert(T, arcs), dual(T)):
+            R = Tournament(U.n, U.bits)
+            assert (U.n, U.bits, U.out_masks) == (R.n, R.bits, R.out_masks)
+
+
+class TestVertexRange:
+    @pytest.mark.parametrize("x, y", [(0, 5), (5, 0), (0, 6), (6, 0), (-1, 0), (0, -1), (-1, 5)])
+    def test_outside_vertices_rejected(self, x, y):
+        T = random_tournament(5, 1)
+        with pytest.raises(ValueError):
+            T.relation(x, y)
+        with pytest.raises(ValueError):
+            T.has_arc(x, y)
+        with pytest.raises(ValueError):
+            invert(T, [(x, y)])
 
 
 class TestSubtournament:
@@ -400,3 +428,29 @@ class TestTournV1:
     def test_rejects_malformed(self, text):
         with pytest.raises(ValueError):
             parse_tourn_v1(text)
+
+    @settings(max_examples=300, derandomize=True)
+    @given(
+        st.text()
+        | st.builds(
+            "tourn-v1\nn={}\nbits={}{}".format,
+            st.integers(-2, 12).map(str) | st.text("0123456789+- ", max_size=4),
+            st.text("01", max_size=70),
+            st.sampled_from(["", "\n", "\n\n", "\nbits="]),
+        )
+        | st.integers(1, 9).flatmap(
+            lambda n: st.text("01", min_size=pair_count(n), max_size=pair_count(n)).map(
+                lambda bits: f"tourn-v1\nn={n}\nbits={bits}\n"
+            )
+        )
+    )
+    def test_fuzzed_text_parses_or_raises_value_error(self, text):
+        # untrusted input: a parsed tournament round-trips and certifies,
+        # anything else ends in ValueError, never another exception
+        try:
+            T = parse_tourn_v1(text)
+        except ValueError:
+            return
+        assert parse_tourn_v1(format_tourn_v1(T)) == T
+        if T.n >= 5:
+            assert verify_certificate(T, synthesize_certificate(T))

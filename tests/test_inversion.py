@@ -1,10 +1,17 @@
 import json
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tourmod import (
     Arc,
+    CoModularDecomposition,
+    CoModule,
     InversionCertificate,
+    Tournament,
+    VertexSet,
     Xorshift64Star,
     brute_delta,
     certificate_from_json,
@@ -22,6 +29,7 @@ from tourmod import (
     is_module,
     minimal_comodules,
     nontrivial_modules,
+    pair_count,
     random_tournament,
     reduction_arc_high,
     reduction_arc_three,
@@ -240,6 +248,32 @@ class TestSynthesize:
             states.append(invert(states[-1], [arc]))
         assert analysed == (states[:-1] if cert.arcs else states)
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_states_stay_on_masks(self, seed, monkeypatch):
+        # each reversal derives the next state's rows from its parent's,
+        # and the index and the steps read masks: no bit string is decoded
+        # and no public object is built on the way to a certificate
+        T = relabelled_chain(17, seed)
+        built = Counter()
+
+        def count(cls, name):
+            orig = getattr(cls, name)
+
+            def counting(self, *args, **kwargs):
+                built[cls.__name__] += 1
+                return orig(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, name, counting)
+
+        count(Tournament, "__post_init__")
+        for cls in (VertexSet, CoModule, CoModularDecomposition):
+            count(cls, "__init__")
+        cert = synthesize_certificate(T)
+        assert verify_certificate(T, cert)
+        assert comodular_index(T) == 9
+        assert len(cert.arcs) == 5
+        assert built == Counter()
+
 
 class TestVerify:
     def test_accepts_synthesised(self):
@@ -397,6 +431,40 @@ class TestCertificateJson:
     def test_good_literal_parses(self):
         cert = certificate_from_json(json.dumps(self.GOOD))
         assert cert == synthesize_certificate(transitive(5))
+
+    @settings(max_examples=300, derandomize=True)
+    @given(st.data())
+    def test_fuzzed_records_parse_or_raise_value_error(self, data):
+        # untrusted input: any JSON object with the five fields either
+        # parses and then verifies to a verdict, or ends in ValueError
+        json_values = st.recursive(
+            st.none() | st.booleans() | st.integers() | st.text(max_size=6)
+            | st.floats(allow_nan=False, allow_infinity=False),
+            lambda kids: st.lists(kids, max_size=3)
+            | st.dictionaries(st.text(max_size=3), kids, max_size=3),
+            max_leaves=8,
+        )
+        shaped = data.draw(st.booleans())  # every field of the type it needs
+        n = data.draw(st.integers(1, 9) if shaped else st.integers(-1, 9) | json_values)
+        m = pair_count(n) if shaped else 0
+        bit_strings = (
+            st.text("01", min_size=m, max_size=m) if shaped else st.text("01x", max_size=12)
+        )
+        pairs = st.lists(st.lists(st.integers(-2, 11), min_size=2, max_size=2), max_size=4)
+        traces = st.lists(st.integers(-1, 6), max_size=4)
+        base = data.draw(bit_strings if shaped else bit_strings | json_values)
+        record = {
+            "n": n,
+            "base_bits": base,
+            "arcs": data.draw(pairs if shaped else pairs | json_values),
+            "trace": data.draw(traces if shaped else traces | json_values),
+            "final_bits": base if data.draw(st.booleans()) else data.draw(bit_strings),
+        }
+        try:
+            cert = certificate_from_json(json.dumps(record))
+        except ValueError:
+            return
+        assert isinstance(verify_certificate(cert.base, cert).ok, bool)
 
 
 class TestErdosExtension:
