@@ -29,8 +29,8 @@ print("modules agree on a random n=8:", guided == brute)
 # Co-modular index: overlap-graph optimum vs exact set packing.
 print("index (guided, packing):", comodular_index(T), brute_Delta(T))
 
-# Inversion index: the halving identity vs breadth-first search over
-# arc subsets.
+# Inversion index: the halving identity vs a depth-first search over arc
+# sets that cross every co-module.
 five = transitive(5)
 print("inversion count for the 5-chain (guided, search):",
       decomposability_index(five), brute_delta(five))

@@ -13,6 +13,7 @@ import json
 import sys
 
 from .core import (
+    ENUMERATION_BOUND,
     Tournament,
     _members,
     format_tourn_v1,
@@ -24,7 +25,6 @@ from .comodular import _Analysis, comodular_index
 from .inversion import certificate_to_json, synthesize_certificate, verify_certificate
 from .modular import _transitive_blocks, nontrivial_modules
 from .oracle import (
-    SWEEP_BOUND,
     brute_Delta,
     brute_delta,
     brute_modules,
@@ -126,8 +126,10 @@ def _expected_max_inversions(n: int) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if not 3 <= args.max_n <= SWEEP_BOUND or args.jobs < 1:
-        print(f"error: sweeps need 3 <= max-n <= {SWEEP_BOUND} and jobs >= 1", file=sys.stderr)
+    if not 3 <= args.max_n <= ENUMERATION_BOUND or args.jobs < 1:
+        print(
+            f"error: sweeps need 3 <= max-n <= {ENUMERATION_BOUND} and jobs >= 1", file=sys.stderr
+        )
         return USAGE_ERROR
     reports = sweep_verify(args.max_n, jobs=args.jobs)
     failed = False

@@ -28,6 +28,7 @@ from .modular import (
     _mask_key,
     _minimal_comodules,
     _tree,
+    _walks,
 )
 
 __all__ = [
@@ -84,35 +85,6 @@ class ConflictGraph:
 
 def conflict_graph(T: Tournament) -> ConflictGraph:
     return _Analysis(T).graph
-
-
-def _walks(tree: list, mc: list[int]) -> list[list[int]]:
-    """The components of the overlap graph on the masks mc, each as the
-    indices of its nodes in path order, in the order of their smallest
-    index.
-
-    Only twins (2-vertex modules) overlap, and a twin is a pair of
-    consecutive single-vertex children of a linear node.  Twins {a, b} and
-    {b, c} that overlap both hold b, so b's one parent lists a, b, c as
-    consecutive children.  The twin at position i of a linear node's
-    children therefore overlaps only those at i-1 and i+1: a component is
-    a run of twins of mc at consecutive positions of one linear node, or a
-    single node, and no cycle can arise.
-    """
-    index = {m: i for i, m in enumerate(mc)}
-    walks = []
-    for _, linear, children in tree:
-        if not linear:
-            continue
-        at = [
-            index.get(a | b) if (a | b).bit_count() == 2 else None
-            for a, b in zip(children, children[1:])
-        ]
-        runs = itertools.groupby(at, lambda i: i is not None)
-        walks += [list(run) for found, run in runs if found]
-    covered = {i for walk in walks for i in walk}
-    walks += [[i] for i in range(len(mc)) if i not in covered]
-    return sorted(walks, key=min)
 
 
 def _path_optima(walk: list[int]) -> list[tuple[int, ...]]:

@@ -168,10 +168,12 @@ def reduction_arc_two(T: Tournament, D) -> Arc:
       theorem (delta = 1 at index 2) says that one exists.
     """
     _require_size(T)
-    return _reduce_two(_Analysis(T), _part_masks(D))
+    return _reduce_two(_Analysis(T), _part_masks(D))[0]
 
 
-def _reduce_two(A: _Analysis, D) -> Arc:
+def _reduce_two(A: _Analysis, D) -> tuple[Arc, Tournament]:
+    """The arc of ``reduction_arc_two`` and the indecomposable tournament
+    it leads to; ``D`` holds masks, as ``_structured`` returns them."""
     T = A.tournament
     if A.index != 2:
         raise ValueError("this reduction applies only when the index is exactly 2")
@@ -179,8 +181,9 @@ def _reduce_two(A: _Analysis, D) -> Arc:
     for x in _members(A.tilde(labels["M"])):
         for y in _members(A.tilde(labels["N"])):
             arc = _arc_between(T, x, y)
-            if is_indecomposable(invert(T, [arc])):
-                return arc
+            after = invert(T, [arc])
+            if is_indecomposable(after):
+                return arc, after
     raise _failed_check(T, "two-part reduction")
 
 
@@ -219,10 +222,9 @@ def synthesize_certificate(T: Tournament) -> InversionCertificate:
         A = after
     final = A.tournament
     if A.index == 2:
-        step = _reduce_two(A, _structured(A))
+        step, final = _reduce_two(A, _structured(A))
         arcs.append(step)
         trace.append(2)
-        final = invert(final, [step])
     return InversionCertificate(T, tuple(arcs), tuple(trace), final)
 
 

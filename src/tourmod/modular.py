@@ -337,17 +337,49 @@ def _minimal_comodules(T: Tournament, tree: list) -> dict[int, str]:
     }
 
 
-def _overlaps(a: int, b: int) -> bool:
-    return bool(a & b) and bool(a & ~b) and bool(b & ~a)
+def _walks(tree: list, mc: list[int]) -> list[list[int]]:
+    """The components of the overlap graph on the masks mc, each as the
+    indices of its nodes in path order, in the order of their smallest
+    index.
+
+    Only twins (2-vertex modules) overlap, and a twin is a pair of
+    consecutive single-vertex children of a linear node.  Twins {a, b} and
+    {b, c} that overlap both hold b, so b's one parent lists a, b, c as
+    consecutive children.  The twin at position i of a linear node's
+    children therefore overlaps only those at i-1 and i+1: a component is
+    a run of twins of mc at consecutive positions of one linear node, or a
+    single node, and no cycle can arise.
+    """
+    index = {m: i for i, m in enumerate(mc)}
+    walks = []
+    for _, linear, children in tree:
+        if not linear:
+            continue
+        at = [
+            index.get(a | b) if (a | b).bit_count() == 2 else None
+            for a, b in zip(children, children[1:])
+        ]
+        runs = groupby(at, lambda i: i is not None)
+        walks += [list(run) for found, run in runs if found]
+    covered = {i for walk in walks for i in walk}
+    walks += [[i] for i in range(len(mc)) if i not in covered]
+    return sorted(walks, key=min)
 
 
 def overlap_set(T: Tournament, M) -> list[CoModule]:
-    """Minimal co-modules overlapping M, which must itself be in mc(T)."""
+    """Minimal co-modules overlapping M, which must itself be in mc(T):
+    its neighbours on its walk of the overlap graph, in key order."""
     mask = _as_mask(T, M)
-    mc = minimal_comodules(T)
-    if all(c.members.mask != mask for c in mc):
+    tree = list(_tree(T))
+    mc = _minimal_comodules(T, tree)
+    if mask not in mc:
         raise ValueError("argument is not a minimal co-module of the tournament")
-    return [c for c in mc if _overlaps(c.members.mask, mask)]
+    masks = list(mc)
+    i = masks.index(mask)
+    walk = next(w for w in _walks(tree, masks) if i in w)
+    p = walk.index(i)
+    near = sorted(walk[max(p - 1, 0) : p] + walk[p + 1 : p + 2])
+    return [CoModule(VertexSet(T.n, masks[j]), mc[masks[j]]) for j in near]
 
 
 def tilde(T: Tournament, M) -> VertexSet:

@@ -1,26 +1,35 @@
 """Brute-force reference implementations and exhaustive sweeps.
 
 These deliberately slow routines recompute the guided results from the
-raw definitions (subset scans, exact set packing, breadth-first search
-over arc subsets) so the two routes can be cross-checked.  The sweep
-walks every isomorphism class up to a given size, validates the guided
-computations class by class, and reports maxima plus any violations.
+raw definitions (subset scans, exact set packing, a depth-first search
+over arc sets that every co-module must cross) so the two routes can be
+cross-checked.  All three share one bound, ``MODULE_SCAN_BOUND``, checked
+before any work.  The sweep walks every isomorphism class up to a given
+size, validates the guided computations class by class, and reports
+maxima plus any violations.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from multiprocessing import Pool
 
-from .core import Tournament, VertexSet, dual, enumerate_tournaments, invert
+from .core import (
+    ENUMERATION_BOUND,
+    Tournament,
+    VertexSet,
+    _members,
+    dual,
+    enumerate_tournaments,
+    invert,
+)
 from .comodular import comodular_index
 from .inversion import synthesize_certificate, verify_certificate
-from .modular import _is_module_mask, is_indecomposable
+from .modular import _is_module_mask, is_indecomposable, minimal_nontrivial_modules
 
 __all__ = [
     "SweepReport",
@@ -32,9 +41,6 @@ __all__ = [
 ]
 
 MODULE_SCAN_BOUND = 16
-PACKING_BOUND = 12
-DELTA_SEARCH_BOUND = 8
-SWEEP_BOUND = 8
 
 
 def brute_modules(T: Tournament) -> list[VertexSet]:
@@ -47,28 +53,28 @@ def brute_modules(T: Tournament) -> list[VertexSet]:
     return found
 
 
-def _brute_comodule_masks(T: Tournament) -> list[int]:
+@lru_cache(maxsize=1)
+def _brute_comodule_masks(T: Tournament) -> tuple[int, ...]:
+    """Every co-module of T, smallest first, from the module subset scan and
+    the complements; none exactly when T is indecomposable.  The last
+    result is kept, so ``brute_Delta`` and ``brute_delta`` on one
+    tournament share one scan."""
     full = (1 << T.n) - 1
     masks: set[int] = set()
     for s in brute_modules(T):
         if 2 <= len(s) < T.n:
             masks.add(s.mask)
             masks.add(full & ~s.mask)
-    return sorted(masks, key=lambda m: (m.bit_count(), m))
+    return tuple(sorted(masks, key=lambda m: (m.bit_count(), m)))
 
 
-@lru_cache(maxsize=1)
 def _brute_packing(T: Tournament) -> tuple[int, ...]:
     """The masks of a maximum set of pairwise disjoint co-modules, by
     branch and bound.
 
-    Candidates are every co-module (from the module subset scan and the
-    complements), ordered by size; the bound uses the vertices still free
-    divided by the smallest remaining candidate size.  The last result is
-    kept, so ``brute_Delta`` and ``brute_delta`` on one tournament share it.
+    Candidates are every co-module, ordered by size; the bound uses the
+    vertices still free divided by the smallest remaining candidate size.
     """
-    if T.n > PACKING_BOUND:
-        raise ValueError(f"exact packing limited to n <= {PACKING_BOUND}")
     comods = _brute_comodule_masks(T)
     sizes = [m.bit_count() for m in comods]
     best: list[int] = []
@@ -100,30 +106,69 @@ def brute_Delta(T: Tournament) -> int:
 
 def brute_delta(T: Tournament) -> int:
     """Least number of arc reversals reaching indecomposability, by
-    breadth-first search over arc subsets of increasing size.
+    depth-first search over arc sets of increasing size.
 
-    Subsets whose endpoints miss a part of the brute-force maximum
-    packing cannot work (an untouched co-module survives) and are
-    skipped.  The search depth is capped at ceil((n+1)/4), the worst case
-    over all tournaments of that size.
+    Reversing arcs none of which crosses a nontrivial module M (has
+    exactly one end in M) leaves M a module, so every solution crosses
+    every co-module, and one arc crosses at most two disjoint ones.  The
+    search branches over the arcs crossing the first co-module (smallest
+    first) that no chosen arc crosses, bars at each branch point the arcs
+    already tried there, and drops a branch when the uncrossed co-modules,
+    picked greedily to be disjoint, outnumber twice its remaining budget.
+    Only a set crossing every co-module is reversed and tested; when the
+    result is still decomposable, the same fact applied to it makes the
+    search branch over the arcs crossing one of its minimal modules.  The
+    size is capped at ceil((n+1)/4), the worst case over all tournaments
+    of that size.
     """
     if T.n < 5:
         raise ValueError("the decomposability index is only defined from 5 vertices up")
-    if T.n > DELTA_SEARCH_BOUND:
-        raise ValueError(f"arc-subset search limited to n <= {DELTA_SEARCH_BOUND}")
-    if is_indecomposable(T):
+    comods = _brute_comodule_masks(T)
+    if not comods:
         return 0
-    part_masks = _brute_packing(T)
     arcs = list(T.arcs())
-    arc_masks = [(1 << a.tail) | (1 << a.head) for a in arcs]
+    # holds[v]: the co-modules holding v, one bit each; an arc crosses the
+    # co-modules of holds[tail] ^ holds[head]
+    holds = [sum(1 << j for j, m in enumerate(comods) if m >> v & 1) for v in range(T.n)]
+    crosses = [holds[a.tail] ^ holds[a.head] for a in arcs]
+    every = (1 << len(comods)) - 1
+
+    def search(chosen: list[int], crossed: int, barred: int, budget: int) -> bool:
+        uncrossed = every & ~crossed
+        if uncrossed:
+            used = count = 0
+            for j in _members(uncrossed):
+                if not comods[j] & used:
+                    used |= comods[j]
+                    count += 1
+            if count > 2 * budget:
+                return False
+            first = uncrossed & -uncrossed
+            options = [i for i, c in enumerate(crosses) if c & first]
+        else:
+            state = invert(T, [arcs[i] for i in chosen])
+            if is_indecomposable(state):
+                return True
+            if not budget:
+                return False
+            M = minimal_nontrivial_modules(state)[0].mask
+            options = [
+                i for i, a in enumerate(arcs) if (M >> a.tail ^ M >> a.head) & 1 and i not in chosen
+            ]
+        for i in options:
+            if barred >> i & 1:
+                continue
+            chosen.append(i)
+            if search(chosen, crossed | crosses[i], barred, budget - 1):
+                return True
+            chosen.pop()
+            barred |= 1 << i
+        return False
+
     cap = -(-(T.n + 1) // 4)
     for size in range(1, cap + 1):
-        for combo in itertools.combinations(range(len(arcs)), size):
-            touched = reduce(lambda acc, i: acc | arc_masks[i], combo, 0)
-            if any(touched & p == 0 for p in part_masks):
-                continue
-            if is_indecomposable(invert(T, [arcs[i] for i in combo])):
-                return size
+        if search([], 0, 0, size):
+            return size
     raise RuntimeError("search cap exceeded; this contradicts the index bound")
 
 
@@ -167,19 +212,20 @@ def _check_class(task) -> tuple[str, int, int | None, bool]:
 
 
 def sweep_verify(max_n: int, jobs: int = 1) -> list[SweepReport]:
-    """Validate every isomorphism class of sizes 3..max_n (3 <= max_n <= 8).
+    """Validate every isomorphism class of sizes 3..max_n (3 <= max_n <=
+    ``ENUMERATION_BOUND``).
 
     Per class: the guided co-modular index must agree with the packing
     oracle and be invariant under dualisation; from five vertices up a
     certificate is synthesised, replay-verified, and required to contain
-    exactly ceil(index/2) arcs, with the breadth-first inversion oracle
+    exactly ceil(index/2) arcs, with the arc-set search oracle
     confirming the count.  Violations list the canonical bit strings of
     the offending classes.  With ``jobs`` above 1 the classes are checked
     in one pool of at most ``os.cpu_count()`` processes; the reports do not
     depend on ``jobs``.
     """
-    if not 3 <= max_n <= SWEEP_BOUND:
-        raise ValueError(f"sweeps need 3 <= max_n <= {SWEEP_BOUND}")
+    if not 3 <= max_n <= ENUMERATION_BOUND:
+        raise ValueError(f"sweeps need 3 <= max_n <= {ENUMERATION_BOUND}")
     if jobs < 1:
         raise ValueError("sweeps need at least one job")
     reports = []

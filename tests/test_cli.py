@@ -202,6 +202,17 @@ class TestOracleCommand:
         out, err = capsys.readouterr()
         assert out == "" and "limited to n <=" in err
 
+    @pytest.mark.parametrize("check", ["Delta", "delta"])
+    def test_sixteen_vertices_checked_seventeen_refused(self, tmp_path, capsys, check):
+        # the one oracle bound, the 16-vertex subset scan, bounds both indices
+        path = write_tourn(tmp_path / "chain16.tourn", transitive(16))
+        assert main(["oracle", path, "--check", check]) == 0
+        assert json.loads(capsys.readouterr().out)["agree"]
+        path = write_tourn(tmp_path / "chain17.tourn", transitive(17))
+        assert main(["oracle", path, "--check", check]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "limited to n <= 16" in err
+
     def test_guided_value_error_is_not_a_usage_error(self, tmp_path, monkeypatch):
         def broken(T):
             raise ValueError("guided failure")

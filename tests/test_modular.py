@@ -239,6 +239,14 @@ class TestOverlap:
         with pytest.raises(ValueError):
             overlap_set(transitive(6), [0, 1])
 
+    def test_matches_the_definition(self):
+        # M' overlaps M when they meet and neither contains the other
+        for T in all_classes_up_to(7):
+            masks = [c.members.mask for c in minimal_comodules(T)]
+            for m in masks:
+                expected = [o for o in masks if o & m and o & ~m and m & ~o]
+                assert [c.members.mask for c in overlap_set(T, VertexSet(T.n, m))] == expected
+
     def test_degree_bound_and_twin_requirement(self):
         # overlap count is at most 2 and positive only on twins
         for T in all_classes_up_to(6):

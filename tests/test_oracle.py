@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import pytest
 
@@ -19,7 +20,7 @@ from tourmod import (
 )
 from tourmod import comodular, oracle
 
-from conftest import all_classes_up_to, composed_random
+from conftest import all_classes_up_to, composed_random, relabelled_chain
 
 
 class TestBruteModules:
@@ -64,8 +65,9 @@ class TestBruteDelta:
             assert brute_Delta(T) == comodular_index(T)
 
     def test_bound(self):
+        assert brute_Delta(transitive(16)) == 9
         with pytest.raises(ValueError):
-            brute_Delta(transitive(13))
+            brute_Delta(transitive(17))
 
 
 class TestBruteInversionCount:
@@ -79,14 +81,49 @@ class TestBruteInversionCount:
     def test_transitive_eight(self):
         assert brute_delta(transitive(8)) == 3
 
-    def test_bounds(self):
+    def test_bounds(self, monkeypatch):
         with pytest.raises(ValueError):
             brute_delta(transitive(4))
-        with pytest.raises(ValueError):
-            brute_delta(transitive(9))
+        assert brute_delta(transitive(16)) == 5
+
+        def refuse(T):
+            raise AssertionError("brute_delta worked past its bound")
+
+        monkeypatch.setattr(oracle, "is_indecomposable", refuse)
+        monkeypatch.setattr(oracle, "_is_module_mask", refuse)
+        with pytest.raises(ValueError, match="limited to n <= 16"):
+            brute_delta(transitive(17))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_sixteen_vertex_chain_in_under_a_second(self, seed):
+        T = relabelled_chain(16, seed)
+        start = time.perf_counter()
+        assert brute_delta(T) == 5
+        assert time.perf_counter() - start < 1.0
+
+    def test_agrees_past_eight_vertices(self):
+        # seeded inputs of 9-16 vertices, beyond the exhaustive sweep
+        rng = Xorshift64Star(911)
+        inputs = [composed_random(rng, 9 + rng.below(8)) for _ in range(92)]
+        inputs += [relabelled_chain(n, n) for n in range(9, 17)]
+        for T in inputs:
+            index = comodular_index(T)
+            assert brute_Delta(T) == index
+            assert brute_delta(T) == (index + 1) // 2
+
+    def test_exact_when_crossing_is_not_enough(self, monkeypatch):
+        # given only the smallest co-module, the search soon crosses all it
+        # knows and must branch on modules of the reversed tournament
+        expected = [(T, (comodular_index(T) + 1) // 2) for T in all_classes_up_to(6) if T.n >= 5]
+        expected.append((transitive(8), 3))
+        scan = oracle._brute_comodule_masks
+        monkeypatch.setattr(oracle, "_brute_comodule_masks", lambda T: scan(T)[:1])
+        for T, delta in expected:
+            assert brute_delta(T) == delta
 
     def test_independent_of_guided_analysis(self, monkeypatch):
-        expected = [(T, (comodular_index(T) + 1) // 2) for T in enumerate_tournaments(6)]
+        inputs = [*enumerate_tournaments(6), relabelled_chain(12, 5)]
+        expected = [(T, (comodular_index(T) + 1) // 2) for T in inputs]
 
         def refuse(T):
             raise AssertionError("brute_delta must not use the guided analysis")
@@ -156,14 +193,14 @@ class TestSweep:
 
     def test_one_packing_per_class(self, monkeypatch):
         calls = []
-        scan = oracle._brute_comodule_masks
+        scan = oracle.brute_modules
 
         def counting(T):
             calls.append(T)
             return scan(T)
 
-        monkeypatch.setattr(oracle, "_brute_comodule_masks", counting)
-        oracle._brute_packing.cache_clear()
+        monkeypatch.setattr(oracle, "brute_modules", counting)
+        oracle._brute_comodule_masks.cache_clear()
         classes = enumerate_tournaments(6)
         for T in classes:
             assert oracle._check_class((6, T.bits))[3]
