@@ -238,7 +238,7 @@ def _from_bit_string(n: int, bits: str) -> Tournament:
         raise ValueError("a tournament needs at least one vertex")
     if len(bits) != pair_count(n):
         raise ValueError(f"expected {pair_count(n)} orientation bits for n={n}, got {len(bits)}")
-    if bits.strip("01"):
+    if bits.count("0") + bits.count("1") != len(bits):
         raise ValueError("orientation bits may contain only '0' and '1'")
     return Tournament(n, int(bits[::-1] or "0", 2))
 

@@ -16,7 +16,6 @@ import os
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
-from multiprocessing import Pool
 
 from .core import (
     ENUMERATION_BOUND,
@@ -228,8 +227,14 @@ def sweep_verify(max_n: int, jobs: int = 1) -> list[SweepReport]:
         raise ValueError(f"sweeps need 3 <= max_n <= {ENUMERATION_BOUND}")
     if jobs < 1:
         raise ValueError("sweeps need at least one job")
+    if jobs > 1:
+        from multiprocessing import Pool  # loaded here, so importing tourmod skips it
+
+        context = Pool(min(jobs, os.cpu_count() or 1))
+    else:
+        context = nullcontext()
     reports = []
-    with Pool(min(jobs, os.cpu_count() or 1)) if jobs > 1 else nullcontext() as pool:
+    with context as pool:
         for n in range(3, max_n + 1):
             tasks = [(n, T.bits) for T in enumerate_tournaments(n)]
             if pool is None:

@@ -287,6 +287,24 @@ class TestSweepCommand:
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-2:] == ["exit 0", "False"]
 
+    def test_import_does_not_load_multiprocessing(self):
+        # only a sweep with --jobs above 1 needs a process pool
+        script = (
+            "import sys, tourmod.cli\n"
+            "tourmod.cli.build_parser()\n"
+            "print('multiprocessing' in sys.modules)\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["False"]
+
 
 class TestRepeatedMain:
     """``main`` may be called many times in one process (the benchmark

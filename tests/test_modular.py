@@ -349,9 +349,33 @@ class TestOneTreePerCall:
         assert len(builds) == 1
 
 
-def reference_tree(T):
+def halving_partition(T, S, v):
+    """The maximal modules of T inside the module S that avoid v, found by
+    halving: a part that some vertex of S outside it splits is cut by that
+    vertex's row, one splitter at a time; a part with no splitter is final."""
+    out = T.out_masks
+    todo = [S & ~(1 << v)]
+    parts = []
+    while todo:
+        part = todo.pop()
+        ref = out[(part & -part).bit_length() - 1]
+        split = 0
+        for w in range(T.n):
+            if part >> w & 1:
+                split |= out[w] ^ ref
+        split &= ~part
+        if split:
+            half = out[(split & -split).bit_length() - 1] & part
+            todo += [half, part ^ half]
+        else:
+            parts.append(part)
+    return parts
+
+
+def reference_tree(T, partition=modular._modular_partition_avoiding):
     """``modular._tree`` with the plain prime-node child rule: one full
-    closure per part of the partition avoiding the lowest vertex."""
+    closure per part of ``partition``, the maximal modules avoiding the
+    lowest vertex."""
     out = T.out_masks
     todo = [(1 << T.n) - 1] if T.n > 1 else []
     while todo:
@@ -370,7 +394,7 @@ def reference_tree(T):
         linear = len(children) > 1
         if not linear:
             low = S & -S
-            parts = modular._modular_partition_avoiding(T, S, low.bit_length() - 1)
+            parts = partition(T, S, low.bit_length() - 1)
             children = [x for x in parts if modular._closure_mask(T, x | low) == S]
             children.append(S ^ reduce(or_, children, 0))
         yield S, linear, children
@@ -422,7 +446,55 @@ class TestTreeChildRule:
         rows = CountingRows(T.out_masks)
         object.__setattr__(T, "out_masks", rows)
         minimal_comodules(T)
-        assert rows.reads <= 40 * T.n
+        assert rows.reads <= 10 * T.n
+
+    def test_partition_reads_each_row_about_once(self):
+        # halving one splitter at a time read about 11n rows here
+        T = random_tournament(400, 3)
+        rows = CountingRows(T.out_masks)
+        object.__setattr__(T, "out_masks", rows)
+        modular._modular_partition_avoiding(T, (1 << T.n) - 1, 0)
+        assert rows.reads <= 2 * T.n
+
+
+def node_shapes(tree):
+    """The nodes of a tree with a prime node's children as a set, except
+    ``C_v``, which comes last; a linear node keeps its order."""
+    return {
+        (S, linear, tuple(kids) if linear else (frozenset(kids[:-1]), kids[-1]))
+        for S, linear, kids in tree
+    }
+
+
+class TestModularPartition:
+    """The parts at each prime node, checked against references that do
+    not call ``_modular_partition_avoiding``."""
+
+    @staticmethod
+    def prime_parts(T):
+        for S, linear, _ in modular._tree(T):
+            if not linear:
+                v = (S & -S).bit_length() - 1
+                yield S, v, modular._modular_partition_avoiding(T, S, v)
+
+    def test_maximal_modules_avoiding_lowest_vertex(self):
+        for T in all_classes_up_to(7):
+            for S, v, parts in self.prime_parts(T):
+                rest = S & ~(1 << v)
+                modules = []
+                sub = rest
+                while sub:
+                    if modular._is_module_mask(T, sub):
+                        modules.append(sub)
+                    sub = (sub - 1) & rest
+                maximal = [m for m in modules if not any(m != o and m & ~o == 0 for o in modules)]
+                assert sorted(parts) == sorted(maximal), T
+
+    def test_matches_halving(self):
+        for T in TestTreeChildRule().inputs():
+            for S, v, parts in self.prime_parts(T):
+                assert sorted(parts) == sorted(halving_partition(T, S, v)), T
+            assert node_shapes(modular._tree(T)) == node_shapes(reference_tree(T, halving_partition))
 
 
 class TestComponentComodule:

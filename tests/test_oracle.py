@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import time
 
@@ -187,7 +188,8 @@ class TestSweep:
             def map(self, fn, tasks, chunksize=1):
                 return [fn(t) for t in tasks]
 
-        monkeypatch.setattr(oracle, "Pool", FakePool)
+        # sweep_verify imports Pool from multiprocessing when it needs one
+        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
         assert sweep_verify(5, jobs=10**6) == sweep_verify(5)
         assert len(pools) == 1 and 1 <= pools[0] <= (os.cpu_count() or 1)
 
