@@ -21,9 +21,9 @@ from .core import (
     random_tournament,
     transitive,
 )
-from .comodular import _Analysis, comodular_index
+from .comodular import comodular_index
 from .inversion import certificate_to_json, synthesize_certificate, verify_certificate
-from .modular import _transitive_blocks, nontrivial_modules
+from .modular import _Analysis, nontrivial_modules
 from .oracle import (
     brute_Delta,
     brute_delta,
@@ -56,7 +56,7 @@ def cmd_analyze(args) -> int:
         "Delta": index,
         "delta": (None if T.n < 5 else (index + 1) // 2),
         "mc": [list(_members(m)) for m in A.mc],
-        "components": [list(_members(b)) for b in _transitive_blocks(T, A.tree)],
+        "components": [sorted(run) for run in A.runs],
         "delta_decomposition": (
             [] if indec else [list(_members(m)) for m in next(A.decompositions())]
         ),

@@ -16,20 +16,11 @@ parts are all minimal co-modules.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterator
 
 from .core import Tournament, VertexSet, _members
-from .modular import (
-    CoModule,
-    _extremal_module_masks,
-    _mask_key,
-    _minimal_comodules,
-    _tree,
-    _walks,
-)
+from .modular import CoModule, _Analysis, _mask_key
 
 __all__ = [
     "CoModularDecomposition",
@@ -84,27 +75,10 @@ class ConflictGraph:
 
 
 def conflict_graph(T: Tournament) -> ConflictGraph:
-    return _Analysis(T).graph
-
-
-def _path_optima(walk: list[int]) -> list[tuple[int, ...]]:
-    """All maximum independent sets of the path walk[0] - walk[1] - ...,
-    as sorted index tuples in lexicographic order (the order of
-    ``itertools.combinations``).
-
-    They have ceil(k/2) nodes for a path of k: the even positions when k
-    is odd; for even k the k/2 + 1 sets that take even positions up to
-    some point and odd positions after it.
-    """
-    k = len(walk)
-    if k % 2:
-        positions = [range(0, k, 2)]
-    else:
-        positions = [
-            [2 * t for t in range(j)] + [2 * t + 1 for t in range(j, k // 2)]
-            for j in range(k // 2 + 1)
-        ]
-    return sorted(tuple(sorted(walk[p] for p in pos)) for pos in positions)
+    """The overlap graph on mc(T); its edges join neighbours on a walk."""
+    A = _Analysis(T)
+    edges = sorted((min(e), max(e)) for walk in A.walks for e in zip(walk, walk[1:]))
+    return ConflictGraph(tuple(map(A.comodule, A.mc)), tuple(edges))
 
 
 @dataclass(frozen=True)
@@ -123,60 +97,8 @@ class CoModularDecomposition:
         return tuple(p.key for p in self.parts)
 
 
-class _Analysis:
-    """What the index, the decompositions and a certificate step read from
-    one tournament's decomposition tree, kept as masks: the tree's nodes,
-    mc(T) as a mask -> kind dict in key order, the overlap graph's
-    components as walks over mc's positions, the index, and the tilde of
-    each minimal co-module with at most one overlap.  Optima and public
-    objects (``graph``, ``as_decomposition``) are built on first use."""
-
-    def __init__(self, T: Tournament):
-        self.tournament = T
-        self.tree = list(_tree(T))
-        self.mc = _minimal_comodules(T, self.tree)
-        masks = list(self.mc)
-        self.walks = _walks(self.tree, masks)
-        self.index = sum((len(walk) + 1) // 2 for walk in self.walks)
-        # the ends of a walk overlap at most one node, its inner nodes two
-        self.tildes: dict[int, int] = {}
-        for w in ([masks[i] for i in walk] for walk in self.walks):
-            self.tildes[w[0]] = w[0] & w[1] if len(w) > 1 else w[0]
-            self.tildes[w[-1]] = w[-1] & w[-2] if len(w) > 1 else w[-1]
-
-    @cached_property
-    def optima(self) -> list[list[tuple[int, ...]]]:
-        return [_path_optima(walk) for walk in self.walks]
-
-    @cached_property
-    def graph(self) -> ConflictGraph:
-        nodes = tuple(self.comodule(m) for m in self.mc)
-        edges = sorted((min(e), max(e)) for walk in self.walks for e in zip(walk, walk[1:]))
-        return ConflictGraph(nodes, tuple(edges))
-
-    def comodule(self, mask: int) -> CoModule:
-        return CoModule(VertexSet(self.tournament.n, mask), self.mc[mask])
-
-    def tilde(self, mask: int) -> int:
-        """As ``modular.tilde``: defined for minimal co-modules with at most
-        one overlap."""
-        found = self.tildes.get(mask)
-        if found is None:
-            raise ValueError("tilde needs a minimal co-module with at most one overlap")
-        return found
-
-    def decompositions(self) -> Iterator[tuple[int, ...]]:
-        """The parts of each delta decomposition as masks in key order, as
-        mc is.  The first takes the smallest selection of vertex sets per
-        component, since each component's optima are sorted tuples."""
-        if not self.mc:
-            raise ValueError("an indecomposable tournament has no decomposition")
-        masks = list(self.mc)
-        for pick in itertools.product(*self.optima):
-            yield tuple(masks[i] for i in sorted(itertools.chain.from_iterable(pick)))
-
-    def as_decomposition(self, parts: tuple[int, ...]) -> CoModularDecomposition:
-        return CoModularDecomposition(tuple(map(self.comodule, parts)), is_delta=True)
+def _as_decomposition(A: _Analysis, parts: tuple[int, ...]) -> CoModularDecomposition:
+    return CoModularDecomposition(tuple(map(A.comodule, parts)), is_delta=True)
 
 
 def comodular_index(T: Tournament) -> int:
@@ -196,7 +118,7 @@ def all_delta_decompositions(T: Tournament) -> Iterator[CoModularDecomposition]:
     exactly once.
     """
     A = _Analysis(T)
-    return map(A.as_decomposition, A.decompositions())
+    return (_as_decomposition(A, parts) for parts in A.decompositions())
 
 
 def delta_decomposition(T: Tournament) -> CoModularDecomposition:
@@ -207,7 +129,7 @@ def delta_decomposition(T: Tournament) -> CoModularDecomposition:
     vertex sets (per overlap-graph component), so repeated runs agree.
     """
     A = _Analysis(T)
-    return A.as_decomposition(next(A.decompositions()))
+    return _as_decomposition(A, next(A.decompositions()))
 
 
 def _rel_all(out: tuple[int, ...], amask: int, bmask: int) -> bool:
@@ -241,7 +163,7 @@ def structured_delta_decomposition(
     """
     A = _Analysis(T)
     parts, labels = _structured(A)
-    return A.as_decomposition(parts), {k: A.comodule(m) for k, m in labels.items()}
+    return _as_decomposition(A, parts), {k: A.comodule(m) for k, m in labels.items()}
 
 
 def _structured(A: _Analysis) -> tuple[tuple[int, ...], dict[str, int]]:
@@ -249,12 +171,12 @@ def _structured(A: _Analysis) -> tuple[tuple[int, ...], dict[str, int]]:
     labelled parts as masks."""
     if A.index < 2:
         raise ValueError("tournament is indecomposable")
-    single = A.tildes  # the parts with at most one overlap
+    near = A.overlaps  # a part with at most one overlap has a tilde
 
     if A.index == 2:
         parts = next(A.decompositions())
         a, b = parts
-        if a not in single or b not in single:
+        if len(near[a]) > 1 or len(near[b]) > 1:
             raise RuntimeError("contract check failed for a two-part decomposition")
         # prefer a nontrivial-module part for the M label; one exists from
         # four vertices up, and below that the choice is immaterial
@@ -264,13 +186,13 @@ def _structured(A: _Analysis) -> tuple[tuple[int, ...], dict[str, int]]:
 
     if A.index == 3:
         for parts in A.decompositions():
-            if all(p in single for p in parts):
+            if all(len(near[p]) <= 1 for p in parts):
                 return parts, dict(zip(("M", "N", "L"), parts))
         raise RuntimeError("no three-part decomposition with all overlaps <= 1")
 
     out = A.tournament.out_masks
     for parts in A.decompositions():
-        free = [m in single for m in parts]
+        free = [len(near[m]) <= 1 for m in parts]
         span = range(len(parts))
         for i in span:
             if not free[i]:
@@ -314,7 +236,7 @@ def hereditary_witness(T: Tournament, k: int) -> VertexSet:
         if index == 0:
             designated = (0, 1, 2)
         else:
-            module = min(_extremal_module_masks(T, A.tree)[0], key=lambda m: _mask_key(T.n, m))
+            module = min(A.minimal_modules, key=lambda m: _mask_key(T.n, m))
             x, y = _members(module)[:2]
             z = next(v for v in range(T.n) if not module >> v & 1)
             designated = (x, y, z)

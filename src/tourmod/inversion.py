@@ -32,8 +32,8 @@ from dataclasses import dataclass
 from itertools import permutations as _permutations
 
 from .core import Arc, Tournament, _from_bit_string, _members, invert, make_tournament
-from .comodular import _Analysis, _structured, comodular_index
-from .modular import _is_transitive_mask, _tree, is_indecomposable
+from .comodular import _structured, comodular_index
+from .modular import _Analysis, is_indecomposable
 
 __all__ = [
     "GuidedChoiceWarning",
@@ -333,16 +333,16 @@ def erdos_transitive_extension(T: Tournament) -> Tournament:
     tree, taking linear children in dominance order.  Every node is then
     an interval, and so is every run of consecutive children of a linear
     node, so every module of T is a module of the transitive tournament on
-    that order.  T is not transitive, so some node is prime with at least
-    three children; its first two children form an interval that is no
-    module of T.
+    that order.  T is not transitive (it has more than one transitive
+    run), so some node is prime with at least three children; its first
+    two children form an interval that is no module of T.
     """
-    full = (1 << T.n) - 1
-    if _is_transitive_mask(T, full):
+    A = _Analysis(T)
+    if len(A.runs) == 1:
         raise ValueError("input is already transitive")
-    children = {S: kids for S, _, kids in _tree(T)}
+    children = {S: kids for S, _, kids in A.tree}
     position = [0] * T.n
-    stack = [full]
+    stack = [(1 << T.n) - 1]
     rank = 0
     while stack:
         S = stack.pop()

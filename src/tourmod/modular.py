@@ -18,22 +18,27 @@ beats all later ones) or prime, and the modules are exactly the nodes
 and the unions of runs of consecutive children of a linear node.  A
 linear node costs one read of each member's row.  A prime node costs a
 partition refinement that splits a part by all of its splitters in one
-pass, reading each member once per pass (about once in all on random
-inputs, where halving by one splitter at a time read about log2|S| rows
-per vertex), plus one pass that grows a single closure around its
-lowest vertex and stops each part's test at the first child already
-found (see ``_tree``); on random and substituted inputs that pass reads
-about |S| rows, where one closure per part read about |S|^2.  The whole
-tree reads about 3n rows of a random 400-vertex tournament (12.9n when
-halving), and a random tournament on 2000 vertices yields its tree in
-5-9 ms (2 shared cores, Python 3.11).
+pass, reading each member once per pass and about once in all on random
+inputs, plus one pass that grows a single closure around its lowest
+vertex and stops each part's test at the first child already found (see
+``_tree``), which reads about |S| rows on random and substituted inputs.
+The whole tree reads about 3n rows of a random 400-vertex tournament,
+and a random tournament on 2000 vertices yields its tree in 5-9 ms (2
+shared cores, Python 3.11).
+
+The module queries (``nontrivial_modules``, the minimal and maximal
+ones, ``is_indecomposable``) read the tree directly.  The co-module
+queries read one record per tournament state, ``_Analysis``, built from
+one tree: mc(T), the overlaps and tildes, the co-modular index and its
+decompositions, and the transitive components, whose order is the
+tree's dominance order of a linear node's children.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from itertools import accumulate, groupby
+from functools import cached_property
+from itertools import accumulate, chain, groupby, product
 from operator import or_
 from typing import Iterable, Iterator
 
@@ -175,9 +180,13 @@ def _tree(T: Tournament) -> Iterator[tuple[int, bool, list[int]]]:
     A part that is no child moves its closure into ``inner``, so each
     vertex of C_v is read once there.  A prime node costs its partition
     refinement, one read per member and pass and about one per member in
-    all on random inputs, plus O(|S|) reads on the inputs measured, not
-    one closure of up to |S| reads per part.  The children other than
-    C_v come in the refinement's order.
+    all on random inputs, plus O(|S|) reads on the inputs measured.  The
+    children other than C_v come in the refinement's order.  A prime node
+    has at least three children, so a pass that finds none besides C_v
+    raises RuntimeError rather than push S again.
+
+    The tree is built lazily because ``is_indecomposable`` reads only the
+    root; the co-module queries read it through ``_Analysis``.
     """
     out = T.out_masks
     todo = [(1 << T.n) - 1] if T.n > 1 else []
@@ -219,6 +228,12 @@ def _tree(T: Tournament) -> Iterator[tuple[int, bool, list[int]]]:
                     known |= x
                 else:
                     inner = grown
+            if not known:
+                # C_v would be S itself; only a partition that is no
+                # module partition can lead here
+                raise RuntimeError(
+                    f"prime node found no child besides C_v on n={T.n} bits={T.bit_string()}"
+                )
             children.append(S ^ known)
         yield S, linear, children
         todo += [c for c in children if c & (c - 1)]
@@ -325,73 +340,153 @@ def minimal_comodules(T: Tournament) -> list[CoModule]:
     complement of a maximal one, so filtering that candidate pool for
     inclusion-minimality is exhaustive.
     """
-    mc = _minimal_comodules(T, list(_tree(T)))
-    return [CoModule(VertexSet(T.n, m), kind) for m, kind in mc.items()]
+    A = _Analysis(T)
+    return [A.comodule(m) for m in A.mc]
 
 
-def _minimal_comodules(T: Tournament, tree: list) -> dict[int, str]:
-    """mc(T) as a mask -> kind dict in key order.  A minimal co-module that
-    is a module is a minimal nontrivial one, and one whose complement is a
-    module is the complement of a maximal one, so membership in the two
-    families gives its kind.  Each family is an antichain; only a set of
-    one can contain a set of the other."""
-    minimal, maximal = _extremal_module_masks(T, tree)
-    full = (1 << T.n) - 1
-    modules = set(minimal)
-    complements = {full ^ m for m in maximal}
-    kinds = {m: "module" for m in modules}
-    for m in complements:
-        kinds[m] = "both" if m in modules else "complement-module"
-    return {
-        m: kinds[m]
-        for m in sorted(kinds, key=lambda m: _mask_key(T.n, m))
-        if not any(o & m == o and o != m for o in (complements if m in modules else modules))
-    }
+def _path_optima(walk: list[int]) -> list[tuple[int, ...]]:
+    """All maximum independent sets of the path walk[0] - walk[1] - ...,
+    as sorted index tuples in lexicographic order (the order of
+    ``itertools.combinations``).
 
-
-def _walks(tree: list, mc: list[int]) -> list[list[int]]:
-    """The components of the overlap graph on the masks mc, each as the
-    indices of its nodes in path order, in the order of their smallest
-    index.
-
-    Only twins (2-vertex modules) overlap, and a twin is a pair of
-    consecutive single-vertex children of a linear node.  Twins {a, b} and
-    {b, c} that overlap both hold b, so b's one parent lists a, b, c as
-    consecutive children.  The twin at position i of a linear node's
-    children therefore overlaps only those at i-1 and i+1: a component is
-    a run of twins of mc at consecutive positions of one linear node, or a
-    single node, and no cycle can arise.
+    They have ceil(k/2) nodes for a path of k: the even positions when k
+    is odd; for even k the k/2 + 1 sets that take even positions up to
+    some point and odd positions after it.
     """
-    index = {m: i for i, m in enumerate(mc)}
-    walks = []
-    for _, linear, children in tree:
-        if not linear:
-            continue
-        at = [
-            index.get(a | b) if (a | b).bit_count() == 2 else None
-            for a, b in zip(children, children[1:])
+    k = len(walk)
+    if k % 2:
+        positions = [range(0, k, 2)]
+    else:
+        positions = [
+            [2 * t for t in range(j)] + [2 * t + 1 for t in range(j, k // 2)]
+            for j in range(k // 2 + 1)
         ]
-        runs = groupby(at, lambda i: i is not None)
-        walks += [list(run) for found, run in runs if found]
-    covered = {i for walk in walks for i in walk}
-    walks += [[i] for i in range(len(mc)) if i not in covered]
-    return sorted(walks, key=min)
+    return sorted(tuple(sorted(walk[p] for p in pos)) for pos in positions)
+
+
+class _Analysis:
+    """One tournament state read off its decomposition tree once, on
+    masks.  The co-module queries, the index, the decompositions and every
+    certificate step read this record:
+
+    * ``tree``: the nodes of ``_tree(T)``;
+    * ``minimal_modules``: the minimal nontrivial modules;
+    * ``mc``: mc(T) as a mask -> kind dict in key order, filtered from the
+      minimal modules and the complements of the maximal ones (each family
+      is an antichain, so only a set of one can contain one of the other);
+    * ``walks``: the overlap graph's components, each as mc positions in
+      path order, listed by smallest position;
+    * ``index``: the co-modular index, ceil(k/2) summed over the walks;
+    * ``overlaps``, ``runs`` and ``optima``, derived on first use.
+
+    Only twins overlap, and a twin is a pair of consecutive single-vertex
+    children of a linear node.  Overlapping twins {a, b} and {b, c} both
+    hold b, whose one parent lists a, b, c consecutively, so a walk is a
+    run of twins of mc at consecutive positions of one linear node, or a
+    single node.
+    """
+
+    def __init__(self, T: Tournament):
+        self.tournament = T
+        self.tree = list(_tree(T))
+        self.minimal_modules, maximal = _extremal_module_masks(T, self.tree)
+        full = (1 << T.n) - 1
+        modules = set(self.minimal_modules)
+        complements = {full ^ m for m in maximal}
+        kinds = dict.fromkeys(modules, "module")
+        for m in complements:
+            kinds[m] = "both" if m in modules else "complement-module"
+        self.mc = {
+            m: kinds[m]
+            for m in sorted(kinds, key=lambda m: _mask_key(T.n, m))
+            if not any(o & m == o and o != m for o in (complements if m in modules else modules))
+        }
+        position = {m: i for i, m in enumerate(self.mc)}
+        walks = []
+        for _, linear, children in self.tree:
+            if linear:
+                at = [
+                    position.get(a | b) if (a | b).bit_count() == 2 else None
+                    for a, b in zip(children, children[1:])
+                ]
+                walks += [list(run) for found, run in groupby(at, lambda i: i is not None) if found]
+        covered = {i for walk in walks for i in walk}
+        walks += [[i] for i in range(len(self.mc)) if i not in covered]
+        self.walks = sorted(walks, key=min)
+        self.index = sum((len(walk) + 1) // 2 for walk in self.walks)
+
+    @cached_property
+    def overlaps(self) -> dict[int, list[int]]:
+        """The minimal co-modules each one overlaps, in mc order: its
+        neighbours on its walk, so at most two."""
+        masks = list(self.mc)
+        near = {}
+        for walk in self.walks:
+            if len(walk) == 1:
+                near[masks[walk[0]]] = []
+                continue
+            near[masks[walk[0]]] = [masks[walk[1]]]
+            near[masks[walk[-1]]] = [masks[walk[-2]]]
+            for i, j, k in zip(walk, walk[1:], walk[2:]):
+                near[masks[j]] = [masks[i], masks[k]] if i < k else [masks[k], masks[i]]
+        return near
+
+    def overlapping(self, mask: int) -> list[int]:
+        """``overlaps[mask]``, rejecting a mask that is not in mc."""
+        near = self.overlaps.get(mask)
+        if near is None:
+            raise ValueError("argument is not a minimal co-module of the tournament")
+        return near
+
+    def tilde(self, mask: int) -> int:
+        """The distinguished subset of a minimal co-module with at most one
+        overlap: the set itself with none, the vertex it shares with its
+        one neighbour otherwise."""
+        near = self.overlapping(mask)
+        if len(near) > 1:
+            raise ValueError("tilde is undefined when two minimal co-modules overlap")
+        return mask & near[0] if near else mask
+
+    @cached_property
+    def runs(self) -> list[list[int]]:
+        """The maximal transitive modules, each as its vertices in the
+        tree's dominance order (each beats all later ones), listed by lowest
+        vertex.  A transitive module with two or more vertices is a run of
+        consecutive single-vertex children of a linear node, so these are
+        the maximal such runs, and every other vertex (a child of a prime
+        node) is a run of its own.  T is transitive exactly when there is
+        one run."""
+        runs = [[0]] if self.tournament.n == 1 else []
+        for _, linear, children in self.tree:
+            for single, run in groupby(children, key=lambda c: c & (c - 1) == 0):
+                if single:
+                    vertices = [c.bit_length() - 1 for c in run]
+                    runs += [vertices] if linear else [[v] for v in vertices]
+        return sorted(runs, key=min)
+
+    @cached_property
+    def optima(self) -> list[list[tuple[int, ...]]]:
+        return [_path_optima(walk) for walk in self.walks]
+
+    def comodule(self, mask: int) -> CoModule:
+        return CoModule(VertexSet(self.tournament.n, mask), self.mc[mask])
+
+    def decompositions(self) -> Iterator[tuple[int, ...]]:
+        """The parts of each delta decomposition as masks in key order, as
+        mc is.  The first takes the smallest selection of vertex sets per
+        component, since each component's optima are sorted tuples."""
+        if not self.mc:
+            raise ValueError("an indecomposable tournament has no decomposition")
+        masks = list(self.mc)
+        for pick in product(*self.optima):
+            yield tuple(masks[i] for i in sorted(chain.from_iterable(pick)))
 
 
 def overlap_set(T: Tournament, M) -> list[CoModule]:
     """Minimal co-modules overlapping M, which must itself be in mc(T):
     its neighbours on its walk of the overlap graph, in key order."""
-    mask = _as_mask(T, M)
-    tree = list(_tree(T))
-    mc = _minimal_comodules(T, tree)
-    if mask not in mc:
-        raise ValueError("argument is not a minimal co-module of the tournament")
-    masks = list(mc)
-    i = masks.index(mask)
-    walk = next(w for w in _walks(tree, masks) if i in w)
-    p = walk.index(i)
-    near = sorted(walk[max(p - 1, 0) : p] + walk[p + 1 : p + 2])
-    return [CoModule(VertexSet(T.n, masks[j]), mc[masks[j]]) for j in near]
+    A = _Analysis(T)
+    return [A.comodule(m) for m in A.overlapping(_as_mask(T, M))]
 
 
 def tilde(T: Tournament, M) -> VertexSet:
@@ -401,21 +496,11 @@ def tilde(T: Tournament, M) -> VertexSet:
     one, say M', it is the single shared vertex of M and M'.  Undefined
     (rejected) when two minimal co-modules overlap M.
     """
-    mask = _as_mask(T, M)
-    over = overlap_set(T, VertexSet(T.n, mask))
-    if len(over) > 1:
-        raise ValueError("tilde is undefined when two minimal co-modules overlap")
-    return VertexSet(T.n, mask & over[0].members.mask if over else mask)
+    return VertexSet(T.n, _Analysis(T).tilde(_as_mask(T, M)))
 
 
 # ---------------------------------------------------------------------------
 # Transitive modules and components.
-
-
-def _is_transitive_mask(T: Tournament, mask: int) -> bool:
-    """T restricted to mask is transitive iff its inner out-degrees are distinct."""
-    degs = {(T.out_masks[v] & mask).bit_count() for v in range(T.n) if mask >> v & 1}
-    return len(degs) == mask.bit_count()
 
 
 @dataclass(frozen=True)
@@ -432,29 +517,10 @@ class TransitiveComponentPartition:
 
 
 def transitive_components(T: Tournament) -> TransitiveComponentPartition:
-    """Partition V(T) into maximal transitive modules.
-
-    A transitive module with two or more vertices is a run of consecutive
-    single-vertex children of a linear tree node, so the blocks are the
-    maximal such runs, and every other vertex (a child of a prime node)
-    is a block of its own.  Blocks are listed by their lowest vertex.
-    """
-    blocks = _transitive_blocks(T, _tree(T))
-    return TransitiveComponentPartition(tuple(VertexSet(T.n, m) for m in blocks))
-
-
-def _transitive_blocks(T: Tournament, tree: Iterable) -> list[int]:
-    blocks = [] if T.n > 1 else [1]
-    for _, linear, children in tree:
-        for single, run in groupby(children, key=lambda c: c & (c - 1) == 0):
-            if single:
-                blocks += [reduce(or_, run)] if linear else list(run)
-    return sorted(blocks, key=lambda m: m & -m)
-
-
-def _transitive_order(T: Tournament, mask: int) -> list[int]:
-    """Members of a transitive set, source first (descending inner out-degree)."""
-    return sorted(_members(mask), key=lambda v: -(T.out_masks[v] & mask).bit_count())
+    """Partition V(T) into maximal transitive modules, listed by their
+    lowest vertex: the runs of ``_Analysis``."""
+    runs = _Analysis(T).runs
+    return TransitiveComponentPartition(tuple(VertexSet.from_members(T.n, r) for r in runs))
 
 
 def component_comodule(T: Tournament, C, k: int) -> CoModule:
@@ -467,17 +533,15 @@ def component_comodule(T: Tournament, C, k: int) -> CoModule:
     if T.n < 3:
         raise ValueError("needs a tournament with at least three vertices")
     mask = _as_mask(T, C)
-    tree = list(_tree(T))
-    if mask not in _transitive_blocks(T, tree):
+    A = _Analysis(T)
+    order = next((r for r in A.runs if tuple(sorted(r)) == _members(mask)), None)
+    if order is None:
         raise ValueError("argument is not a transitive component of the tournament")
-    size = mask.bit_count()
-    if size < 2:
+    if len(order) < 2:
         raise ValueError("component must have at least two vertices")
-    if not 0 <= k <= size - 2:
-        raise ValueError(f"index k must lie in 0..{size - 2}, got {k}")
-    order = _transitive_order(T, mask)
+    if not 0 <= k <= len(order) - 2:
+        raise ValueError(f"index k must lie in 0..{len(order) - 2}, got {k}")
     twin = (1 << order[k]) | (1 << order[k + 1])
-    mc = _minimal_comodules(T, tree)
-    hits = [m for m in mc if m & ~twin == 0]
+    hits = [m for m in A.mc if m & ~twin == 0]
     assert len(hits) == 1, "a twin must contain exactly one minimal co-module"
-    return CoModule(VertexSet(T.n, hits[0]), mc[hits[0]])
+    return A.comodule(hits[0])

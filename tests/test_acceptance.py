@@ -38,7 +38,6 @@ from tourmod import (
     all_delta_decompositions,
     nontrivial_modules,
 )
-from tourmod.modular import _is_transitive_mask
 
 from conftest import composed_random, random_bits_tournament
 
@@ -49,6 +48,13 @@ def ceil_div(a, b):
 
 def report(number, message):
     print(f"criterion {number}: PASS - {message}")
+
+
+def _is_transitive_mask(T, mask):
+    """Reference definition: T restricted to mask is transitive iff its
+    inner out-degrees are distinct."""
+    degs = {(T.out_masks[v] & mask).bit_count() for v in range(T.n) if mask >> v & 1}
+    return len(degs) == mask.bit_count()
 
 
 @pytest.fixture(scope="session")

@@ -26,7 +26,7 @@ from tourmod import (
     subtournament,
     transitive,
 )
-from tourmod.comodular import _Analysis, _path_optima
+from tourmod.modular import _Analysis, _path_optima
 
 from conftest import (
     all_classes_up_to,
@@ -399,7 +399,7 @@ class TestClosedFormOptima:
     def test_matches_subset_enumeration(self):
         for T in equivalence_corpus():
             A = _Analysis(T)
-            graph = A.graph
+            graph = conflict_graph(T)
             assert A.optima == [
                 reference_component_optima(graph, comp) for comp in graph.components()
             ]

@@ -310,6 +310,16 @@ class TestVerify:
         res = verify_certificate(T, bad)
         assert not res and res.reason == "arc absent"
 
+    def test_length_mismatch(self):
+        # reversing an arc of the final state and then its reverse replays
+        # to the same prime state, with two arcs more than the minimum
+        T = transitive(9)
+        cert = synthesize_certificate(T)
+        x, y = next(iter(cert.final.arcs()))
+        padded = cert.arcs + (Arc(x, y), Arc(y, x))
+        res = verify_certificate(T, InversionCertificate(T, padded, cert.trace, cert.final))
+        assert not res and res.reason == "length mismatch"
+
     @pytest.mark.parametrize("trace", [(), (1, 2, 3), (99,), (6, 3, 2)])
     def test_trace_mismatch(self, trace):
         T = transitive(9)
@@ -493,6 +503,15 @@ class TestErdosExtension:
     def test_transitive_rejected(self):
         with pytest.raises(ValueError):
             erdos_transitive_extension(transitive(5))
+
+    def test_raises_exactly_on_transitive_inputs(self):
+        # reference: a tournament is transitive iff its out-degrees differ
+        for T in all_classes_up_to(7):
+            if len({T.out_degree(v) for v in range(T.n)}) == T.n:
+                with pytest.raises(ValueError, match="already transitive"):
+                    erdos_transitive_extension(T)
+            else:
+                erdos_transitive_extension(T)
 
     @pytest.mark.parametrize(
         "T",

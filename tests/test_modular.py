@@ -1,14 +1,17 @@
 from functools import reduce
+from itertools import islice
 from operator import or_
 
 import pytest
 
 from tourmod import (
+    Arc,
     VertexSet,
     brute_modules,
     component_comodule,
     dual,
     enumerate_tournaments,
+    erdos_transitive_extension,
     invert,
     is_comodule,
     is_indecomposable,
@@ -27,7 +30,6 @@ from tourmod import (
     transitive_components,
 )
 from tourmod import Xorshift64Star, modular
-from tourmod.modular import _is_transitive_mask
 
 from conftest import (
     all_classes_up_to,
@@ -44,6 +46,13 @@ def members(sets):
 
 def mc_members(T):
     return sorted(tuple(c.members) for c in minimal_comodules(T))
+
+
+def _is_transitive_mask(T, mask):
+    """Reference definition: T restricted to mask is transitive iff its
+    inner out-degrees are distinct."""
+    degs = {(T.out_masks[v] & mask).bit_count() for v in range(T.n) if mask >> v & 1}
+    return len(degs) == mask.bit_count()
 
 
 class TestIsModule:
@@ -332,9 +341,12 @@ class TestOneTreePerCall:
             transitive_components,
             minimal_nontrivial_modules,
             maximal_nontrivial_modules,
+            # a 3-cycle inside the chain, so the input is not transitive
+            lambda T: erdos_transitive_extension(invert(T, [Arc(0, 2)])),
         ],
         ids=["component_comodule", "tilde", "overlap_set", "minimal_comodules",
-             "transitive_components", "minimal_nontrivial", "maximal_nontrivial"],
+             "transitive_components", "minimal_nontrivial", "maximal_nontrivial",
+             "erdos_transitive_extension"],
     )
     def test_tree_built_once(self, query, monkeypatch):
         builds = []
@@ -497,7 +509,36 @@ class TestModularPartition:
             assert node_shapes(modular._tree(T)) == node_shapes(reference_tree(T, halving_partition))
 
 
+class TestTreeFailsFast:
+    def test_prime_node_without_children_raises(self, monkeypatch):
+        # a partition that is no module partition leaves C_v equal to S; the
+        # tree must fail on that node, not push S again forever
+        T = next(T for T in enumerate_tournaments(6) if is_indecomposable(T))
+        monkeypatch.setattr(modular, "_modular_partition_avoiding", lambda T, S, v: [])
+        with pytest.raises(RuntimeError, match=f"n=6 bits={T.bit_string()}"):
+            list(islice(modular._tree(T), 1000))
+
+
 class TestComponentComodule:
+    def test_matches_degree_order(self):
+        # the record orders a run as the tree does; the reference sorts the
+        # block by inner out-degree, source first
+        rng = Xorshift64Star(31)
+        inputs = [relabelled_chain(n, seed) for n in range(5, 14) for seed in (1, 2)]
+        inputs += [composed_random(rng, 5 + rng.below(10)) for _ in range(60)]
+        inputs += [nested_substitution(rng) for _ in range(30)]
+        picks = 0
+        for T in inputs:
+            mc = {c.members.mask: c for c in minimal_comodules(T)}
+            for block in transitive_components(T).blocks:
+                order = sorted(block, key=lambda v: -(T.out_masks[v] & block.mask).bit_count())
+                for k in range(len(block) - 1):
+                    twin = (1 << order[k]) | (1 << order[k + 1])
+                    [pick] = [m for m in mc if m & ~twin == 0]
+                    assert component_comodule(T, block, k) == mc[pick]
+                    picks += 1
+        assert picks > 300
+
     def test_transitive_endpoints_and_middles(self):
         for n in (4, 6, 7):
             T = transitive(n)

@@ -1,6 +1,7 @@
 import json
 import multiprocessing
 import os
+import sys
 import time
 
 import pytest
@@ -19,7 +20,7 @@ from tourmod import (
     sweep_verify,
     transitive,
 )
-from tourmod import comodular, oracle
+from tourmod import comodular, inversion, modular, oracle
 
 from conftest import all_classes_up_to, composed_random, relabelled_chain
 
@@ -129,7 +130,16 @@ class TestBruteInversionCount:
         def refuse(T):
             raise AssertionError("brute_delta must not use the guided analysis")
 
-        monkeypatch.setattr(comodular, "_Analysis", refuse)
+        # refuse the record in every module that binds it
+        build = modular._Analysis
+        bound = [
+            module
+            for name, module in sys.modules.items()
+            if name.startswith("tourmod") and getattr(module, "_Analysis", None) is build
+        ]
+        assert {comodular, inversion, modular} <= set(bound)
+        for module in bound:
+            monkeypatch.setattr(module, "_Analysis", refuse)
         for T, delta in expected:
             assert brute_delta(T) == delta
 
