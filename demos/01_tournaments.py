@@ -12,6 +12,8 @@ from tourmod import (
     make_tournament,
     parse_tourn_v1,
     random_tournament,
+    relabel,
+    substitute,
     subtournament,
     transitive,
 )
@@ -37,6 +39,11 @@ print("invert(T, all arcs) == dual(T):", invert(chain, list(chain.arcs())) == du
 # Induced subtournaments come with the relabeling back to the original.
 sub, labels = subtournament(transitive(5), {1, 2, 3})
 print("\nchain on {1,2,3} is a 3-chain:", sub == transitive(3), "labels:", labels)
+
+# Renaming vertices (vertex v is called perm[v]) gives an isomorphic copy;
+# substituting a tournament for a vertex makes its copy a module.
+print("\nchain renamed by [2, 0, 1]:", list(relabel(chain, [2, 0, 1]).arcs()))
+print("cycle with vertex 0 doubled:", substitute(cycle, transitive(2), 0))
 
 # Enumeration up to isomorphism: 1, 1, 2, 4, 12, 56, 456 classes.
 print("\nisomorphism classes by size:",

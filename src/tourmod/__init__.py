@@ -20,7 +20,9 @@ from .core import (
     pair_index,
     parse_tourn_v1,
     random_tournament,
+    relabel,
     subtournament,
+    substitute,
     transitive,
 )
 from .modular import (

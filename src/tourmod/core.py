@@ -42,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 __all__ = [
@@ -59,7 +60,9 @@ __all__ = [
     "pair_index",
     "parse_tourn_v1",
     "random_tournament",
+    "relabel",
     "subtournament",
+    "substitute",
     "transitive",
 ]
 
@@ -294,9 +297,35 @@ def subtournament(T: Tournament, W) -> tuple[Tournament, tuple[int, ...]]:
     for v in members:
         if not 0 <= v < T.n:
             raise ValueError(f"vertex {v} out of range 0..{T.n - 1}")
-    k = len(members)
-    pairs = ((members[a], members[b]) for a in range(k) for b in range(a + 1, k))
-    return _from_bit_string(k, "".join(str(T.relation(x, y)) for x, y in pairs)), members
+    bits = "".join(str(T.relation(x, y)) for x, y in combinations(members, 2))
+    return _from_bit_string(len(members), bits), members
+
+
+def relabel(T: Tournament, perm: Sequence[int]) -> Tournament:
+    """The isomorphic copy of T in which vertex v is called perm[v];
+    ``perm`` must list each of 0..n-1 exactly once."""
+    n = T.n
+    if sorted(perm) != list(range(n)):
+        raise ValueError(f"perm must list each of 0..{n - 1} exactly once")
+    old = sorted(range(n), key=perm.__getitem__)  # old[perm[v]] = v
+    return make_tournament(n, [T.relation(x, y) for x, y in combinations(old, 2)])
+
+
+def substitute(outer: Tournament, inner: Tournament, at: int) -> Tournament:
+    """The lexicographic sum: vertex ``at`` of ``outer`` expanded into a
+    copy of ``inner``.
+
+    The copy takes the labels at..at+inner.n-1 and is a module of the
+    result; the vertices of ``outer`` after ``at`` move up by inner.n-1.
+    """
+    if not 0 <= at < outer.n:
+        raise ValueError(f"vertex {at} out of range 0..{outer.n - 1}")
+    home = [*range(at), *[at] * inner.n, *range(at + 1, outer.n)]  # vertex -> outer vertex
+    orient = [
+        outer.relation(a, b) if a != b else inner.relation(i - at, j - at)
+        for (i, a), (j, b) in combinations(enumerate(home), 2)
+    ]
+    return make_tournament(len(home), orient)
 
 
 def random_tournament(n: int, seed: int) -> Tournament:

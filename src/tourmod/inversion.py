@@ -31,7 +31,7 @@ import json
 from dataclasses import dataclass
 from itertools import permutations as _permutations
 
-from .core import Arc, Tournament, _from_bit_string, _members, invert, make_tournament
+from .core import Arc, Tournament, _from_bit_string, _members, invert, relabel, transitive
 from .comodular import _structured, comodular_index
 from .modular import _Analysis, is_indecomposable
 
@@ -341,16 +341,12 @@ def erdos_transitive_extension(T: Tournament) -> Tournament:
     if len(A.runs) == 1:
         raise ValueError("input is already transitive")
     children = {S: kids for S, _, kids in A.tree}
-    position = [0] * T.n
+    order = []
     stack = [(1 << T.n) - 1]
-    rank = 0
     while stack:
         S = stack.pop()
         if S in children:
             stack += reversed(children[S])
         else:
-            position[S.bit_length() - 1] = rank
-            rank += 1
-    return make_tournament(
-        T.n, [position[i] < position[j] for i in range(T.n) for j in range(i + 1, T.n)]
-    )
+            order.append(S.bit_length() - 1)
+    return relabel(transitive(T.n), order)

@@ -1,26 +1,21 @@
 import argparse
 import json
-import os
-import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-from tourmod import Xorshift64Star, format_tourn_v1, modular, parse_tourn_v1, transitive
+from tourmod import (
+    VerificationResult,
+    Xorshift64Star,
+    format_tourn_v1,
+    modular,
+    parse_tourn_v1,
+    transitive,
+)
 from tourmod import cli
 from tourmod.cli import main
 
-from conftest import composed_random
-
-
-def run_cli(*args):
-    proc = subprocess.run(
-        [sys.executable, "-m", "tourmod", *args],
-        capture_output=True,
-        text=True,
-    )
-    return proc.returncode, proc.stdout, proc.stderr
+from conftest import composed_random, first_indecomposable, record_calls, run_python
 
 
 def write_tourn(path, T):
@@ -46,8 +41,18 @@ class TestGen:
         assert out.read_text() == "tourn-v1\nn=1\nbits=\n"
 
     def test_bad_flags_exit_two(self):
-        code, _, _ = run_cli("gen", "--type", "spiral", "--n", "4", "-o", "x")
+        args = ["-m", "tourmod", "gen", "--type", "spiral", "--n", "4", "-o", "x"]
+        code, _, _ = run_python(args, 60)
         assert code == 2
+
+    def test_zero_vertices_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "none.tourn"
+        assert main(["gen", "--type", "transitive", "--n", "0", "-o", str(out)]) == 2
+        assert not out.exists() and "at least one vertex" in capsys.readouterr().err
+
+    def test_unwritable_output_exit_two(self, tmp_path, capsys):
+        assert main(["gen", "--type", "transitive", "--n", "3", "-o", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_roundtrip_with_analyze(self, tmp_path):
         out = tmp_path / "r.tourn"
@@ -92,10 +97,7 @@ class TestAnalyze:
         assert record["delta_decomposition"] == []
 
     def test_prime_five_vertex(self, tmp_path, capsys):
-        from tourmod import enumerate_tournaments, is_indecomposable
-
-        T = next(t for t in enumerate_tournaments(5) if is_indecomposable(t))
-        path = write_tourn(tmp_path / "p5.tourn", T)
+        path = write_tourn(tmp_path / "p5.tourn", first_indecomposable(5))
         assert main(["analyze", path]) == 0
         record = json.loads(capsys.readouterr().out)
         assert record["Delta"] == 0 and record["delta"] == 0
@@ -104,32 +106,23 @@ class TestAnalyze:
         # a 32-vertex chain once hung in the co-modular index; the timeout
         # turns a regression into a failure instead of a stalled suite
         path = write_tourn(tmp_path / "chain32.tourn", transitive(32))
-        proc = subprocess.run(
-            [sys.executable, "-m", "tourmod", "analyze", path],
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-        assert proc.returncode == 0
-        assert json.loads(proc.stdout)["Delta"] == 17
+        code, out, _ = run_python(["-m", "tourmod", "analyze", path], 60)
+        assert code == 0
+        assert json.loads(out)["Delta"] == 17
 
     def test_tree_built_once(self, tmp_path, capsys, monkeypatch):
         # the index, mc, the decomposition and the transitive components
         # are all read off one decomposition tree
-        builds = []
         build = modular._tree
-
-        def counting(T):
-            builds.append(T)
-            return build(T)
-
-        for name, module in list(sys.modules.items()):
-            if name.startswith("tourmod") and getattr(module, "_tree", None) is build:
-                monkeypatch.setattr(module, "_tree", counting)
+        builds = [
+            record_calls(monkeypatch, module, "_tree")
+            for name, module in list(sys.modules.items())
+            if name.startswith("tourmod") and getattr(module, "_tree", None) is build
+        ]
         path = write_tourn(tmp_path / "r.tourn", composed_random(Xorshift64Star(7), 12))
         assert main(["analyze", path]) == 0
         assert json.loads(capsys.readouterr().out)["components"]
-        assert len(builds) == 1
+        assert sum(map(len, builds)) == 1
 
     def test_parse_error_exit_two(self, tmp_path):
         bad = tmp_path / "bad.tourn"
@@ -154,10 +147,7 @@ class TestCertify:
         assert record["trace"] == [5, 3, 2]
 
     def test_prime_input_empty_arcs(self, tmp_path, capsys):
-        from tourmod import enumerate_tournaments, is_indecomposable
-
-        T = next(t for t in enumerate_tournaments(5) if is_indecomposable(t))
-        path = write_tourn(tmp_path / "p.tourn", T)
+        path = write_tourn(tmp_path / "p.tourn", first_indecomposable(5))
         assert main(["certify", path]) == 0
         record = json.loads(capsys.readouterr().out)
         assert record["arcs"] == [] and record["trace"] == []
@@ -165,6 +155,14 @@ class TestCertify:
     def test_too_small_exit_two(self, tmp_path, c3):
         path = write_tourn(tmp_path / "c3.tourn", c3)
         assert main(["certify", path]) == 2
+
+    def test_failed_self_verification_exit_one(self, tmp_path, capsys, monkeypatch):
+        failing = VerificationResult(False, "final decomposable")
+        monkeypatch.setattr(cli, "verify_certificate", lambda T, cert: failing)
+        path = write_tourn(tmp_path / "five.tourn", transitive(5))
+        assert main(["certify", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "failed self-verification" in captured.err
 
 
 class TestOracleCommand:
@@ -252,15 +250,15 @@ class TestSweepCommand:
         assert main(["sweep", "--max-n", "5", "--jobs", jobs]) == 2
 
     def test_max_n_eight(self):
-        code, out, _ = run_cli("sweep", "--max-n", "8")
+        code, out, _ = run_python(["-m", "tourmod", "sweep", "--max-n", "8"], 300)
         assert code == 0
         assert out.splitlines()[-1] == (
             '{"n": 8, "class_count": 6880, "max_Delta": 5, "max_delta": 3, "violations": []}'
         )
 
     def test_jobs_do_not_change_output(self):
-        code1, out1, _ = run_cli("sweep", "--max-n", "5", "--jobs", "1")
-        code2, out2, _ = run_cli("sweep", "--max-n", "5", "--jobs", "3")
+        code1, out1, _ = run_python(["-m", "tourmod", "sweep", "--max-n", "5", "--jobs", "1"], 120)
+        code2, out2, _ = run_python(["-m", "tourmod", "sweep", "--max-n", "5", "--jobs", "3"], 120)
         assert code1 == code2 == 0
         assert out1 == out2
 
@@ -276,16 +274,9 @@ class TestSweepCommand:
             "    print('exit', exc.code)\n"
             "print('numpy' in sys.modules)\n"
         )
-        src = Path(__file__).resolve().parent.parent / "src"
-        done = subprocess.run(
-            [sys.executable, "-c", script],
-            env=dict(os.environ, PYTHONPATH=str(src)),
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-2:] == ["exit 0", "False"]
+        code, out, err = run_python(["-c", script], 120)
+        assert code == 0, err
+        assert out.splitlines()[-2:] == ["exit 0", "False"]
 
     def test_import_does_not_load_multiprocessing(self):
         # only a sweep with --jobs above 1 needs a process pool
@@ -294,16 +285,9 @@ class TestSweepCommand:
             "tourmod.cli.build_parser()\n"
             "print('multiprocessing' in sys.modules)\n"
         )
-        src = Path(__file__).resolve().parent.parent / "src"
-        done = subprocess.run(
-            [sys.executable, "-c", script],
-            env=dict(os.environ, PYTHONPATH=str(src)),
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == ["False"]
+        code, out, err = run_python(["-c", script], 60)
+        assert code == 0, err
+        assert out.split() == ["False"]
 
 
 class TestRepeatedMain:
@@ -313,14 +297,7 @@ class TestRepeatedMain:
     def test_parser_built_once(self, tmp_path, monkeypatch):
         path = write_tourn(tmp_path / "six.tourn", transitive(6))
         main(["analyze", path])
-        built = []
-        init = argparse.ArgumentParser.__init__
-
-        def counting(self, *args, **kwargs):
-            built.append(self)
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        built = record_calls(monkeypatch, argparse.ArgumentParser, "__init__")
         assert main(["analyze", path]) == 0
         assert main(["certify", path]) == 0
         assert main(["gen", "--type", "transitive", "--n", "4", "-o", str(tmp_path / "g")]) == 0

@@ -18,9 +18,7 @@ from tourmod import (
     erdos_transitive_extension,
     hereditary_witness,
     is_indecomposable,
-    is_module,
     minimal_comodules,
-    nontrivial_modules,
     random_tournament,
     structured_delta_decomposition,
     subtournament,
@@ -32,18 +30,11 @@ from conftest import (
     all_classes_up_to,
     composed_random,
     nested_substitution,
+    overlaps,
     random_bits_tournament,
+    random_perm,
     relabelled_chain,
 )
-
-
-def _overlaps(a: int, b: int) -> bool:
-    # the definition, kept apart from the library's walk-based overlaps
-    return bool(a & b) and bool(a & ~b) and bool(b & ~a)
-
-
-def ceil_half(x):
-    return (x + 1) // 2
 
 
 def parts_of(decomp):
@@ -130,7 +121,7 @@ class TestConflictGraph:
             assert g.edges == tuple(
                 (i, j)
                 for i, j in itertools.combinations(range(len(masks)), 2)
-                if _overlaps(masks[i], masks[j])
+                if overlaps(masks[i], masks[j])
             )
             for comp in g.components():
                 assert sum(i in comp for i, _ in g.edges) == len(comp) - 1
@@ -368,10 +359,7 @@ def equivalence_corpus():
 def synthetic_path(k, rng):
     """A path on k nodes, walked in a shuffled node order, with two extra
     isolated nodes so that the component is not all of the graph."""
-    order = list(range(k))
-    for i in range(k - 1, 0, -1):
-        j = rng.below(i + 1)
-        order[i], order[j] = order[j], order[i]
+    order = random_perm(rng, k)
     edges = tuple(sorted((min(a, b), max(a, b)) for a, b in zip(order, order[1:])))
     nodes = tuple(CoModule(VertexSet(k + 2, 1 << i), "module") for i in range(k + 2))
     return ConflictGraph(nodes, edges), order

@@ -19,13 +19,15 @@ from tourmod import (
     pair_index,
     parse_tourn_v1,
     random_tournament,
+    relabel,
+    substitute,
     subtournament,
     synthesize_certificate,
     transitive,
     verify_certificate,
 )
 
-from conftest import random_bits_tournament
+from conftest import random_bits_tournament, random_perm
 
 
 def brute_canonical(T: Tournament) -> tuple[bool, ...]:
@@ -50,32 +52,8 @@ def paley7() -> Tournament:
 def cycle_of_cycles() -> Tournament:
     # the 3-cycle with each vertex replaced by a 3-cycle (9 vertices,
     # vertex-transitive, 81 automorphisms)
-    def beats(i, j):
-        if i // 3 != j // 3:
-            return (j // 3 - i // 3) % 3 == 1
-        return (j - i) % 3 == 1
-
-    return make_tournament(9, [beats(i, j) for i in range(9) for j in range(i + 1, 9)])
-
-
-def random_perm(rng: Xorshift64Star, n: int) -> list[int]:
-    perm = list(range(n))
-    for i in range(n - 1, 0, -1):
-        j = rng.below(i + 1)
-        perm[i], perm[j] = perm[j], perm[i]
-    return perm
-
-
-def relabeled(T: Tournament, perm) -> Tournament:
-    """Rename vertex v to perm[v]."""
-    rel = {}
-    for i in range(T.n):
-        for j in range(T.n):
-            if i != j:
-                rel[(perm[i], perm[j])] = T.relation(i, j)
-    return make_tournament(
-        T.n, [rel[(i, j)] for i in range(T.n) for j in range(i + 1, T.n)]
-    )
+    c3 = make_tournament(3, [1, 0, 1])
+    return substitute(substitute(substitute(c3, c3, 2), c3, 1), c3, 0)
 
 
 class TestPairLayout:
@@ -152,6 +130,11 @@ class TestConstruction:
                 for b in range(S.n)
                 if a != b
             )
+
+    @pytest.mark.parametrize("n, bits", [(0, 0), (3, 1 << 3), (3, -1)])
+    def test_rejects_bad_fields(self, n, bits):
+        with pytest.raises(ValueError):
+            Tournament(n, bits)
 
     def test_random_tournament_reads_one_output_per_pair(self):
         for n, seed in ((1, 3), (6, 0), (19, 7), (64, 2**64 + 5)):
@@ -230,7 +213,9 @@ class TestInvert:
 
 
 class TestVertexRange:
-    @pytest.mark.parametrize("x, y", [(0, 5), (5, 0), (0, 6), (6, 0), (-1, 0), (0, -1), (-1, 5)])
+    @pytest.mark.parametrize(
+        "x, y", [(0, 5), (5, 0), (0, 6), (6, 0), (-1, 0), (0, -1), (-1, 5), (1, 1)]
+    )
     def test_outside_vertices_rejected(self, x, y):
         T = random_tournament(5, 1)
         with pytest.raises(ValueError):
@@ -259,12 +244,52 @@ class TestSubtournament:
         with pytest.raises(ValueError):
             subtournament(transitive(4), set())
 
+    def test_outside_vertex_rejected(self):
+        T = transitive(4)
+        with pytest.raises(ValueError):
+            subtournament(T, {0, T.n})
+
     def test_commutes_with_dual(self):
         T = random_tournament(7, 11)
         for W in ({0, 2, 5}, {1, 3, 4, 6}, {2, 3}):
             a, _ = subtournament(dual(T), W)
             b, _ = subtournament(T, W)
             assert a == dual(b)
+
+
+class TestRelabelAndSubstitute:
+    def test_relabel_calls_vertex_v_perm_v(self):
+        # 0 -> 1 -> 2 renamed 0:2, 1:0, 2:1 reads 2 -> 0 -> 1
+        assert sorted(relabel(transitive(3), [2, 0, 1]).arcs()) == [(0, 1), (2, 0), (2, 1)]
+        rng = Xorshift64Star(61)
+        for n in (1, 2, 5, 9):
+            T, p = random_bits_tournament(rng, n), random_perm(rng, n)
+            R = relabel(T, p)
+            pairs = itertools.permutations(range(n), 2)
+            assert all(R.relation(p[u], p[v]) == T.relation(u, v) for u, v in pairs)
+
+    @pytest.mark.parametrize("perm", [[0, 0, 1], [0, 1], [0, 1, 2, 3], [1, 2, 3], [-1, 0, 1]])
+    def test_relabel_rejects_non_permutations(self, perm):
+        with pytest.raises(ValueError):
+            relabel(transitive(3), perm)
+
+    def test_substitute_block_takes_labels_from_at(self, c3):
+        inner = random_tournament(4, 3)
+        for at in range(3):
+            T = substitute(c3, inner, at)
+            assert T.n == 6 and is_module(T, set(range(at, at + 4)))
+            for i, j in itertools.permutations(range(6), 2):
+                oi, oj = (v if v < at else max(at, v - 3) for v in (i, j))
+                if oi == oj:
+                    assert T.relation(i, j) == inner.relation(i - at, j - at)
+                else:
+                    assert T.relation(i, j) == c3.relation(oi, oj)
+        assert substitute(c3, transitive(1), 1) == c3 and substitute(transitive(1), c3, 0) == c3
+
+    @pytest.mark.parametrize("at", [-1, 3])
+    def test_substitute_rejects_at_outside_outer(self, c3, at):
+        with pytest.raises(ValueError):
+            substitute(c3, transitive(2), at)
 
 
 class TestCanonicalForm:
@@ -280,7 +305,7 @@ class TestCanonicalForm:
             perms = list(itertools.permutations(range(n)))
             for _ in range(20):
                 p = perms[rng.below(len(perms))]
-                assert canonical_form(relabeled(T, p)) == base
+                assert canonical_form(relabel(T, p)) == base
 
     def test_bound_enforced(self):
         with pytest.raises(ValueError):
@@ -292,7 +317,7 @@ class TestCanonicalForm:
             for T in enumerate_tournaments(n):
                 expected = brute_canonical(T)
                 assert canonical_form(T) == expected
-                assert canonical_form(relabeled(T, random_perm(rng, n))) == expected
+                assert canonical_form(relabel(T, random_perm(rng, n))) == expected
 
     @pytest.mark.parametrize("n", [7, 8])
     def test_matches_permutation_scan_on_relabelings(self, n):
@@ -300,14 +325,14 @@ class TestCanonicalForm:
         T = random_bits_tournament(rng, n)
         expected = brute_canonical(T)
         for _ in range(20):
-            assert canonical_form(relabeled(T, random_perm(rng, n))) == expected
+            assert canonical_form(relabel(T, random_perm(rng, n))) == expected
 
     def test_paley_tournament_matches_permutation_scan(self):
         T = paley7()
         expected = brute_canonical(T)
         rng = Xorshift64Star(7)
         for _ in range(10):
-            assert canonical_form(relabeled(T, random_perm(rng, 7))) == expected
+            assert canonical_form(relabel(T, random_perm(rng, 7))) == expected
 
     @pytest.mark.parametrize(
         "make",
@@ -323,7 +348,7 @@ class TestCanonicalForm:
         base = canonical_form(T)
         rng = Xorshift64Star(11)
         for _ in range(10):
-            assert canonical_form(relabeled(T, random_perm(rng, T.n))) == base
+            assert canonical_form(relabel(T, random_perm(rng, T.n))) == base
 
 
 REPRESENTATIVE_DIGESTS = {
@@ -354,13 +379,17 @@ class TestEnumeration:
         for n in (4, 5):
             total = 0
             for T in enumerate_tournaments(n):
-                orbit = {relabeled(T, p).bits for p in itertools.permutations(range(n))}
+                orbit = {relabel(T, p).bits for p in itertools.permutations(range(n))}
                 total += len(orbit)
             assert total == 1 << pair_count(n)
 
     def test_bound_enforced(self):
         with pytest.raises(ValueError):
             enumerate_tournaments(9)
+
+    def test_zero_vertices(self):
+        with pytest.raises(ValueError):
+            enumerate_tournaments(0)
 
     def test_class_counts_match_oeis(self):
         # OEIS A000568
@@ -420,6 +449,7 @@ class TestTournV1:
             "tourn-v1\nn=\u0663\nbits=111",  # ARABIC-INDIC DIGIT THREE passes str.isdigit
             "tourn-v1\nn=3\nbits=11",
             "tourn-v1\nn=3\nbits=1a1",
+            "tourn-v1\nn=3\nbit=111",
             "tourn-v1\nn=0\nbits=",
             "tourn-v1\nn=-1\nbits=",
             "n=3\nbits=111\ntourn-v1",

@@ -1,5 +1,4 @@
 import json
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +25,6 @@ from tourmod import (
     format_tourn_v1,
     invert,
     is_indecomposable,
-    is_module,
     minimal_comodules,
     nontrivial_modules,
     pair_count,
@@ -43,15 +41,15 @@ from tourmod import (
 from tourmod import inversion
 from tourmod.cli import main
 
-from conftest import all_classes_up_to, composed_random, relabelled_chain
-
-
-def first_indecomposable(n):
-    return next(T for T in enumerate_tournaments(n) if is_indecomposable(T))
-
-
-def ceil_half(x):
-    return (x + 1) // 2
+from conftest import (
+    all_classes_up_to,
+    ceil_half,
+    checked_extension,
+    composed_random,
+    first_indecomposable,
+    record_calls,
+    relabelled_chain,
+)
 
 
 class TestDecomposabilityIndex:
@@ -176,6 +174,9 @@ class TestReductions:
             reduction_arc_three(T, D)
         with pytest.raises(ValueError):
             reduction_arc_two(T, D)
+        U = transitive(5)  # index 3
+        with pytest.raises(ValueError):
+            reduction_arc_high(U, structured_delta_decomposition(U))
 
 
 class TestSynthesize:
@@ -234,14 +235,7 @@ class TestSynthesize:
     def test_one_analysis_per_state(self, T, monkeypatch):
         # every state before the last reversal is analysed once, by the
         # step that reaches it; the final state only needs a primality test
-        analysed = []
-        build = inversion._Analysis
-
-        def counting(U):
-            analysed.append(U)
-            return build(U)
-
-        monkeypatch.setattr(inversion, "_Analysis", counting)
+        analysed = record_calls(monkeypatch, inversion, "_Analysis")
         cert = synthesize_certificate(T)
         states = [T]
         for arc in cert.arcs:
@@ -254,25 +248,14 @@ class TestSynthesize:
         # and the index and the steps read masks: no bit string is decoded
         # and no public object is built on the way to a certificate
         T = relabelled_chain(17, seed)
-        built = Counter()
-
-        def count(cls, name):
-            orig = getattr(cls, name)
-
-            def counting(self, *args, **kwargs):
-                built[cls.__name__] += 1
-                return orig(self, *args, **kwargs)
-
-            monkeypatch.setattr(cls, name, counting)
-
-        count(Tournament, "__post_init__")
-        for cls in (VertexSet, CoModule, CoModularDecomposition):
-            count(cls, "__init__")
+        watched = [(Tournament, "__post_init__")]
+        watched += [(cls, "__init__") for cls in (VertexSet, CoModule, CoModularDecomposition)]
+        built = {cls.__name__: record_calls(monkeypatch, cls, name) for cls, name in watched}
         cert = synthesize_certificate(T)
         assert verify_certificate(T, cert)
         assert comodular_index(T) == 9
         assert len(cert.arcs) == 5
-        assert built == Counter()
+        assert built == dict.fromkeys(built, [])
 
 
 class TestVerify:
@@ -380,16 +363,17 @@ class TestFeasibleArcs:
 
 
 class TestCertificateJson:
+    GOOD = {
+        "n": 5,
+        "base_bits": "1111111111",
+        "arcs": [[0, 4], [0, 2]],
+        "trace": [3, 2],
+        "final_bits": "1010111111",
+    }
+
     def test_golden_five_chain(self):
         cert = synthesize_certificate(transitive(5))
-        line = certificate_to_json(cert)
-        assert json.loads(line) == {
-            "n": 5,
-            "base_bits": "1111111111",
-            "arcs": [[0, 4], [0, 2]],
-            "trace": [3, 2],
-            "final_bits": "1010111111",
-        }
+        assert json.loads(certificate_to_json(cert)) == self.GOOD
 
     def test_roundtrip(self):
         for n in (5, 8):
@@ -401,14 +385,6 @@ class TestCertificateJson:
         line = certificate_to_json(synthesize_certificate(transitive(5)))
         assert line.index('"n"') < line.index('"base_bits"') < line.index('"arcs"')
         assert line.index('"arcs"') < line.index('"trace"') < line.index('"final_bits"')
-
-    GOOD = {
-        "n": 5,
-        "base_bits": "1111111111",
-        "arcs": [[0, 4], [0, 2]],
-        "trace": [3, 2],
-        "final_bits": "1010111111",
-    }
 
     @pytest.mark.parametrize(
         "line",
@@ -485,20 +461,12 @@ class TestErdosExtension:
         assert len(nontrivial_modules(E)) > 0
 
     def test_t4(self, t4):
-        E = erdos_transitive_extension(t4)
-        old = {s.mask for s in nontrivial_modules(t4)}
-        new = {s.mask for s in nontrivial_modules(E)}
-        assert old < new
+        checked_extension(t4)
 
     def test_all_nontransitive_classes_up_to_five(self):
         for T in all_classes_up_to(5):
-            if T.n < 3 or len({T.out_degree(v) for v in range(T.n)}) == T.n:
-                continue
-            E = erdos_transitive_extension(T)
-            assert len({E.out_degree(v) for v in range(T.n)}) == T.n
-            old = {s.mask for s in nontrivial_modules(T)}
-            new = {s.mask for s in nontrivial_modules(E)}
-            assert old < new
+            if T.n >= 3 and len({T.out_degree(v) for v in range(T.n)}) < T.n:
+                checked_extension(T)
 
     def test_transitive_rejected(self):
         with pytest.raises(ValueError):
@@ -520,11 +488,7 @@ class TestErdosExtension:
     )
     def test_forty_vertices(self, T):
         # no size bound: the order comes from the decomposition tree
-        E = erdos_transitive_extension(T)
-        assert len({E.out_degree(v) for v in range(T.n)}) == T.n
-        old = {s.mask for s in nontrivial_modules(T)}
-        new = {s.mask for s in nontrivial_modules(E)}
-        assert old < new
+        checked_extension(T)
 
 
 class TestIndexLawsSmall:

@@ -24,6 +24,7 @@ from tourmod import (
     overlap_set,
     random_tournament,
     smallest_module_containing,
+    substitute,
     subtournament,
     tilde,
     transitive,
@@ -33,10 +34,19 @@ from tourmod import Xorshift64Star, modular
 
 from conftest import (
     all_classes_up_to,
+    check_component_picks,
+    check_inversion_rule,
+    check_module_rules,
+    check_overlap_bound,
+    check_promotion,
+    check_transitive_components,
+    check_twin_picks,
     composed_random,
+    first_indecomposable,
     nested_substitution,
+    overlaps,
+    record_calls,
     relabelled_chain,
-    substitute,
 )
 
 
@@ -46,13 +56,6 @@ def members(sets):
 
 def mc_members(T):
     return sorted(tuple(c.members) for c in minimal_comodules(T))
-
-
-def _is_transitive_mask(T, mask):
-    """Reference definition: T restricted to mask is transitive iff its
-    inner out-degrees are distinct."""
-    degs = {(T.out_masks[v] & mask).bit_count() for v in range(T.n) if mask >> v & 1}
-    return len(degs) == mask.bit_count()
 
 
 class TestIsModule:
@@ -67,6 +70,11 @@ class TestIsModule:
         for X in (set(), {2}, set(range(4))):
             assert is_module(T, X)
         assert is_module(c3, set()) and is_module(c3, {1}) and is_module(c3, {0, 1, 2})
+
+    def test_vertex_set_of_other_size_rejected(self):
+        T = transitive(4)
+        with pytest.raises(ValueError):
+            is_module(T, VertexSet(T.n + 1, 1))
 
 
 class TestIndecomposable:
@@ -181,17 +189,8 @@ class TestMinimalComodules:
             assert mc_members(transitive(n)) == expected
 
     def test_twin_uniqueness(self):
-        # a twin {x, y} contributes exactly one of {x,y}, {x}, {y} to mc
         for T in all_classes_up_to(5):
-            if T.n < 3:
-                continue
-            mc = {c.members.mask for c in minimal_comodules(T)}
-            for W in nontrivial_modules(T):
-                if len(W) != 2:
-                    continue
-                x, y = W.members()
-                trio = [W.mask, 1 << x, 1 << y]
-                assert sum(1 for m in trio if m in mc) == 1
+            check_twin_picks(T)
 
     def test_kind_consistency(self):
         for T in all_classes_up_to(6):
@@ -253,17 +252,12 @@ class TestOverlap:
         for T in all_classes_up_to(7):
             masks = [c.members.mask for c in minimal_comodules(T)]
             for m in masks:
-                expected = [o for o in masks if o & m and o & ~m and m & ~o]
+                expected = [o for o in masks if overlaps(o, m)]
                 assert [c.members.mask for c in overlap_set(T, VertexSet(T.n, m))] == expected
 
     def test_degree_bound_and_twin_requirement(self):
-        # overlap count is at most 2 and positive only on twins
         for T in all_classes_up_to(6):
-            for c in minimal_comodules(T):
-                over = overlap_set(T, c)
-                assert len(over) <= 2
-                if over:
-                    assert len(c.members) == 2 and is_module(T, c.members)
+            check_overlap_bound(T)
 
     def test_two_overlaps_need_big_transitive_block(self):
         # with two overlapping neighbours the twin lies in a transitive
@@ -310,24 +304,13 @@ class TestTransitiveComponents:
         block = transitive_components(T).block_of(0)
         assert len(block) >= 2
 
+    def test_block_of_outside_vertex_rejected(self, c3):
+        with pytest.raises(ValueError):
+            transitive_components(c3).block_of(c3.n)
+
     def test_partition_properties(self):
         for T in all_classes_up_to(6):
-            blocks = transitive_components(T).blocks
-            union = 0
-            for b in blocks:
-                assert union & b.mask == 0
-                union |= b.mask
-                assert is_module(T, b)
-                assert _is_transitive_mask(T, b.mask)
-                # maximality: no single-vertex extension stays a transitive module
-                for v in range(T.n):
-                    if v in b:
-                        continue
-                    bigger = VertexSet(T.n, b.mask | (1 << v))
-                    assert not (
-                        is_module(T, bigger) and _is_transitive_mask(T, bigger.mask)
-                    )
-            assert union == (1 << T.n) - 1
+            check_transitive_components(T)
 
 
 class TestOneTreePerCall:
@@ -349,14 +332,7 @@ class TestOneTreePerCall:
              "erdos_transitive_extension"],
     )
     def test_tree_built_once(self, query, monkeypatch):
-        builds = []
-        build = modular._tree
-
-        def counting(T):
-            builds.append(T)
-            return build(T)
-
-        monkeypatch.setattr(modular, "_tree", counting)
+        builds = record_calls(monkeypatch, modular, "_tree")
         query(transitive(7))
         assert len(builds) == 1
 
@@ -513,7 +489,7 @@ class TestTreeFailsFast:
     def test_prime_node_without_children_raises(self, monkeypatch):
         # a partition that is no module partition leaves C_v equal to S; the
         # tree must fail on that node, not push S again forever
-        T = next(T for T in enumerate_tournaments(6) if is_indecomposable(T))
+        T = first_indecomposable(6)
         monkeypatch.setattr(modular, "_modular_partition_avoiding", lambda T, S, v: [])
         with pytest.raises(RuntimeError, match=f"n=6 bits={T.bit_string()}"):
             list(islice(modular._tree(T), 1000))
@@ -562,7 +538,7 @@ class TestComponentComodule:
                     union |= component_comodule(T, block, k).members.mask
                 assert union == block.mask
 
-    def test_errors(self):
+    def test_errors(self, c3):
         T = transitive(6)
         with pytest.raises(ValueError):
             component_comodule(T, T.vertex_set(), 5)
@@ -570,29 +546,12 @@ class TestComponentComodule:
             component_comodule(T, [0, 2], 0)  # not a component
         with pytest.raises(ValueError):
             component_comodule(transitive(2), [0, 1], 0)  # too few vertices
+        with pytest.raises(ValueError):
+            component_comodule(c3, [0], 0)  # a one-vertex component
 
     def test_minimal_comodules_meeting_component(self):
-        # an mc element meets a component iff it is one of its twin picks
         for T in all_classes_up_to(6):
-            if T.n < 3:
-                continue
-            for block in transitive_components(T).blocks:
-                if len(block) < 2:
-                    continue
-                expected = {
-                    component_comodule(T, block, k).members.mask
-                    for k in range(len(block) - 1)
-                }
-                meeting = {
-                    c.members.mask
-                    for c in minimal_comodules(T)
-                    if c.members.mask & block.mask
-                }
-                assert meeting == expected
-                # the two end picks never have two overlapping neighbours
-                for k in (0, len(block) - 2):
-                    pick = component_comodule(T, block, k)
-                    assert len(overlap_set(T, pick)) <= 1
+            check_component_picks(T)
 
 
 def modules_of(T):
@@ -602,40 +561,11 @@ def modules_of(T):
 class TestModuleCalculus:
     """Closure rules for modules, exhaustive on small sizes plus random."""
 
-    def check_rules(self, T, masks):
-        n = T.n
-        for M in masks:
-            for N in masks:
-                inter = M & N
-                assert is_module(T, VertexSet(n, inter))
-                if inter:
-                    assert is_module(T, VertexSet(n, M | N))
-                if M & ~N:
-                    assert is_module(T, VertexSet(n, N & ~M))
-                if not inter and M and N:
-                    # disjoint modules are homogeneous to each other
-                    flows = {
-                        T.relation(x, y)
-                        for x in VertexSet(n, M)
-                        for y in VertexSet(n, N)
-                    }
-                    assert len(flows) == 1
-
-    def check_promotion(self, T, masks):
-        # a module of T[M] is a module of T, for M a module of T
-        for M in masks:
-            if M.bit_count() < 2:
-                continue
-            S, labels = subtournament(T, VertexSet(T.n, M))
-            for inner in brute_modules(S):
-                lifted = VertexSet.from_members(T.n, (labels[k] for k in inner))
-                assert is_module(T, lifted)
-
     def test_exhaustive_small(self):
         for T in all_classes_up_to(5):
             masks = modules_of(T)
-            self.check_rules(T, masks)
-            self.check_promotion(T, masks)
+            check_module_rules(T, masks)
+            check_promotion(T, masks)
 
     def test_restriction_exhaustive_small(self):
         for T in all_classes_up_to(5):
@@ -652,9 +582,9 @@ class TestModuleCalculus:
             T = composed_random(rng, 5 + rng.below(8))
             masks = modules_of(T)
             pick = lambda: masks[rng.below(len(masks))]
-            self.check_rules(T, [pick() for _ in range(6)])
+            check_module_rules(T, [pick() for _ in range(6)])
             if T.n <= 10:
-                self.check_promotion(T, [pick(), pick()])
+                check_promotion(T, [pick(), pick()])
 
 
 class TestSingleArcInversionRule:
@@ -662,8 +592,4 @@ class TestSingleArcInversionRule:
         # exhaustive over classes up to 5, all arcs, all modules
         for T in all_classes_up_to(5):
             for a in T.arcs():
-                amask = (1 << a.tail) | (1 << a.head)
-                U = invert(T, [a])
-                for M in modules_of(T):
-                    overlap = bool(M & amask) and bool(M & ~amask) and bool(amask & ~M)
-                    assert is_module(U, VertexSet(T.n, M)) == (not overlap)
+                check_inversion_rule(T, a, modules_of(T))

@@ -22,7 +22,13 @@ from tourmod import (
 )
 from tourmod import comodular, inversion, modular, oracle
 
-from conftest import all_classes_up_to, composed_random, relabelled_chain
+from conftest import (
+    all_classes_up_to,
+    composed_random,
+    first_indecomposable,
+    record_calls,
+    relabelled_chain,
+)
 
 
 class TestBruteModules:
@@ -77,8 +83,7 @@ class TestBruteInversionCount:
         assert brute_delta(transitive(5)) == 2
 
     def test_prime_input(self):
-        T = next(T for T in enumerate_tournaments(5) if is_indecomposable(T))
-        assert brute_delta(T) == 0
+        assert brute_delta(first_indecomposable(5)) == 0
 
     def test_transitive_eight(self):
         assert brute_delta(transitive(8)) == 3
@@ -204,14 +209,7 @@ class TestSweep:
         assert len(pools) == 1 and 1 <= pools[0] <= (os.cpu_count() or 1)
 
     def test_one_packing_per_class(self, monkeypatch):
-        calls = []
-        scan = oracle.brute_modules
-
-        def counting(T):
-            calls.append(T)
-            return scan(T)
-
-        monkeypatch.setattr(oracle, "brute_modules", counting)
+        calls = record_calls(monkeypatch, oracle, "brute_modules")
         oracle._brute_comodule_masks.cache_clear()
         classes = enumerate_tournaments(6)
         for T in classes:
