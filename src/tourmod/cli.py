@@ -23,7 +23,7 @@ from .core import (
 )
 from .comodular import comodular_index
 from .inversion import certificate_to_json, synthesize_certificate, verify_certificate
-from .modular import _Analysis, nontrivial_modules
+from .modular import _analysis, nontrivial_modules
 from .oracle import (
     brute_Delta,
     brute_delta,
@@ -47,7 +47,7 @@ def _load(path: str) -> Tournament:
 
 def cmd_analyze(args) -> int:
     T = _load(args.file)
-    A = _Analysis(T)
+    A = _analysis(T)
     index = A.index
     indec = index == 0
     record = {

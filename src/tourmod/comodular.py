@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .core import Tournament, VertexSet, _members
-from .modular import CoModule, _Analysis, _mask_key
+from .modular import CoModule, _Analysis, _analysis, _mask_key
 
 __all__ = [
     "CoModularDecomposition",
@@ -76,7 +76,7 @@ class ConflictGraph:
 
 def conflict_graph(T: Tournament) -> ConflictGraph:
     """The overlap graph on mc(T); its edges join neighbours on a walk."""
-    A = _Analysis(T)
+    A = _analysis(T)
     edges = sorted((min(e), max(e)) for walk in A.walks for e in zip(walk, walk[1:]))
     return ConflictGraph(tuple(map(A.comodule, A.mc)), tuple(edges))
 
@@ -107,7 +107,7 @@ def comodular_index(T: Tournament) -> int:
     Equals the maximum independent set of the overlap graph on mc(T); 0
     exactly when T is indecomposable, and at least 2 otherwise.
     """
-    return _Analysis(T).index
+    return _analysis(T).index
 
 
 def all_delta_decompositions(T: Tournament) -> Iterator[CoModularDecomposition]:
@@ -117,7 +117,7 @@ def all_delta_decompositions(T: Tournament) -> Iterator[CoModularDecomposition]:
     the choices combined, which enumerates every such decomposition
     exactly once.
     """
-    A = _Analysis(T)
+    A = _analysis(T)
     return (_as_decomposition(A, parts) for parts in A.decompositions())
 
 
@@ -128,7 +128,7 @@ def delta_decomposition(T: Tournament) -> CoModularDecomposition:
     Ties are broken toward the lexicographically smallest selection of
     vertex sets (per overlap-graph component), so repeated runs agree.
     """
-    A = _Analysis(T)
+    A = _analysis(T)
     return _as_decomposition(A, next(A.decompositions()))
 
 
@@ -161,7 +161,7 @@ def structured_delta_decomposition(
     decomposition always exists, so a failure can only signal an internal
     bug.
     """
-    A = _Analysis(T)
+    A = _analysis(T)
     parts, labels = _structured(A)
     return _as_decomposition(A, parts), {k: A.comodule(m) for k, m in labels.items()}
 
@@ -190,7 +190,7 @@ def _structured(A: _Analysis) -> tuple[tuple[int, ...], dict[str, int]]:
                 return parts, dict(zip(("M", "N", "L"), parts))
         raise RuntimeError("no three-part decomposition with all overlaps <= 1")
 
-    out = A.tournament.out_masks
+    out = A.out
     for parts in A.decompositions():
         free = [len(near[m]) <= 1 for m in parts]
         span = range(len(parts))
@@ -230,7 +230,7 @@ def hereditary_witness(T: Tournament, k: int) -> VertexSet:
         raise ValueError("k must be between 1 and 4")
     if T.n < 3 + k:
         raise ValueError(f"needs at least {3 + k} vertices, got {T.n}")
-    A = _Analysis(T)
+    A = _analysis(T)
     index = A.index
     if index <= 4:
         if index == 0:

@@ -33,7 +33,7 @@ from itertools import permutations as _permutations
 
 from .core import Arc, Tournament, _from_bit_string, _members, invert, relabel, transitive
 from .comodular import _structured, comodular_index
-from .modular import _Analysis, is_indecomposable
+from .modular import _analysis, is_indecomposable
 
 __all__ = [
     "GuidedChoiceWarning",
@@ -101,19 +101,19 @@ def reduction_arc_high(T: Tournament, D) -> Arc:
     vertices of the distinguished subsets of M1 and M3; the index drop is
     re-verified before returning.
     """
-    return _reduce_high(_Analysis(T), _part_masks(D))[0]
+    return _reduce_high(T, _part_masks(D))[0]
 
 
-def _reduce_high(A: _Analysis, D) -> tuple[Arc, _Analysis]:
-    """The arc of ``reduction_arc_high`` and the analysis of the state it
-    leads to; ``D`` holds masks, as ``_structured`` returns them."""
+def _reduce_high(T: Tournament, D) -> tuple[Arc, Tournament]:
+    """The arc of ``reduction_arc_high`` and the state it leads to; ``D``
+    holds masks, as ``_structured`` returns them."""
+    A = _analysis(T)
     if A.index < 4:
         raise ValueError("this reduction applies only when the index is at least 4")
-    T = A.tournament
     _, labels = D
     arc = _arc_between(T, _members(A.tilde(labels["M1"]))[0], _members(A.tilde(labels["M3"]))[0])
-    after = _Analysis(invert(T, [arc]))
-    if after.index != A.index - 2:
+    after = invert(T, [arc])
+    if _analysis(after).index != A.index - 2:
         raise _failed_check(T, "high-index reduction")
     return arc, after
 
@@ -126,15 +126,15 @@ def reduction_arc_three(T: Tournament, D) -> Arc:
     assignments in order and the smallest vertices first.  The paper shows
     that every such pattern works; the result is checked once.
     """
-    return _reduce_three(_Analysis(T), _part_masks(D))[0]
+    return _reduce_three(T, _part_masks(D))[0]
 
 
-def _reduce_three(A: _Analysis, D) -> tuple[Arc, _Analysis]:
-    """The arc of ``reduction_arc_three`` and the analysis of the state it
-    leads to; ``D`` holds masks, as ``_structured`` returns them."""
+def _reduce_three(T: Tournament, D) -> tuple[Arc, Tournament]:
+    """The arc of ``reduction_arc_three`` and the state it leads to; ``D``
+    holds masks, as ``_structured`` returns them."""
+    A = _analysis(T)
     if A.index != 3:
         raise ValueError("this reduction applies only when the index is exactly 3")
-    T = A.tournament
     parts, _ = D
     for part_m, part_n, part_l in _permutations(parts):
         zs = _members(A.tilde(part_l))
@@ -142,8 +142,8 @@ def _reduce_three(A: _Analysis, D) -> tuple[Arc, _Analysis]:
             for y in _members(A.tilde(part_n)):
                 if any(T.relation(x, z) and T.relation(z, y) for z in zs):
                     arc = _arc_between(T, x, y)
-                    after = _Analysis(invert(T, [arc]))
-                    if after.index != 2:
+                    after = invert(T, [arc])
+                    if _analysis(after).index != 2:
                         raise _failed_check(T, "three-part reduction")
                     return arc, after
     raise _failed_check(T, "three-part reduction")
@@ -168,13 +168,13 @@ def reduction_arc_two(T: Tournament, D) -> Arc:
       theorem (delta = 1 at index 2) says that one exists.
     """
     _require_size(T)
-    return _reduce_two(_Analysis(T), _part_masks(D))[0]
+    return _reduce_two(T, _part_masks(D))[0]
 
 
-def _reduce_two(A: _Analysis, D) -> tuple[Arc, Tournament]:
+def _reduce_two(T: Tournament, D) -> tuple[Arc, Tournament]:
     """The arc of ``reduction_arc_two`` and the indecomposable tournament
     it leads to; ``D`` holds masks, as ``_structured`` returns them."""
-    T = A.tournament
+    A = _analysis(T)
     if A.index != 2:
         raise ValueError("this reduction applies only when the index is exactly 2")
     _, labels = D
@@ -182,7 +182,7 @@ def _reduce_two(A: _Analysis, D) -> tuple[Arc, Tournament]:
         for y in _members(A.tilde(labels["N"])):
             arc = _arc_between(T, x, y)
             after = invert(T, [arc])
-            if is_indecomposable(after):
+            if _analysis(after).index == 0:
                 return arc, after
     raise _failed_check(T, "two-part reduction")
 
@@ -211,21 +211,16 @@ def synthesize_certificate(T: Tournament) -> InversionCertificate:
     _require_size(T)
     arcs: list[Arc] = []
     trace: list[int] = []
-    # one analysis per state: the step that reaches a state analyses it to
-    # verify the index drop, and the next step starts from that analysis
-    A = _Analysis(T)
-    while A.index >= 3:
-        reduce = _reduce_high if A.index >= 4 else _reduce_three
-        step, after = reduce(A, _structured(A))
+    # the step that reaches a state builds its record to check the index,
+    # and the next step, the final one included, reads that record
+    state, A = T, _analysis(T)
+    while A.index >= 2:
+        reduce = {2: _reduce_two, 3: _reduce_three}.get(A.index, _reduce_high)
+        step, state = reduce(state, _structured(A))
         arcs.append(step)
         trace.append(A.index)
-        A = after
-    final = A.tournament
-    if A.index == 2:
-        step, final = _reduce_two(A, _structured(A))
-        arcs.append(step)
-        trace.append(2)
-    return InversionCertificate(T, tuple(arcs), tuple(trace), final)
+        A = _analysis(state)
+    return InversionCertificate(T, tuple(arcs), tuple(trace), state)
 
 
 @dataclass(frozen=True)
@@ -244,13 +239,17 @@ def verify_certificate(T: Tournament, cert: InversionCertificate) -> Verificatio
 
     Checks, in order: the base matches T, each arc is present when its
     turn comes, the stored final state matches the replay, the final
-    state is indecomposable, the number of arcs k equals
+    state is indecomposable (index 0), the number of arcs k equals
     ceil(comodular_index(T) / 2), and the trace has one entry per arc.
     Its first entry must equal comodular_index(T) exactly; entry i is
     checked only up to the pair {2(k-i)-1, 2(k-i)}, the indices whose
     half rounded up is the k-i reversals still to come (from five
     vertices up, each reversal of a minimum certificate lowers that half
     by exactly one).
+
+    Both indices are read from the records of T and ``cert.final``, so the
+    objects that synthesised a certificate bring the records built on the
+    way; a certificate parsed from JSON brings fresh objects.
     """
     if cert.base != T:
         return VerificationResult(False, "base mismatch")
@@ -262,9 +261,9 @@ def verify_certificate(T: Tournament, cert: InversionCertificate) -> Verificatio
         cur = invert(cur, [a])
     if cur != cert.final:
         return VerificationResult(False, "final mismatch")
-    if not is_indecomposable(cur):
+    if _analysis(cert.final).index != 0:
         return VerificationResult(False, "final decomposable")
-    index = comodular_index(T)
+    index = _analysis(T).index
     k = len(cert.arcs)
     if k != (index + 1) // 2:
         return VerificationResult(False, "length mismatch")
@@ -337,7 +336,7 @@ def erdos_transitive_extension(T: Tournament) -> Tournament:
     run), so some node is prime with at least three children; its first
     two children form an interval that is no module of T.
     """
-    A = _Analysis(T)
+    A = _analysis(T)
     if len(A.runs) == 1:
         raise ValueError("input is already transitive")
     children = {S: kids for S, _, kids in A.tree}

@@ -28,10 +28,12 @@ shared cores, Python 3.11).
 
 The module queries (``nontrivial_modules``, the minimal and maximal
 ones, ``is_indecomposable``) read the tree directly.  The co-module
-queries read one record per tournament state, ``_Analysis``, built from
+queries read one record per tournament object, ``_Analysis``, built from
 one tree: mc(T), the overlaps and tildes, the co-modular index and its
 decompositions, and the transitive components, whose order is the
-tree's dominance order of a linear node's children.
+tree's dominance order of a linear node's children.  ``_analysis(T)``
+builds it on first use and keeps it on T, so every later query on that
+object, certificates and their verification included, reads it.
 """
 
 from __future__ import annotations
@@ -340,7 +342,7 @@ def minimal_comodules(T: Tournament) -> list[CoModule]:
     complement of a maximal one, so filtering that candidate pool for
     inclusion-minimality is exhaustive.
     """
-    A = _Analysis(T)
+    A = _analysis(T)
     return [A.comodule(m) for m in A.mc]
 
 
@@ -365,9 +367,11 @@ def _path_optima(walk: list[int]) -> list[tuple[int, ...]]:
 
 
 class _Analysis:
-    """One tournament state read off its decomposition tree once, on
-    masks.  The co-module queries, the index, the decompositions and every
-    certificate step read this record:
+    """One tournament read off its decomposition tree once, on masks.
+    The co-module queries, the index, the decompositions, every
+    certificate step and its verification read this record, through
+    ``_analysis``.  It keeps n and the rows (``out``), not the tournament,
+    so a tournament and its record form no reference cycle:
 
     * ``tree``: the nodes of ``_tree(T)``;
     * ``minimal_modules``: the minimal nontrivial modules;
@@ -387,7 +391,7 @@ class _Analysis:
     """
 
     def __init__(self, T: Tournament):
-        self.tournament = T
+        self.n, self.out = T.n, T.out_masks
         self.tree = list(_tree(T))
         self.minimal_modules, maximal = _extremal_module_masks(T, self.tree)
         full = (1 << T.n) - 1
@@ -456,7 +460,7 @@ class _Analysis:
         the maximal such runs, and every other vertex (a child of a prime
         node) is a run of its own.  T is transitive exactly when there is
         one run."""
-        runs = [[0]] if self.tournament.n == 1 else []
+        runs = [[0]] if self.n == 1 else []
         for _, linear, children in self.tree:
             for single, run in groupby(children, key=lambda c: c & (c - 1) == 0):
                 if single:
@@ -469,7 +473,7 @@ class _Analysis:
         return [_path_optima(walk) for walk in self.walks]
 
     def comodule(self, mask: int) -> CoModule:
-        return CoModule(VertexSet(self.tournament.n, mask), self.mc[mask])
+        return CoModule(VertexSet(self.n, mask), self.mc[mask])
 
     def decompositions(self) -> Iterator[tuple[int, ...]]:
         """The parts of each delta decomposition as masks in key order, as
@@ -482,10 +486,19 @@ class _Analysis:
             yield tuple(masks[i] for i in sorted(chain.from_iterable(pick)))
 
 
+def _analysis(T: Tournament) -> _Analysis:
+    """T's record, built on first use and kept on T itself, never keyed on
+    its value: two equal tournaments build two records."""
+    A = vars(T).get("_analysis")
+    if A is None:
+        A = vars(T)["_analysis"] = _Analysis(T)
+    return A
+
+
 def overlap_set(T: Tournament, M) -> list[CoModule]:
     """Minimal co-modules overlapping M, which must itself be in mc(T):
     its neighbours on its walk of the overlap graph, in key order."""
-    A = _Analysis(T)
+    A = _analysis(T)
     return [A.comodule(m) for m in A.overlapping(_as_mask(T, M))]
 
 
@@ -496,7 +509,7 @@ def tilde(T: Tournament, M) -> VertexSet:
     one, say M', it is the single shared vertex of M and M'.  Undefined
     (rejected) when two minimal co-modules overlap M.
     """
-    return VertexSet(T.n, _Analysis(T).tilde(_as_mask(T, M)))
+    return VertexSet(T.n, _analysis(T).tilde(_as_mask(T, M)))
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +532,7 @@ class TransitiveComponentPartition:
 def transitive_components(T: Tournament) -> TransitiveComponentPartition:
     """Partition V(T) into maximal transitive modules, listed by their
     lowest vertex: the runs of ``_Analysis``."""
-    runs = _Analysis(T).runs
+    runs = _analysis(T).runs
     return TransitiveComponentPartition(tuple(VertexSet.from_members(T.n, r) for r in runs))
 
 
@@ -533,7 +546,7 @@ def component_comodule(T: Tournament, C, k: int) -> CoModule:
     if T.n < 3:
         raise ValueError("needs a tournament with at least three vertices")
     mask = _as_mask(T, C)
-    A = _Analysis(T)
+    A = _analysis(T)
     order = next((r for r in A.runs if tuple(sorted(r)) == _members(mask)), None)
     if order is None:
         raise ValueError("argument is not a transitive component of the tournament")

@@ -31,6 +31,7 @@ from tourmod import (
     transitive,
     transitive_components,
 )
+from tourmod import modular
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -117,6 +118,20 @@ def record_calls(monkeypatch, owner, name: str) -> list:
 
     monkeypatch.setattr(owner, name, recording)
     return calls
+
+
+def record_analyses(monkeypatch) -> list:
+    """Wrap ``modular._Analysis.__init__`` so that each record built, by
+    whichever module's name for the class, appends its tournament to the
+    returned list."""
+    built, real = [], modular._Analysis.__init__
+
+    def recording(self, T):
+        built.append(T)
+        real(self, T)
+
+    monkeypatch.setattr(modular._Analysis, "__init__", recording)
+    return built
 
 
 def first_indecomposable(n: int) -> Tournament:

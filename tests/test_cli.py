@@ -238,7 +238,7 @@ class TestSweepCommand:
         assert all(r["max_delta"] is None for r in records)
 
     def test_bound_exit_two(self):
-        assert main(["sweep", "--max-n", "9"]) == 2
+        assert main(["sweep", "--max-n", "10"]) == 2
 
     @pytest.mark.parametrize("max_n", ["2", "0", "-5"])
     def test_max_n_below_three_exit_two(self, capsys, max_n):

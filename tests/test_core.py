@@ -385,7 +385,7 @@ class TestEnumeration:
 
     def test_bound_enforced(self):
         with pytest.raises(ValueError):
-            enumerate_tournaments(9)
+            enumerate_tournaments(10)
 
     def test_zero_vertices(self):
         with pytest.raises(ValueError):

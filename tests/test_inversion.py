@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -38,7 +39,7 @@ from tourmod import (
     transitive,
     verify_certificate,
 )
-from tourmod import inversion
+from tourmod import inversion, modular
 from tourmod.cli import main
 
 from conftest import (
@@ -47,6 +48,7 @@ from conftest import (
     checked_extension,
     composed_random,
     first_indecomposable,
+    record_analyses,
     record_calls,
     relabelled_chain,
 )
@@ -163,7 +165,10 @@ class TestReductions:
     def test_failed_two_check_names_input(self, monkeypatch):
         T = invert(transitive(5), [(0, 4)])
         D = structured_delta_decomposition(T)
-        monkeypatch.setattr(inversion, "is_indecomposable", lambda U: False)
+        real = modular._analysis
+        # every candidate's record reports index 2, as if still decomposable
+        faulty = lambda U: real(U) if U is T else SimpleNamespace(index=2)
+        monkeypatch.setattr(inversion, "_analysis", faulty)
         with pytest.raises(RuntimeError, match=f"n=5 bits={T.bit_string()}"):
             reduction_arc_two(T, D)
 
@@ -233,14 +238,16 @@ class TestSynthesize:
         ids=["chain-9", "relabelled-chain-15", "composed-14", "prime-6"],
     )
     def test_one_analysis_per_state(self, T, monkeypatch):
-        # every state before the last reversal is analysed once, by the
-        # step that reaches it; the final state only needs a primality test
-        analysed = record_calls(monkeypatch, inversion, "_Analysis")
+        # every state is analysed once, by the step that reaches it, and
+        # verification reads the records of the input and the final state
+        analysed = record_analyses(monkeypatch)
         cert = synthesize_certificate(T)
+        assert verify_certificate(T, cert)
         states = [T]
         for arc in cert.arcs:
             states.append(invert(states[-1], [arc]))
-        assert analysed == (states[:-1] if cert.arcs else states)
+        assert analysed == states  # the index falls, so no state repeats
+        assert analysed[0] is T and analysed[-1] is cert.final
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_states_stay_on_masks(self, seed, monkeypatch):
@@ -262,6 +269,19 @@ class TestVerify:
     def test_accepts_synthesised(self):
         T = transitive(7)
         assert verify_certificate(T, synthesize_certificate(T))
+
+    def test_parsed_decomposable_final_rejected(self, monkeypatch):
+        # a certificate read from JSON brings fresh objects, so the final
+        # state's record is built during verification, not taken on trust
+        T = transitive(5)
+        cert = synthesize_certificate(T)
+        partial = invert(T, [cert.arcs[0]])
+        line = certificate_to_json(InversionCertificate(T, cert.arcs[:1], cert.trace[:1], partial))
+        parsed = certificate_from_json(line)
+        analysed = record_analyses(monkeypatch)
+        res = verify_certificate(parsed.base, parsed)
+        assert not res and res.reason == "final decomposable"
+        assert analysed == [partial] and analysed[0] is parsed.final
 
     def test_base_mismatch(self):
         T = transitive(5)

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from functools import reduce
 from itertools import islice
 from operator import or_
@@ -8,6 +10,7 @@ from tourmod import (
     Arc,
     VertexSet,
     brute_modules,
+    comodular_index,
     component_comodule,
     dual,
     enumerate_tournaments,
@@ -22,10 +25,13 @@ from tourmod import (
     minimal_nontrivial_modules,
     nontrivial_modules,
     overlap_set,
+    parse_tourn_v1,
+    format_tourn_v1,
     random_tournament,
     smallest_module_containing,
     substitute,
     subtournament,
+    synthesize_certificate,
     tilde,
     transitive,
     transitive_components,
@@ -45,6 +51,7 @@ from conftest import (
     first_indecomposable,
     nested_substitution,
     overlaps,
+    record_analyses,
     record_calls,
     relabelled_chain,
 )
@@ -335,6 +342,41 @@ class TestOneTreePerCall:
         builds = record_calls(monkeypatch, modular, "_tree")
         query(transitive(7))
         assert len(builds) == 1
+
+    def test_queries_and_certificate_share_one_tree(self, monkeypatch):
+        # the later states of the certificate build their own trees
+        T = transitive(7)
+        builds = record_calls(monkeypatch, modular, "_tree")
+        comodular_index(T)
+        minimal_comodules(T)
+        transitive_components(T)
+        synthesize_certificate(T)
+        assert sum(U is T for U in builds) == 1
+
+
+class TestOneRecordPerObject:
+    def test_two_parses_build_two_records(self, monkeypatch):
+        # the record belongs to the object, not to its value
+        text = format_tourn_v1(relabelled_chain(9, 4))
+        built = record_analyses(monkeypatch)
+        first, second = parse_tourn_v1(text), parse_tourn_v1(text)
+        assert first == second
+        for T in (first, second, first, second):
+            assert comodular_index(T) == 5
+        assert len(built) == 2
+        assert built[0] is first and built[1] is second
+
+    def test_record_freed_with_its_tournament(self):
+        # no reference cycle: reference counting alone frees the record
+        T = transitive(8)
+        record = weakref.ref(modular._analysis(T))
+        assert record() is modular._analysis(T)
+        gc.disable()
+        try:
+            del T
+            assert record() is None
+        finally:
+            gc.enable()
 
 
 def halving_partition(T, S, v):

@@ -135,16 +135,19 @@ class TestBruteInversionCount:
         def refuse(T):
             raise AssertionError("brute_delta must not use the guided analysis")
 
-        # refuse the record in every module that binds it
-        build = modular._Analysis
+        # refuse the record and its accessor in every module that binds
+        # either, so that a record kept on T cannot be read either
         bound = [
-            module
+            (module, attr)
             for name, module in sys.modules.items()
-            if name.startswith("tourmod") and getattr(module, "_Analysis", None) is build
+            if name.startswith("tourmod")
+            for attr in ("_Analysis", "_analysis")
+            if getattr(module, attr, None) is getattr(modular, attr)
         ]
-        assert {comodular, inversion, modular} <= set(bound)
-        for module in bound:
-            monkeypatch.setattr(module, "_Analysis", refuse)
+        modules = {module for module, _ in bound}
+        assert {comodular, inversion, modular} <= modules
+        for module, attr in bound:
+            monkeypatch.setattr(module, attr, refuse)
         for T, delta in expected:
             assert brute_delta(T) == delta
 
@@ -165,7 +168,7 @@ class TestSweep:
 
     def test_bound(self):
         with pytest.raises(ValueError):
-            sweep_verify(9)
+            sweep_verify(10)
 
     @pytest.mark.parametrize("max_n", [2, 0, -5])
     def test_max_n_below_three_rejected(self, max_n):
