@@ -441,41 +441,66 @@ def canonical_form(T: Tournament) -> tuple[bool, ...]:
     return tuple(c == "1" for c in _canonical_string(T.out_masks))
 
 
+def _extend(task: tuple[int, Sequence[int]]) -> set[str]:
+    """The canonical strings of the n-vertex extensions, by a new vertex
+    n-1 of highest score, of the (n-1)-vertex tournaments in ``task`` =
+    (n, their bits).
+
+    When k old vertices beat the new one, its score is n-1-k.  That is
+    highest exactly when no old score exceeds n-1-k and each of the k
+    beaters, whose score grows by one, scored below n-1-k; so the
+    beaters are drawn from those vertices and no other extension is made.
+    """
+    n, parents = task
+    forms = set()
+    for bits in parents:
+        outs = Tournament(n - 1, bits).out_masks
+        scores = [out.bit_count() for out in outs]
+        top = max(scores)
+        for k in range(n):
+            new_score = n - 1 - k
+            if top > new_score:
+                break
+            low = [i for i, s in enumerate(scores) if s < new_score]
+            for beaters in combinations(low, k):
+                # each beater i gains the arc (i, n-1); the rest lose to n-1
+                new_outs = list(outs)
+                ext = 0
+                for i in beaters:
+                    new_outs[i] |= 1 << (n - 1)
+                    ext |= 1 << i
+                new_outs.append(((1 << (n - 1)) - 1) ^ ext)
+                forms.add(_canonical_string(new_outs))
+    return forms
+
+
+def _sorted_bits(forms: Iterable[str]) -> tuple[int, ...]:
+    """Canonical strings as tournament bits, in canonical-form order."""
+    return tuple(int(s[::-1], 2) for s in sorted(forms))
+
+
 @lru_cache(maxsize=None)
 def _enumerate_bits(n: int) -> tuple[int, ...]:
     """Canonical bits of every class on n vertices, in canonical-form order.
 
     Every class has a vertex of highest score, and deleting it leaves some
     class on n-1 vertices.  So extending each (n-1)-vertex representative
-    by a new vertex n-1 in all 2^(n-1) ways, keeping only the extensions in
-    which the new vertex has the highest score, reaches every class.
+    by a new vertex n-1 of highest score in every way (``_extend``)
+    reaches every class.
     """
     if n == 1:
         return (0,)
-    old_vertices = (1 << (n - 1)) - 1
-    forms = set()
-    for bits in _enumerate_bits(n - 1):
-        outs = Tournament(n - 1, bits).out_masks
-        scores = [out.bit_count() for out in outs]
-        for ext in range(1 << (n - 1)):
-            # bit i of ext set: the arc (i, n-1); clear: the arc (n-1, i)
-            new_score = n - 1 - ext.bit_count()
-            if any(s + (ext >> i & 1) > new_score for i, s in enumerate(scores)):
-                continue
-            new_outs = [out | (ext >> i & 1) << (n - 1) for i, out in enumerate(outs)]
-            new_outs.append(old_vertices ^ ext)
-            forms.add(_canonical_string(new_outs))
-    return tuple(int(s[::-1], 2) for s in sorted(forms))
+    return _sorted_bits(_extend((n, _enumerate_bits(n - 1))))
 
 
 def enumerate_tournaments(n: int) -> list[Tournament]:
     """One representative per isomorphism class, in canonical-form order.
 
     Representatives are themselves canonical.  Each class on n-1
-    vertices is extended by a new vertex of highest score in every way
+    vertices is extended by a new vertex of highest score in every way,
+    generated directly rather than filtered from all 2^(n-1) extensions,
     and the canonical forms deduplicated.  Refuses n above 9 (the 6,880
-    classes on 8 vertices take about a second, the 191,536 on 9 about
-    30 s).
+    classes on 8 vertices take about 0.8 s, the 191,536 on 9 about 21 s).
     """
     if n < 1:
         raise ValueError("a tournament needs at least one vertex")

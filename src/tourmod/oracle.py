@@ -1,12 +1,17 @@
 """Brute-force reference implementations and exhaustive sweeps.
 
 These deliberately slow routines recompute the guided results from the
-raw definitions (subset scans, exact set packing, a depth-first search
-over arc sets that every co-module must cross) so the two routes can be
-cross-checked.  All three share one bound, ``MODULE_SCAN_BOUND``, checked
-before any work.  The sweep walks every isomorphism class up to a given
-size, validates the guided computations class by class, and reports
-maxima plus any violations.
+raw definitions so the two routes can be cross-checked.  All three read
+one bit-parallel scan of the 2^n vertex sets (``_module_family``), which
+marks the modules from the arcs alone and reads no decomposition tree:
+the modules are its members, the co-modules its nontrivial members and
+their complements, and the inversion search tests each tournament it
+reaches through that state's own scan.  On top of it sit an exact set
+packing and a depth-first search over arc sets that every co-module must
+cross.  All three share one bound, ``MODULE_SCAN_BOUND``, checked before
+any work.  The sweep walks every isomorphism class up to a given size,
+validates the guided computations class by class, and reports maxima
+plus any violations.
 """
 
 from __future__ import annotations
@@ -21,14 +26,17 @@ from .core import (
     ENUMERATION_BOUND,
     Tournament,
     VertexSet,
+    _enumerate_bits,
+    _extend,
     _members,
+    _sorted_bits,
     dual,
     enumerate_tournaments,
     invert,
 )
 from .comodular import comodular_index
 from .inversion import synthesize_certificate, verify_certificate
-from .modular import _is_module_mask, is_indecomposable, minimal_nontrivial_modules
+from .modular import _mask_key
 
 __all__ = [
     "SweepReport",
@@ -42,28 +50,84 @@ __all__ = [
 MODULE_SCAN_BOUND = 16
 
 
-def brute_modules(T: Tournament) -> list[VertexSet]:
-    """Every module of T, trivial ones included, by full subset scan."""
+def _check_scan_bound(T: Tournament) -> None:
     if T.n > MODULE_SCAN_BOUND:
         raise ValueError(f"subset scan limited to n <= {MODULE_SCAN_BOUND}")
-    full = (1 << T.n) - 1
-    found = [VertexSet(T.n, m) for m in range(full + 1) if _is_module_mask(T, m)]
+
+
+@lru_cache(maxsize=None)
+def _has_vertex(n: int) -> tuple[int, ...]:
+    """Per vertex i, the 2^n-bit pattern whose bit X is set exactly when
+    the vertex set X holds i."""
+    full = (1 << (1 << n)) - 1
+    # 2^i clear bits then 2^i set bits, repeated: a repunit in base
+    # 2^(2^(i+1)) times one set block
+    return tuple(full // ((1 << (2 << i)) - 1) * ((1 << (1 << i)) - 1 << (1 << i)) for i in range(n))
+
+
+def _module_family(T: Tournament) -> int:
+    """The module family of T as one 2^n-bit integer: bit X is set exactly
+    when the vertex set X is a module.
+
+    A vertex v fails to split X exactly when v is in X, or X lies within
+    out(v), or X lies within in(v); the subsets of a set A are those
+    holding no vertex outside A.  So the family is the intersection over
+    v of HAS[v] | SUB(out(v)) | SUB(in(v)), read off the arcs alone.
+    """
+    n = T.n
+    has = _has_vertex(n)
+    full = (1 << (1 << n)) - 1
+    family = full
+    for v, out in enumerate(T.out_masks):
+        # the sets with a vertex outside out(v), and outside in(v); v is
+        # outside both
+        off_out = off_in = has[v]
+        for i in range(n):
+            if out >> i & 1:
+                off_in |= has[i]
+            else:
+                off_out |= has[i]
+        family &= has[v] | full ^ (off_out & off_in)
+    return family
+
+
+def _family_masks(family: int) -> list[int]:
+    """The set bits of a module family, ascending."""
+    found = []
+    bits = bin(family)[:1:-1]
+    at = bits.find("1")
+    while at >= 0:
+        found.append(at)
+        at = bits.find("1", at + 1)
+    return found
+
+
+@lru_cache(maxsize=None)
+def _trivial(n: int) -> int:
+    """The family bits of the empty set, the singletons and V on n vertices."""
+    return 1 | 1 << (1 << n) - 1 | sum(1 << (1 << i) for i in range(n))
+
+
+def brute_modules(T: Tournament) -> list[VertexSet]:
+    """Every module of T, trivial ones included, read off the subset scan."""
+    _check_scan_bound(T)
+    found = [VertexSet(T.n, m) for m in _family_masks(_module_family(T))]
     found.sort(key=lambda s: s.key)
     return found
 
 
 @lru_cache(maxsize=1)
 def _brute_comodule_masks(T: Tournament) -> tuple[int, ...]:
-    """Every co-module of T, smallest first, from the module subset scan and
-    the complements; none exactly when T is indecomposable.  The last
+    """Every co-module of T, smallest first: the nontrivial members of the
+    module family and their complements; none exactly when T is indecomposable.  The last
     result is kept, so ``brute_Delta`` and ``brute_delta`` on one
     tournament share one scan."""
+    _check_scan_bound(T)
     full = (1 << T.n) - 1
     masks: set[int] = set()
-    for s in brute_modules(T):
-        if 2 <= len(s) < T.n:
-            masks.add(s.mask)
-            masks.add(full & ~s.mask)
+    for m in _family_masks(_module_family(T) & ~_trivial(T.n)):
+        masks.add(m)
+        masks.add(full ^ m)
     return tuple(sorted(masks, key=lambda m: (m.bit_count(), m)))
 
 
@@ -114,11 +178,14 @@ def brute_delta(T: Tournament) -> int:
     first) that no chosen arc crosses, bars at each branch point the arcs
     already tried there, and drops a branch when the uncrossed co-modules,
     picked greedily to be disjoint, outnumber twice its remaining budget.
-    Only a set crossing every co-module is reversed and tested; when the
-    result is still decomposable, the same fact applied to it makes the
-    search branch over the arcs crossing one of its minimal modules.  The
-    size is capped at ceil((n+1)/4), the worst case over all tournaments
-    of that size.
+    Only a set crossing every co-module is reversed, and the result is
+    tested through its own module family: it is indecomposable when the
+    family holds no set of 2 to n-1 vertices.  Otherwise the same fact
+    applied to it makes the search branch over the arcs crossing its first
+    nontrivial module in ``VertexSet.key`` order, a smallest and so an
+    inclusion-minimal one.  No guided analysis is read.  The size is
+    capped at ceil((n+1)/4), the worst case over all tournaments of that
+    size.
     """
     if T.n < 5:
         raise ValueError("the decomposability index is only defined from 5 vertices up")
@@ -131,6 +198,7 @@ def brute_delta(T: Tournament) -> int:
     holds = [sum(1 << j for j, m in enumerate(comods) if m >> v & 1) for v in range(T.n)]
     crosses = [holds[a.tail] ^ holds[a.head] for a in arcs]
     every = (1 << len(comods)) - 1
+    trivial = _trivial(T.n)
 
     def search(chosen: list[int], crossed: int, barred: int, budget: int) -> bool:
         uncrossed = every & ~crossed
@@ -145,12 +213,12 @@ def brute_delta(T: Tournament) -> int:
             first = uncrossed & -uncrossed
             options = [i for i, c in enumerate(crosses) if c & first]
         else:
-            state = invert(T, [arcs[i] for i in chosen])
-            if is_indecomposable(state):
+            nontrivial = _module_family(invert(T, [arcs[i] for i in chosen])) & ~trivial
+            if not nontrivial:
                 return True
             if not budget:
                 return False
-            M = minimal_nontrivial_modules(state)[0].mask
+            M = min(_family_masks(nontrivial), key=lambda m: _mask_key(T.n, m))
             options = [
                 i for i, a in enumerate(arcs) if (M >> a.tail ^ M >> a.head) & 1 and i not in chosen
             ]
@@ -219,9 +287,10 @@ def sweep_verify(max_n: int, jobs: int = 1) -> list[SweepReport]:
     certificate is synthesised, replay-verified, and required to contain
     exactly ceil(index/2) arcs, with the arc-set search oracle
     confirming the count.  Violations list the canonical bit strings of
-    the offending classes.  With ``jobs`` above 1 the classes are checked
-    in one pool of at most ``os.cpu_count()`` processes; the reports do not
-    depend on ``jobs``.
+    the offending classes.  With ``jobs`` above 1 one pool of at most
+    ``os.cpu_count()`` processes both enumerates each size, extending
+    slices of the classes one vertex smaller, and checks its classes; the
+    reports do not depend on ``jobs``.
     """
     if not 3 <= max_n <= ENUMERATION_BOUND:
         raise ValueError(f"sweeps need 3 <= max_n <= {ENUMERATION_BOUND}")
@@ -235,12 +304,16 @@ def sweep_verify(max_n: int, jobs: int = 1) -> list[SweepReport]:
         context = nullcontext()
     reports = []
     with context as pool:
+        classes = _enumerate_bits(2)
         for n in range(3, max_n + 1):
-            tasks = [(n, T.bits) for T in enumerate_tournaments(n)]
             if pool is None:
+                tasks = [(n, T.bits) for T in enumerate_tournaments(n)]
                 results = [_check_class(t) for t in tasks]
             else:
-                results = pool.map(_check_class, tasks, chunksize=16)
+                # the pool extends slices of the smaller classes, then checks
+                slices = [(n, classes[i : i + 64]) for i in range(0, len(classes), 64)]
+                classes = _sorted_bits(set().union(*pool.map(_extend, slices)))
+                results = pool.map(_check_class, [(n, bits) for bits in classes], chunksize=16)
             inv_counts = [r[2] for r in results if r[2] is not None]
             reports.append(
                 SweepReport(

@@ -134,6 +134,12 @@ def record_analyses(monkeypatch) -> list:
     return built
 
 
+def module_family_by_subsets(T: Tournament) -> int:
+    """Reference module family, one subset at a time: bit X is set when
+    no vertex outside X splits X (``modular._is_module_mask``)."""
+    return sum(1 << m for m in range(1 << T.n) if modular._is_module_mask(T, m))
+
+
 def first_indecomposable(n: int) -> Tournament:
     return next(T for T in enumerate_tournaments(n) if is_indecomposable(T))
 

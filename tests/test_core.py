@@ -27,7 +27,9 @@ from tourmod import (
     verify_certificate,
 )
 
-from conftest import random_bits_tournament, random_perm
+from tourmod import core
+
+from conftest import random_bits_tournament, random_perm, record_calls
 
 
 def brute_canonical(T: Tournament) -> tuple[bool, ...]:
@@ -363,7 +365,37 @@ REPRESENTATIVE_DIGESTS = {
 }
 
 
+def extensions_by_rejection(n: int) -> list[tuple[int, ...]]:
+    """Reference extension step: every one of the 2^(n-1) ways to join a
+    new vertex n-1 to each (n-1)-vertex class, kept when the new vertex
+    has the highest score; returns the kept out-neighbourhood lists."""
+    old_vertices = (1 << (n - 1)) - 1
+    kept = []
+    for bits in core._enumerate_bits(n - 1):
+        outs = Tournament(n - 1, bits).out_masks
+        scores = [out.bit_count() for out in outs]
+        for ext in range(1 << (n - 1)):
+            # bit i of ext set: the arc (i, n-1); clear: the arc (n-1, i)
+            new_score = n - 1 - ext.bit_count()
+            if any(s + (ext >> i & 1) > new_score for i, s in enumerate(scores)):
+                continue
+            new_outs = [out | (ext >> i & 1) << (n - 1) for i, out in enumerate(outs)]
+            new_outs.append(old_vertices ^ ext)
+            kept.append(tuple(new_outs))
+    return kept
+
+
 class TestEnumeration:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_extensions_match_rejection_filter(self, n, monkeypatch):
+        kept = extensions_by_rejection(n)
+        forms = {core._canonical_string(outs) for outs in kept}
+        made = record_calls(monkeypatch, core, "_canonical_string")
+        assert core._extend((n, core._enumerate_bits(n - 1))) == forms
+        # exactly the extensions the filter keeps, and no other, are made
+        assert sorted(map(tuple, made)) == sorted(kept)
+        assert core._enumerate_bits(n) == tuple(int(s[::-1], 2) for s in sorted(forms))
+
     def test_class_counts(self):
         assert [len(enumerate_tournaments(n)) for n in range(1, 6)] == [1, 1, 2, 4, 12]
 

@@ -16,19 +16,35 @@ from tourmod import (
     enumerate_tournaments,
     is_indecomposable,
     nontrivial_modules,
+    random_tournament,
     report_to_json,
     sweep_verify,
     transitive,
 )
-from tourmod import comodular, inversion, modular, oracle
+from tourmod import comodular, core, inversion, modular, oracle
 
 from conftest import (
     all_classes_up_to,
     composed_random,
     first_indecomposable,
+    module_family_by_subsets,
     record_calls,
     relabelled_chain,
 )
+
+
+class TestModuleFamily:
+    def test_matches_subset_scan_through_eight(self):
+        for T in all_classes_up_to(8):
+            assert oracle._module_family(T) == module_family_by_subsets(T)
+
+    def test_matches_subset_scan_at_sixteen(self):
+        rng = Xorshift64Star(1601)
+        inputs = [random_tournament(16, rng.next()) for _ in range(10)]
+        inputs += [composed_random(rng, 16) for _ in range(10)]
+        inputs += [relabelled_chain(16, seed) for seed in range(10)]
+        for T in inputs:
+            assert oracle._module_family(T) == module_family_by_subsets(T)
 
 
 class TestBruteModules:
@@ -96,10 +112,11 @@ class TestBruteInversionCount:
         def refuse(T):
             raise AssertionError("brute_delta worked past its bound")
 
-        monkeypatch.setattr(oracle, "is_indecomposable", refuse)
-        monkeypatch.setattr(oracle, "_is_module_mask", refuse)
-        with pytest.raises(ValueError, match="limited to n <= 16"):
-            brute_delta(transitive(17))
+        monkeypatch.setattr(oracle, "_module_family", refuse)
+        monkeypatch.setattr(oracle, "_has_vertex", refuse)
+        for brute in (brute_modules, brute_Delta, brute_delta):
+            with pytest.raises(ValueError, match="limited to n <= 16"):
+                brute(transitive(17))
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_sixteen_vertex_chain_in_under_a_second(self, seed):
@@ -135,17 +152,26 @@ class TestBruteInversionCount:
         def refuse(T):
             raise AssertionError("brute_delta must not use the guided analysis")
 
-        # refuse the record and its accessor in every module that binds
-        # either, so that a record kept on T cannot be read either
+        # refuse the tree, the record, its accessor and the guided queries
+        # in every module that binds them, so that a record kept on T
+        # cannot be read either
+        guided = {
+            "_tree": modular,
+            "_Analysis": modular,
+            "_analysis": modular,
+            "comodular_index": comodular,
+            "is_indecomposable": modular,
+            "minimal_nontrivial_modules": modular,
+        }
         bound = [
             (module, attr)
             for name, module in sys.modules.items()
             if name.startswith("tourmod")
-            for attr in ("_Analysis", "_analysis")
-            if getattr(module, attr, None) is getattr(modular, attr)
+            for attr, owner in guided.items()
+            if getattr(module, attr, None) is getattr(owner, attr)
         ]
-        modules = {module for module, _ in bound}
-        assert {comodular, inversion, modular} <= modules
+        assert {attr for _, attr in bound} == set(guided)
+        assert {comodular, inversion, modular, oracle} <= {module for module, _ in bound}
         for module, attr in bound:
             monkeypatch.setattr(module, attr, refuse)
         for T, delta in expected:
@@ -190,7 +216,7 @@ class TestSweep:
             sweep_verify(5, jobs=0)
 
     def test_one_pool_capped_at_cpu_count(self, monkeypatch):
-        pools = []
+        pools, mapped = [], []
 
         class FakePool:
             # records its size and maps in process: no worker is started
@@ -204,17 +230,21 @@ class TestSweep:
                 return False
 
             def map(self, fn, tasks, chunksize=1):
+                mapped.append(fn)
                 return [fn(t) for t in tasks]
 
         # sweep_verify imports Pool from multiprocessing when it needs one
         monkeypatch.setattr(multiprocessing, "Pool", FakePool)
-        assert sweep_verify(5, jobs=10**6) == sweep_verify(5)
+        assert sweep_verify(5, jobs=1) == sweep_verify(5, jobs=10**6)
         assert len(pools) == 1 and 1 <= pools[0] <= (os.cpu_count() or 1)
+        # each size is enumerated in the pool, then checked there
+        assert mapped == [core._extend, oracle._check_class] * 3
 
     def test_one_packing_per_class(self, monkeypatch):
-        calls = record_calls(monkeypatch, oracle, "brute_modules")
+        # one scan of T itself; the other scans are of reversed states
+        calls = record_calls(monkeypatch, oracle, "_module_family")
         oracle._brute_comodule_masks.cache_clear()
-        classes = enumerate_tournaments(6)
-        for T in classes:
+        for T in enumerate_tournaments(6):
+            calls.clear()
             assert oracle._check_class((6, T.bits))[3]
-        assert calls == classes
+            assert calls.count(T) == 1
