@@ -31,7 +31,6 @@ from .core import (
     _members,
     _sorted_bits,
     dual,
-    enumerate_tournaments,
     invert,
 )
 from .comodular import comodular_index
@@ -287,9 +286,10 @@ def sweep_verify(max_n: int, jobs: int = 1) -> list[SweepReport]:
     certificate is synthesised, replay-verified, and required to contain
     exactly ceil(index/2) arcs, with the arc-set search oracle
     confirming the count.  Violations list the canonical bit strings of
-    the offending classes.  With ``jobs`` above 1 one pool of at most
-    ``os.cpu_count()`` processes both enumerates each size, extending
-    slices of the classes one vertex smaller, and checks its classes; the
+    the offending classes.  Each size is enumerated by extending slices of
+    the classes one vertex smaller (``core._extend``), then checked.  With
+    ``jobs`` above 1 one pool of at most ``os.cpu_count()`` processes does
+    both steps; with ``jobs`` 1 the same steps run in process.  The
     reports do not depend on ``jobs``.
     """
     if not 3 <= max_n <= ENUMERATION_BOUND:
@@ -304,16 +304,14 @@ def sweep_verify(max_n: int, jobs: int = 1) -> list[SweepReport]:
         context = nullcontext()
     reports = []
     with context as pool:
+        run = (
+            pool.map if pool is not None else lambda fn, tasks, chunksize=1: list(map(fn, tasks))
+        )
         classes = _enumerate_bits(2)
         for n in range(3, max_n + 1):
-            if pool is None:
-                tasks = [(n, T.bits) for T in enumerate_tournaments(n)]
-                results = [_check_class(t) for t in tasks]
-            else:
-                # the pool extends slices of the smaller classes, then checks
-                slices = [(n, classes[i : i + 64]) for i in range(0, len(classes), 64)]
-                classes = _sorted_bits(set().union(*pool.map(_extend, slices)))
-                results = pool.map(_check_class, [(n, bits) for bits in classes], chunksize=16)
+            slices = [(n, classes[i : i + 64]) for i in range(0, len(classes), 64)]
+            classes = _sorted_bits(set().union(*run(_extend, slices)))
+            results = run(_check_class, [(n, bits) for bits in classes], chunksize=16)
             inv_counts = [r[2] for r in results if r[2] is not None]
             reports.append(
                 SweepReport(
