@@ -22,15 +22,15 @@ from .core import (
     transitive,
 )
 from .comodular import comodular_index
-from .inversion import certificate_to_json, synthesize_certificate, verify_certificate
-from .modular import _analysis, nontrivial_modules
-from .oracle import (
-    brute_Delta,
-    brute_delta,
-    brute_modules,
-    report_to_json,
-    sweep_verify,
+from .inversion import (
+    MIN_VERTICES,
+    certificate_to_json,
+    decomposability_index,
+    synthesize_certificate,
+    verify_certificate,
 )
+from .modular import _analysis, nontrivial_modules
+from .oracle import brute_Delta, brute_delta, brute_modules, report_to_json, sweep_verify
 
 USAGE_ERROR = 2
 CHECK_ERROR = 1
@@ -54,7 +54,7 @@ def cmd_analyze(args) -> int:
         "n": T.n,
         "indecomposable": indec,
         "Delta": index,
-        "delta": (None if T.n < 5 else (index + 1) // 2),
+        "delta": decomposability_index(T) if T.n >= MIN_VERTICES else None,
         "mc": [list(_members(m)) for m in A.mc],
         "components": [sorted(run) for run in A.runs],
         "delta_decomposition": (
@@ -72,8 +72,9 @@ def cmd_analyze(args) -> int:
 
 def cmd_certify(args) -> int:
     T = _load(args.file)
-    if T.n < 5:
-        print("error: certification needs at least five vertices", file=sys.stderr)
+    # ahead of synthesis, so a guided ValueError is never a usage error
+    if T.n < MIN_VERTICES:
+        print(f"error: certification needs at least {MIN_VERTICES} vertices", file=sys.stderr)
         return USAGE_ERROR
     cert = synthesize_certificate(T)
     if not verify_certificate(T, cert):
@@ -88,7 +89,7 @@ def cmd_certify(args) -> int:
 # own bound before any work, so it runs first; the lambdas look the names
 # up at call time, so rebinding them (tracing, tests) takes effect.
 _ORACLE_CHECKS = {
-    "delta": (lambda T: brute_delta(T), lambda T: (comodular_index(T) + 1) // 2),
+    "delta": (lambda T: brute_delta(T), lambda T: decomposability_index(T)),
     "Delta": (lambda T: brute_Delta(T), lambda T: comodular_index(T)),
     "modules": (
         lambda T: [list(s) for s in brute_modules(T) if 2 <= len(s) < T.n],
@@ -137,7 +138,7 @@ def cmd_sweep(args) -> int:
         print(report_to_json(rep))
         bad = bool(rep.violations)
         bad = bad or rep.max_Delta != _expected_max_index(rep.n)
-        if rep.n >= 5:
+        if rep.n >= MIN_VERTICES:
             bad = bad or rep.max_delta != _expected_max_inversions(rep.n)
         failed = failed or bad
         print(
@@ -149,17 +150,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    if args.n < 1:
-        print("error: need at least one vertex", file=sys.stderr)
-        return USAGE_ERROR
-    if args.type == "transitive":
-        T = transitive(args.n)
-    else:
-        T = random_tournament(args.n, args.seed)
     try:
+        T = random_tournament(args.n, args.seed) if args.type == "random" else transitive(args.n)
         with open(args.output, "w", encoding="ascii") as fh:
             fh.write(format_tourn_v1(T))
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     print(f"wrote {args.output}", file=sys.stderr)

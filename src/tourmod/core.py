@@ -247,10 +247,10 @@ def _from_bit_string(n: int, bits: str) -> Tournament:
 
 
 def transitive(n: int) -> Tournament:
-    """The transitive tournament 0 -> 1 -> ... -> n-1 (all bits set)."""
-    if n < 1:
-        raise ValueError("a tournament needs at least one vertex")
-    return Tournament(n, (1 << pair_count(n)) - 1)
+    """The transitive tournament 0 -> 1 -> ... -> n-1 (all bits set), as the
+    dual of the one with none set: ``Tournament`` checks n before any bits
+    are built, which a negative n's huge pair count would make slow."""
+    return dual(Tournament(n, 0))
 
 
 def dual(T: Tournament) -> Tournament:

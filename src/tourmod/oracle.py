@@ -9,9 +9,10 @@ their complements, and the inversion search tests each tournament it
 reaches through that state's own scan.  On top of it sit an exact set
 packing and a depth-first search over arc sets that every co-module must
 cross.  All three share one bound, ``MODULE_SCAN_BOUND``, checked before
-any work.  The sweep walks every isomorphism class up to a given size,
-validates the guided computations class by class, and reports maxima
-plus any violations.
+any work, and import nothing from ``modular``.  The sweep walks every
+isomorphism class up to a given size, validates the guided computations
+class by class against ``inversion.decomposability_index`` among others,
+and reports maxima plus any violations.
 """
 
 from __future__ import annotations
@@ -34,8 +35,13 @@ from .core import (
     invert,
 )
 from .comodular import comodular_index
-from .inversion import synthesize_certificate, verify_certificate
-from .modular import _mask_key
+from .inversion import (
+    MIN_VERTICES,
+    _require_size,
+    decomposability_index,
+    synthesize_certificate,
+    verify_certificate,
+)
 
 __all__ = [
     "SweepReport",
@@ -115,19 +121,18 @@ def brute_modules(T: Tournament) -> list[VertexSet]:
     return found
 
 
-@lru_cache(maxsize=1)
 def _brute_comodule_masks(T: Tournament) -> tuple[int, ...]:
-    """Every co-module of T, smallest first: the nontrivial members of the
-    module family and their complements; none exactly when T is indecomposable.  The last
-    result is kept, so ``brute_Delta`` and ``brute_delta`` on one
-    tournament share one scan."""
-    _check_scan_bound(T)
-    full = (1 << T.n) - 1
-    masks: set[int] = set()
-    for m in _family_masks(_module_family(T) & ~_trivial(T.n)):
-        masks.add(m)
-        masks.add(full ^ m)
-    return tuple(sorted(masks, key=lambda m: (m.bit_count(), m)))
+    """Every co-module of T in (size, mask) order: the nontrivial members
+    of the module family and their complements; none exactly when T is
+    indecomposable.  Kept on T itself, as ``modular._analysis`` keeps its
+    record, so ``brute_Delta`` and ``brute_delta`` on one tournament share
+    one scan, and the scan goes with T."""
+    if "_brute_comodules" not in vars(T):
+        _check_scan_bound(T)
+        modules = _family_masks(_module_family(T) & ~_trivial(T.n))
+        found = {*modules, *(((1 << T.n) - 1) ^ m for m in modules)}
+        vars(T)["_brute_comodules"] = tuple(sorted(found, key=lambda m: (m.bit_count(), m)))
+    return vars(T)["_brute_comodules"]
 
 
 def _brute_packing(T: Tournament) -> tuple[int, ...]:
@@ -181,13 +186,12 @@ def brute_delta(T: Tournament) -> int:
     tested through its own module family: it is indecomposable when the
     family holds no set of 2 to n-1 vertices.  Otherwise the same fact
     applied to it makes the search branch over the arcs crossing its first
-    nontrivial module in ``VertexSet.key`` order, a smallest and so an
+    nontrivial module in (size, mask) order, a smallest and so an
     inclusion-minimal one.  No guided analysis is read.  The size is
     capped at ceil((n+1)/4), the worst case over all tournaments of that
     size.
     """
-    if T.n < 5:
-        raise ValueError("the decomposability index is only defined from 5 vertices up")
+    _require_size(T)
     comods = _brute_comodule_masks(T)
     if not comods:
         return 0
@@ -217,7 +221,7 @@ def brute_delta(T: Tournament) -> int:
                 return True
             if not budget:
                 return False
-            M = min(_family_masks(nontrivial), key=lambda m: _mask_key(T.n, m))
+            M = min(_family_masks(nontrivial), key=int.bit_count)
             options = [
                 i for i, a in enumerate(arcs) if (M >> a.tail ^ M >> a.head) & 1 and i not in chosen
             ]
@@ -268,11 +272,11 @@ def _check_class(task) -> tuple[str, int, int | None, bool]:
     ok = index == brute_Delta(T)
     ok = ok and index == comodular_index(dual(T))
     inv_count = None
-    if n >= 5:
+    if n >= MIN_VERTICES:
         cert = synthesize_certificate(T)
         inv_count = len(cert.arcs)
         ok = ok and bool(verify_certificate(T, cert))
-        ok = ok and inv_count == (index + 1) // 2
+        ok = ok and inv_count == decomposability_index(T)
         ok = ok and brute_delta(T) == inv_count
     return T.bit_string(), index, inv_count, ok
 
@@ -282,9 +286,9 @@ def sweep_verify(max_n: int, jobs: int = 1) -> list[SweepReport]:
     ``ENUMERATION_BOUND``).
 
     Per class: the guided co-modular index must agree with the packing
-    oracle and be invariant under dualisation; from five vertices up a
+    oracle and be invariant under dualisation; from ``MIN_VERTICES`` up a
     certificate is synthesised, replay-verified, and required to contain
-    exactly ceil(index/2) arcs, with the arc-set search oracle
+    exactly ``decomposability_index`` arcs, with the arc-set search oracle
     confirming the count.  Violations list the canonical bit strings of
     the offending classes.  Each size is enumerated by extending slices of
     the classes one vertex smaller (``core._extend``), then checked.  With

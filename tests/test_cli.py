@@ -45,9 +45,11 @@ class TestGen:
         code, _, _ = run_python(args, 60)
         assert code == 2
 
-    def test_zero_vertices_exit_two(self, tmp_path, capsys):
+    @pytest.mark.parametrize("n", [0, -5])
+    @pytest.mark.parametrize("kind", ["transitive", "random"])
+    def test_zero_vertices_exit_two(self, tmp_path, capsys, kind, n):
         out = tmp_path / "none.tourn"
-        assert main(["gen", "--type", "transitive", "--n", "0", "-o", str(out)]) == 2
+        assert main(["gen", "--type", kind, "--n", str(n), "-o", str(out)]) == 2
         assert not out.exists() and "at least one vertex" in capsys.readouterr().err
 
     def test_unwritable_output_exit_two(self, tmp_path, capsys):
@@ -95,6 +97,15 @@ class TestAnalyze:
         assert record["Delta"] == 0
         assert record["delta"] is None
         assert record["delta_decomposition"] == []
+
+    def test_delta_is_decomposability_index(self, tmp_path, capsys, monkeypatch, c3):
+        calls = record_calls(monkeypatch, cli, "decomposability_index")
+        assert main(["analyze", write_tourn(tmp_path / "six.tourn", transitive(6))]) == 0
+        assert json.loads(capsys.readouterr().out)["delta"] == 2
+        # below five vertices delta is null and the index is not asked for
+        assert main(["analyze", write_tourn(tmp_path / "c3.tourn", c3)]) == 0
+        assert json.loads(capsys.readouterr().out)["delta"] is None
+        assert [T.n for T in calls] == [6]
 
     def test_prime_five_vertex(self, tmp_path, capsys):
         path = write_tourn(tmp_path / "p5.tourn", first_indecomposable(5))
@@ -156,6 +167,15 @@ class TestCertify:
         path = write_tourn(tmp_path / "c3.tourn", c3)
         assert main(["certify", path]) == 2
 
+    def test_guided_value_error_is_not_a_usage_error(self, tmp_path, monkeypatch):
+        def broken(T):
+            raise ValueError("guided failure")
+
+        monkeypatch.setattr(cli, "synthesize_certificate", broken)
+        path = write_tourn(tmp_path / "five.tourn", transitive(5))
+        with pytest.raises(ValueError, match="guided failure"):
+            main(["certify", path])
+
     def test_failed_self_verification_exit_one(self, tmp_path, capsys, monkeypatch):
         failing = VerificationResult(False, "final decomposable")
         monkeypatch.setattr(cli, "verify_certificate", lambda T, cert: failing)
@@ -178,6 +198,13 @@ class TestOracleCommand:
         record = json.loads(capsys.readouterr().out)
         assert record["guided"] == 2 and record["brute"] == 2 and record["agree"]
 
+    def test_inversion_guided_side_is_decomposability_index(self, tmp_path, capsys, monkeypatch):
+        calls = record_calls(monkeypatch, cli, "decomposability_index")
+        path = write_tourn(tmp_path / "seven.tourn", transitive(7))
+        assert main(["oracle", path, "--check", "delta"]) == 0
+        assert json.loads(capsys.readouterr().out)["guided"] == 2
+        assert [T.n for T in calls] == [7]
+
     def test_modules_check_on_prime(self, tmp_path, capsys, c3):
         path = write_tourn(tmp_path / "c3.tourn", c3)
         assert main(["oracle", path, "--check", "modules"]) == 0
@@ -195,6 +222,7 @@ class TestOracleCommand:
 
         monkeypatch.setattr(cli, "nontrivial_modules", refuse)
         monkeypatch.setattr(cli, "comodular_index", refuse)
+        monkeypatch.setattr(cli, "decomposability_index", refuse)
         path = write_tourn(tmp_path / "chain40.tourn", transitive(40))
         assert main(["oracle", path, "--check", check]) == 2
         out, err = capsys.readouterr()

@@ -1,4 +1,5 @@
 import itertools
+from types import SimpleNamespace
 
 import pytest
 
@@ -24,7 +25,8 @@ from tourmod import (
     subtournament,
     transitive,
 )
-from tourmod.modular import _Analysis, _path_optima
+from tourmod.comodular import _structured
+from tourmod.modular import _Analysis, _analysis, _path_optima
 
 from conftest import (
     all_classes_up_to,
@@ -188,6 +190,23 @@ class TestStructuredDecomposition:
     def test_rejects_indecomposable(self, c3):
         with pytest.raises(ValueError):
             structured_delta_decomposition(c3)
+
+    @pytest.mark.parametrize(
+        "n, message", [(3, "two-part"), (5, "three-part"), (6, "four-part")]
+    )
+    def test_contract_failure_raises(self, n, message):
+        # the record of a chain with index 2, 3 or 4, doctored so that every
+        # part overlaps two others and no labelling qualifies
+        A = _analysis(transitive(n))
+        doctored = SimpleNamespace(
+            index=A.index,
+            mc=A.mc,
+            out=A.out,
+            decompositions=A.decompositions,
+            overlaps={m: (0, 0) for m in A.mc},
+        )
+        with pytest.raises(RuntimeError, match=message):
+            _structured(doctored)
 
     def test_contract_exhaustive(self):
         for T in all_classes_up_to(7):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from tourmod import (
     Tournament,
+    VertexSet,
     Xorshift64Star,
     canonical_form,
     dual,
@@ -154,8 +155,10 @@ class TestTransitive:
         assert is_module(transitive(5), {1, 2})
 
     def test_zero(self):
-        with pytest.raises(ValueError):
-            transitive(0)
+        # refused by Tournament, before a negative n's pair count is used
+        for n in (0, -3):
+            with pytest.raises(ValueError, match="at least one vertex"):
+                transitive(n)
 
 
 class TestDual:
@@ -226,6 +229,16 @@ class TestVertexRange:
             T.has_arc(x, y)
         with pytest.raises(ValueError):
             invert(T, [(x, y)])
+
+    @pytest.mark.parametrize("mask", [-1, 1 << 5])
+    def test_vertex_set_mask_outside_rejected(self, mask):
+        with pytest.raises(ValueError, match="bits outside 0..4"):
+            VertexSet(5, mask)
+
+    @pytest.mark.parametrize("v", [-1, 5])
+    def test_vertex_set_member_outside_rejected(self, v):
+        with pytest.raises(ValueError, match=f"vertex {v} out of range 0..4"):
+            VertexSet.from_members(5, [0, v])
 
 
 class TestSubtournament:

@@ -162,6 +162,16 @@ class TestReductions:
         with pytest.raises(RuntimeError, match=f"n=5 bits={T.bit_string()}"):
             reduction_arc_three(T, D)
 
+    def test_three_without_pattern_names_input(self, monkeypatch):
+        T = transitive(5)
+        D = structured_delta_decomposition(T)
+        # index 3, but every distinguished subset is empty: no x -> z -> y
+        monkeypatch.setattr(
+            inversion, "_analysis", lambda U: SimpleNamespace(index=3, tilde=lambda m: 0)
+        )
+        with pytest.raises(RuntimeError, match=f"three-part.* n=5 bits={T.bit_string()}"):
+            reduction_arc_three(T, D)
+
     def test_failed_two_check_names_input(self, monkeypatch):
         T = invert(transitive(5), [(0, 4)])
         D = structured_delta_decomposition(T)

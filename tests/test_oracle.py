@@ -1,8 +1,10 @@
+import gc
 import json
 import multiprocessing
 import os
 import sys
 import time
+import weakref
 
 import pytest
 
@@ -177,6 +179,19 @@ class TestBruteInversionCount:
         for T, delta in expected:
             assert brute_delta(T) == delta
 
+    def test_scan_goes_with_its_tournament(self):
+        # the co-module scan is kept on T, not in a cache keyed on its value
+        # that would keep T and its guided record alive; the searches'
+        # recursive closures hold T in a cycle, hence the collection
+        T = relabelled_chain(8, 3)
+        comodular_index(T)
+        brute_Delta(T)
+        brute_delta(T)
+        alive = weakref.ref(T)
+        del T
+        gc.collect()
+        assert alive() is None
+
     def test_half_index_lower_bound(self):
         for n in (5, 6):
             for T in enumerate_tournaments(n):
@@ -240,10 +255,15 @@ class TestSweep:
         # each size is enumerated in the pool, then checked there
         assert mapped == [core._extend, oracle._check_class] * 3
 
+    def test_inversion_count_checked_against_decomposability_index(self, monkeypatch):
+        calls = record_calls(monkeypatch, oracle, "decomposability_index")
+        assert sweep_verify(5)[-1].violations == []
+        # once per class from five vertices up: the 12 classes on 5
+        assert [T.n for T in calls] == [5] * 12
+
     def test_one_packing_per_class(self, monkeypatch):
         # one scan of T itself; the other scans are of reversed states
         calls = record_calls(monkeypatch, oracle, "_module_family")
-        oracle._brute_comodule_masks.cache_clear()
         for T in enumerate_tournaments(6):
             calls.clear()
             assert oracle._check_class((6, T.bits))[3]
