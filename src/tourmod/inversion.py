@@ -16,10 +16,12 @@ co-modular decomposition.  The bound from above is constructive, and
 * at index 2, some single reversal between the distinguished subsets of
   the two parts yields an indecomposable tournament.
 
-Each step is the one path the proof gives.  It still checks its
-postcondition (the index drops by 2, reaches 2, or the result is
-indecomposable), and a failed check raises RuntimeError naming the
-input, since it can only mean an implementation bug.
+Each step is the one path the proof gives, and one checked step,
+``_reduce``, serves synthesis and the three public reductions alike.  It
+reverses the step's candidate arcs in turn and keeps the first result
+that meets the postcondition (the index drops by 2, reaches 2, or the
+result is indecomposable); when none does, it raises RuntimeError naming
+the input, since that can only mean an implementation bug.
 
 Certificates serialise to single-line JSON objects with the fields
 ``n``, ``base_bits``, ``arcs``, ``trace`` and ``final_bits``.
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import permutations as _permutations
+from itertools import islice, permutations as _permutations, product
 
 from .core import Arc, Tournament, _from_bit_string, _members, invert, relabel, transitive
 from .comodular import _structured, comodular_index
@@ -78,14 +80,6 @@ def decomposability_index(T: Tournament) -> int:
     return (comodular_index(T) + 1) // 2
 
 
-def _arc_between(T: Tournament, x: int, y: int) -> Arc:
-    return Arc(x, y) if T.relation(x, y) else Arc(y, x)
-
-
-def _failed_check(T: Tournament, step: str) -> RuntimeError:
-    return RuntimeError(f"guided {step} failed its check on n={T.n} bits={T.bit_string()}")
-
-
 def _part_masks(D) -> tuple[tuple[int, ...], dict[str, int]]:
     """D from ``structured_delta_decomposition`` as ``_structured`` gives it."""
     decomp, labels = D
@@ -101,21 +95,9 @@ def reduction_arc_high(T: Tournament, D) -> Arc:
     vertices of the distinguished subsets of M1 and M3; the index drop is
     re-verified before returning.
     """
-    return _reduce_high(T, _part_masks(D))[0]
-
-
-def _reduce_high(T: Tournament, D) -> tuple[Arc, Tournament]:
-    """The arc of ``reduction_arc_high`` and the state it leads to; ``D``
-    holds masks, as ``_structured`` returns them."""
-    A = _analysis(T)
-    if A.index < 4:
+    if _analysis(T).index < 4:
         raise ValueError("this reduction applies only when the index is at least 4")
-    _, labels = D
-    arc = _arc_between(T, _members(A.tilde(labels["M1"]))[0], _members(A.tilde(labels["M3"]))[0])
-    after = invert(T, [arc])
-    if _analysis(after).index != A.index - 2:
-        raise _failed_check(T, "high-index reduction")
-    return arc, after
+    return _reduce(T, _part_masks(D))[0]
 
 
 def reduction_arc_three(T: Tournament, D) -> Arc:
@@ -126,27 +108,9 @@ def reduction_arc_three(T: Tournament, D) -> Arc:
     assignments in order and the smallest vertices first.  The paper shows
     that every such pattern works; the result is checked once.
     """
-    return _reduce_three(T, _part_masks(D))[0]
-
-
-def _reduce_three(T: Tournament, D) -> tuple[Arc, Tournament]:
-    """The arc of ``reduction_arc_three`` and the state it leads to; ``D``
-    holds masks, as ``_structured`` returns them."""
-    A = _analysis(T)
-    if A.index != 3:
+    if _analysis(T).index != 3:
         raise ValueError("this reduction applies only when the index is exactly 3")
-    parts, _ = D
-    for part_m, part_n, part_l in _permutations(parts):
-        zs = _members(A.tilde(part_l))
-        for x in _members(A.tilde(part_m)):
-            for y in _members(A.tilde(part_n)):
-                if any(T.relation(x, z) and T.relation(z, y) for z in zs):
-                    arc = _arc_between(T, x, y)
-                    after = invert(T, [arc])
-                    if _analysis(after).index != 2:
-                        raise _failed_check(T, "three-part reduction")
-                    return arc, after
-    raise _failed_check(T, "three-part reduction")
+    return _reduce(T, _part_masks(D))[0]
 
 
 def reduction_arc_two(T: Tournament, D) -> Arc:
@@ -168,23 +132,41 @@ def reduction_arc_two(T: Tournament, D) -> Arc:
       theorem (delta = 1 at index 2) says that one exists.
     """
     _require_size(T)
-    return _reduce_two(T, _part_masks(D))[0]
-
-
-def _reduce_two(T: Tournament, D) -> tuple[Arc, Tournament]:
-    """The arc of ``reduction_arc_two`` and the indecomposable tournament
-    it leads to; ``D`` holds masks, as ``_structured`` returns them."""
-    A = _analysis(T)
-    if A.index != 2:
+    if _analysis(T).index != 2:
         raise ValueError("this reduction applies only when the index is exactly 2")
-    _, labels = D
-    for x in _members(A.tilde(labels["M"])):
-        for y in _members(A.tilde(labels["N"])):
-            arc = _arc_between(T, x, y)
-            after = invert(T, [arc])
-            if _analysis(after).index == 0:
-                return arc, after
-    raise _failed_check(T, "two-part reduction")
+    return _reduce(T, _part_masks(D))[0]
+
+
+def _reduce(T: Tournament, D) -> tuple[Arc, Tournament]:
+    """The step of the public reduction for T's index (at least 2): the
+    first candidate arc whose reversal reaches the target index, and the
+    state it leads to.  ``D`` holds masks, as ``_structured`` returns them."""
+    A = _analysis(T)
+    parts, labels = D
+    if A.index >= 4:
+        step, target = "high-index reduction", A.index - 2
+        pairs = [(_members(A.tilde(labels["M1"]))[0], _members(A.tilde(labels["M3"]))[0])]
+    elif A.index == 3:
+        # only the first pattern: the paper shows that every one works
+        step, target = "three-part reduction", 2
+        patterns = (
+            (x, y)
+            for part_m, part_n, part_l in _permutations(parts)
+            for zs in [_members(A.tilde(part_l))]
+            for x in _members(A.tilde(part_m))
+            for y in _members(A.tilde(part_n))
+            if any(T.relation(x, z) and T.relation(z, y) for z in zs)
+        )
+        pairs = islice(patterns, 1)
+    else:
+        step, target = "two-part reduction", 0
+        pairs = product(_members(A.tilde(labels["M"])), _members(A.tilde(labels["N"])))
+    for x, y in pairs:
+        arc = Arc(x, y) if T.relation(x, y) else Arc(y, x)
+        after = invert(T, [arc])
+        if _analysis(after).index == target:
+            return arc, after
+    raise RuntimeError(f"guided {step} failed its check on n={T.n} bits={T.bit_string()}")
 
 
 @dataclass(frozen=True)
@@ -215,8 +197,7 @@ def synthesize_certificate(T: Tournament) -> InversionCertificate:
     # and the next step, the final one included, reads that record
     state, A = T, _analysis(T)
     while A.index >= 2:
-        reduce = {2: _reduce_two, 3: _reduce_three}.get(A.index, _reduce_high)
-        step, state = reduce(state, _structured(A))
+        step, state = _reduce(state, _structured(A))
         arcs.append(step)
         trace.append(A.index)
         A = _analysis(state)

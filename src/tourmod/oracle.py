@@ -143,26 +143,25 @@ def _brute_packing(T: Tournament) -> tuple[int, ...]:
     vertices still free divided by the smallest remaining candidate size.
     """
     comods = _brute_comodule_masks(T)
-    sizes = [m.bit_count() for m in comods]
     best: list[int] = []
-    chosen: list[int] = []
-
-    def search(start: int, used: int):
-        nonlocal best
-        if len(chosen) > len(best):
-            best = chosen[:]
-        free = T.n - used.bit_count()
-        for i in range(start, len(comods)):
-            if len(chosen) + min(len(comods) - i, free // sizes[i]) <= len(best):
-                return
-            if comods[i] & used:
-                continue
-            chosen.append(comods[i])
-            search(i + 1, used | comods[i])
-            chosen.pop()
-
-    search(0, 0)
+    _pack(comods, [m.bit_count() for m in comods], 0, 0, T.n, [], best)
     return tuple(best)
+
+
+def _pack(comods, sizes, start: int, used: int, free: int, chosen: list, best: list) -> None:
+    """Copy into ``best`` each larger packing that extends ``chosen`` (which
+    covers ``used``, leaving ``free`` vertices) by candidates from ``start``
+    on.  All state is passed, so no closure holds T in a reference cycle."""
+    if len(chosen) > len(best):
+        best[:] = chosen
+    for i in range(start, len(comods)):
+        if len(chosen) + min(len(comods) - i, free // sizes[i]) <= len(best):
+            return
+        if comods[i] & used:
+            continue
+        chosen.append(comods[i])
+        _pack(comods, sizes, i + 1, used | comods[i], free - sizes[i], chosen, best)
+        chosen.pop()
 
 
 def brute_Delta(T: Tournament) -> int:
@@ -200,46 +199,47 @@ def brute_delta(T: Tournament) -> int:
     # co-modules of holds[tail] ^ holds[head]
     holds = [sum(1 << j for j, m in enumerate(comods) if m >> v & 1) for v in range(T.n)]
     crosses = [holds[a.tail] ^ holds[a.head] for a in arcs]
-    every = (1 << len(comods)) - 1
-    trivial = _trivial(T.n)
-
-    def search(chosen: list[int], crossed: int, barred: int, budget: int) -> bool:
-        uncrossed = every & ~crossed
-        if uncrossed:
-            used = count = 0
-            for j in _members(uncrossed):
-                if not comods[j] & used:
-                    used |= comods[j]
-                    count += 1
-            if count > 2 * budget:
-                return False
-            first = uncrossed & -uncrossed
-            options = [i for i, c in enumerate(crosses) if c & first]
-        else:
-            nontrivial = _module_family(invert(T, [arcs[i] for i in chosen])) & ~trivial
-            if not nontrivial:
-                return True
-            if not budget:
-                return False
-            M = min(_family_masks(nontrivial), key=int.bit_count)
-            options = [
-                i for i, a in enumerate(arcs) if (M >> a.tail ^ M >> a.head) & 1 and i not in chosen
-            ]
-        for i in options:
-            if barred >> i & 1:
-                continue
-            chosen.append(i)
-            if search(chosen, crossed | crosses[i], barred, budget - 1):
-                return True
-            chosen.pop()
-            barred |= 1 << i
-        return False
-
     cap = -(-(T.n + 1) // 4)
     for size in range(1, cap + 1):
-        if search([], 0, 0, size):
+        if _arc_search(T, arcs, comods, crosses, [], 0, 0, size):
             return size
     raise RuntimeError("search cap exceeded; this contradicts the index bound")
+
+
+def _arc_search(T, arcs, comods, crosses, chosen, crossed, barred, budget) -> bool:
+    """One branch of ``brute_delta``: can ``budget`` more arcs, none in
+    ``barred``, extend the arcs at ``chosen`` (crossing ``crossed``) to an
+    indecomposable result?  All state is passed, as in ``_pack``."""
+    uncrossed = ((1 << len(comods)) - 1) & ~crossed
+    if uncrossed:
+        used = count = 0
+        for j in _members(uncrossed):
+            if not comods[j] & used:
+                used |= comods[j]
+                count += 1
+        if count > 2 * budget:
+            return False
+        first = uncrossed & -uncrossed
+        options = [i for i, c in enumerate(crosses) if c & first]
+    else:
+        nontrivial = _module_family(invert(T, [arcs[i] for i in chosen])) & ~_trivial(T.n)
+        if not nontrivial:
+            return True
+        if not budget:
+            return False
+        M = min(_family_masks(nontrivial), key=int.bit_count)
+        options = [
+            i for i, a in enumerate(arcs) if (M >> a.tail ^ M >> a.head) & 1 and i not in chosen
+        ]
+    for i in options:
+        if barred >> i & 1:
+            continue
+        chosen.append(i)
+        if _arc_search(T, arcs, comods, crosses, chosen, crossed | crosses[i], barred, budget - 1):
+            return True
+        chosen.pop()
+        barred |= 1 << i
+    return False
 
 
 @dataclass(frozen=True)

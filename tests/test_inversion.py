@@ -182,6 +182,25 @@ class TestReductions:
         with pytest.raises(RuntimeError, match=f"n=5 bits={T.bit_string()}"):
             reduction_arc_two(T, D)
 
+    def test_public_reductions_take_synthesis_arcs(self):
+        # synthesis and the public reductions share one step, so at every
+        # state of a certificate the public reduction for its index returns
+        # the arc that synthesis took there
+        inputs = [relabelled_chain(n, n) for n in range(5, 20)]
+        rng = Xorshift64Star(19)
+        inputs += [composed_random(rng, 5 + rng.below(36)) for _ in range(40)]
+        public = {2: reduction_arc_two, 3: reduction_arc_three}
+        seen = set()
+        for T in inputs:
+            cert = synthesize_certificate(T)
+            state = T
+            for index, arc in zip(cert.trace, cert.arcs):
+                reduce = public.get(index, reduction_arc_high)
+                assert reduce(state, structured_delta_decomposition(state)) == arc, T
+                seen.add(reduce)
+                state = invert(state, [arc])
+        assert seen == {reduction_arc_high, reduction_arc_three, reduction_arc_two}
+
     def test_wrong_index_rejected(self):
         T = transitive(6)
         D = structured_delta_decomposition(T)

@@ -478,6 +478,19 @@ class TestTreeChildRule:
         minimal_comodules(T)
         assert rows.reads <= 10 * T.n
 
+    def test_smallest_module_stops_at_every_vertex(self):
+        # the closure of {0, 1} in a prime tournament is V, reached long
+        # before every row is read; a closure that never stops reads all 400
+        T = random_tournament(400, 3)
+        rows = CountingRows(T.out_masks)
+        object.__setattr__(T, "out_masks", rows)
+        assert smallest_module_containing(T, {0, 1}).mask == (1 << T.n) - 1
+        assert rows.reads <= 40
+
+    def test_smallest_module_finds_planted_module(self):
+        T = prime_in_prime(200)
+        assert smallest_module_containing(T, {0, 1}).mask == (1 << 200) - 1
+
     def test_partition_reads_each_row_about_once(self):
         # halving one splitter at a time read about 11n rows here
         T = random_tournament(400, 3)
