@@ -27,14 +27,14 @@ plus the lowest vertex's row once per part.  The whole tree reads about
 and a random tournament on 2000 vertices yields its tree in 5-9 ms (2
 shared cores, Python 3.11).
 
-The module queries (``nontrivial_modules``, the minimal and maximal
-ones, ``is_indecomposable``) read the tree directly.  The co-module
-queries read one record per tournament object, ``_Analysis``, built from
-one tree: mc(T), the overlaps and tildes, the co-modular index and its
-decompositions, and the transitive components, whose order is the
-tree's dominance order of a linear node's children.  ``_analysis(T)``
-builds it on first use and keeps it on T, so every later query on that
-object, certificates and their verification included, reads it.
+Every structural query reads one record per tournament object,
+``_Analysis``, built from one tree: the nontrivial modules, the minimal
+and maximal ones and indecomposability, mc(T), the overlaps and tildes,
+the co-modular index and its decompositions, and the transitive
+components, whose order is the tree's dominance order of a linear node's
+children.  ``_analysis(T)`` builds it on first use and keeps it on T, so
+every later query on that object, certificates and their verification
+included, reads it.
 """
 
 from __future__ import annotations
@@ -193,9 +193,6 @@ def _tree(T: Tournament) -> Iterator[tuple[int, bool, list[int]]]:
     children other than C_v come in the refinement's order.  A prime node
     has at least three children, so a pass that finds none besides C_v
     raises RuntimeError rather than push S again.
-
-    The tree is built lazily because ``is_indecomposable`` reads only the
-    root; the co-module queries read it through ``_Analysis``.
     """
     out = T.out_masks
     todo = [(1 << T.n) - 1] if T.n > 1 else []
@@ -240,15 +237,6 @@ def _tree(T: Tournament) -> Iterator[tuple[int, bool, list[int]]]:
         todo += [c for c in children if c & (c - 1)]
 
 
-def is_indecomposable(T: Tournament) -> bool:
-    """True when the only modules are the trivial ones, i.e. when the root
-    of the decomposition tree is prime with single-vertex children."""
-    if T.n <= 2:
-        return True
-    _, linear, children = next(_tree(T))
-    return not linear and all(c & (c - 1) == 0 for c in children)
-
-
 def _mask_key(n: int, mask: int) -> tuple[int, str]:
     """Orders masks as ``VertexSet.key`` orders their sets: by size, then
     first the set holding the lowest vertex in which two sets differ, whose
@@ -265,7 +253,7 @@ def nontrivial_modules(T: Tournament) -> list[VertexSet]:
     and the runs of 2..m-1 consecutive children of each linear node with m
     children."""
     masks = []
-    for _, linear, children in _tree(T):
+    for _, linear, children in _analysis(T).tree:
         masks += [c for c in children if c & (c - 1)]
         if linear:
             for i in range(len(children)):
@@ -273,38 +261,19 @@ def nontrivial_modules(T: Tournament) -> list[VertexSet]:
     return _sorted_sets(T, masks)
 
 
-def _extremal_module_masks(T: Tournament, tree: list) -> tuple[list[int], list[int]]:
-    """The inclusion-minimal nontrivial modules (prime nodes below the root
-    with single-vertex children, and pairs of consecutive single-vertex
-    children of a linear node) and the inclusion-maximal ones (the root's
-    children with two or more vertices; under a linear root with m >= 3
-    children, the two runs of m-1 children instead), from the nodes of
-    ``_tree(T)``."""
-    full = (1 << T.n) - 1
-    minimal = []
-    for S, linear, children in tree:
-        if linear:
-            minimal += [
-                a | b
-                for a, b in zip(children, children[1:])
-                if a & (a - 1) == 0 and b & (b - 1) == 0 and a | b != full
-            ]
-        elif S != full and all(c & (c - 1) == 0 for c in children):
-            minimal.append(S)
-    _, linear, children = tree[0] if tree else (full, False, [])
-    if linear and len(children) >= 3:
-        return minimal, [full ^ children[-1], full ^ children[0]]
-    return minimal, [c for c in children if c & (c - 1)]
+def is_indecomposable(T: Tournament) -> bool:
+    """True when the only modules are the trivial ones: mc(T) is empty."""
+    return not _analysis(T).mc
 
 
 def minimal_nontrivial_modules(T: Tournament) -> list[VertexSet]:
     """Inclusion-minimal nontrivial modules, read off the decomposition tree."""
-    return _sorted_sets(T, _extremal_module_masks(T, list(_tree(T)))[0])
+    return _sorted_sets(T, _analysis(T).minimal_modules)
 
 
 def maximal_nontrivial_modules(T: Tournament) -> list[VertexSet]:
     """Inclusion-maximal nontrivial modules, read off the decomposition tree."""
-    return _sorted_sets(T, _extremal_module_masks(T, list(_tree(T)))[1])
+    return _sorted_sets(T, _analysis(T).maximal_modules)
 
 
 def is_comodule(T: Tournament, M) -> bool:
@@ -367,13 +336,22 @@ def _path_optima(walk: list[int]) -> list[tuple[int, ...]]:
 
 class _Analysis:
     """One tournament read off its decomposition tree once, on masks.
-    The co-module queries, the index, the decompositions, every
-    certificate step and its verification read this record, through
-    ``_analysis``.  It keeps n and the rows (``out``), not the tournament,
-    so a tournament and its record form no reference cycle:
+    Every structural query (modules, co-modules, transitive components),
+    the index, the decompositions, every certificate step and its
+    verification read this record, through ``_analysis``.  It keeps n and
+    the rows (``out``), not the tournament, so a tournament and its record
+    form no reference cycle:
 
-    * ``tree``: the nodes of ``_tree(T)``;
-    * ``minimal_modules``: the minimal nontrivial modules;
+    * ``tree``: the nodes of ``_tree(T)``, which nothing else reads;
+    * ``chains``: the maximal runs of single-vertex children of each linear
+      node, as one-bit masks in dominance order; the twins are the unions
+      of consecutive members of a chain;
+    * ``minimal_modules``: the minimal nontrivial modules, the twins other
+      than V and the prime nodes below the root with only single-vertex
+      children;
+    * ``maximal_modules``: the maximal nontrivial modules, the root's
+      children with two or more vertices; under a linear root with m >= 3
+      children, the two runs of m-1 children instead;
     * ``mc``: mc(T) as a mask -> kind dict in key order, filtered from the
       minimal modules and the complements of the maximal ones (each family
       is an antichain, so only a set of one can contain one of the other);
@@ -382,20 +360,32 @@ class _Analysis:
     * ``index``: the co-modular index, ceil(k/2) summed over the walks;
     * ``overlaps``, ``runs`` and ``optima``, derived on first use.
 
-    Only twins overlap, and a twin is a pair of consecutive single-vertex
-    children of a linear node.  Overlapping twins {a, b} and {b, c} both
-    hold b, whose one parent lists a, b, c consecutively, so a walk is a
-    run of twins of mc at consecutive positions of one linear node, or a
-    single node.
+    Only twins overlap.  Overlapping twins {a, b} and {b, c} both hold b,
+    whose one parent lists a, b, c consecutively, so a walk is a run of
+    twins of mc at consecutive positions of one chain, or a single node.
     """
 
     def __init__(self, T: Tournament):
         self.n, self.out = T.n, T.out_masks
         self.tree = list(_tree(T))
-        self.minimal_modules, maximal = _extremal_module_masks(T, self.tree)
         full = (1 << T.n) - 1
+        self.chains, self.minimal_modules = [], []
+        for S, linear, children in self.tree:
+            if linear:
+                self.chains += [
+                    list(run) for size, run in groupby(children, int.bit_count) if size == 1
+                ]
+            elif S != full and all(c & (c - 1) == 0 for c in children):
+                self.minimal_modules.append(S)
+        twins = [[a | b for a, b in zip(run, run[1:])] for run in self.chains if len(run) > 1]
+        self.minimal_modules += [t for pairs in twins for t in pairs if t != full]
+        _, linear, children = self.tree[0] if self.tree else (full, False, [])
+        if linear and len(children) >= 3:
+            self.maximal_modules = [full ^ children[-1], full ^ children[0]]
+        else:
+            self.maximal_modules = [c for c in children if c & (c - 1)]
         modules = set(self.minimal_modules)
-        complements = {full ^ m for m in maximal}
+        complements = {full ^ m for m in self.maximal_modules}
         kinds = dict.fromkeys(modules, "module")
         for m in complements:
             kinds[m] = "both" if m in modules else "complement-module"
@@ -406,13 +396,9 @@ class _Analysis:
         }
         position = {m: i for i, m in enumerate(self.mc)}
         walks = []
-        for _, linear, children in self.tree:
-            if linear:
-                at = [
-                    position.get(a | b) if (a | b).bit_count() == 2 else None
-                    for a, b in zip(children, children[1:])
-                ]
-                walks += [list(run) for found, run in groupby(at, lambda i: i is not None) if found]
+        for pairs in twins:
+            at = [position.get(t) for t in pairs]
+            walks += [list(run) for found, run in groupby(at, lambda i: i is not None) if found]
         covered = {i for walk in walks for i in walk}
         walks += [[i] for i in range(len(self.mc)) if i not in covered]
         self.walks = sorted(walks, key=min)
@@ -456,16 +442,12 @@ class _Analysis:
         tree's dominance order (each beats all later ones), listed by lowest
         vertex.  A transitive module with two or more vertices is a run of
         consecutive single-vertex children of a linear node, so these are
-        the maximal such runs, and every other vertex (a child of a prime
-        node) is a run of its own.  T is transitive exactly when there is
-        one run."""
-        runs = [[0]] if self.n == 1 else []
-        for _, linear, children in self.tree:
-            for single, run in groupby(children, key=lambda c: c & (c - 1) == 0):
-                if single:
-                    vertices = [c.bit_length() - 1 for c in run]
-                    runs += [vertices] if linear else [[v] for v in vertices]
-        return sorted(runs, key=min)
+        the chains, and every vertex no chain holds (a child of a prime
+        node, or the one vertex of T when n = 1) is a run of its own.  T is
+        transitive exactly when there is one run."""
+        chains = [[c.bit_length() - 1 for c in run] for run in self.chains]
+        covered = {v for run in chains for v in run}
+        return sorted(chains + [[v] for v in range(self.n) if v not in covered], key=min)
 
     @cached_property
     def optima(self) -> list[list[tuple[int, ...]]]:

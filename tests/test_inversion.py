@@ -268,7 +268,10 @@ class TestSynthesize:
     )
     def test_one_analysis_per_state(self, T, monkeypatch):
         # every state is analysed once, by the step that reaches it, and
-        # verification reads the records of the input and the final state
+        # verification reads the records of the input and the final state;
+        # a fresh object, since building an input may already analyse it
+        # (first_indecomposable asks is_indecomposable)
+        T = Tournament(T.n, T.bits)
         analysed = record_analyses(monkeypatch)
         cert = synthesize_certificate(T)
         assert verify_certificate(T, cert)

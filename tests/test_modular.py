@@ -1,7 +1,7 @@
 import gc
 import weakref
 from functools import reduce
-from itertools import islice
+from itertools import groupby, islice
 from operator import or_
 
 import pytest
@@ -343,6 +343,22 @@ class TestOneTreePerCall:
         query(transitive(7))
         assert len(builds) == 1
 
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: transitive(7), lambda: composed_random(Xorshift64Star(5), 12)],
+        ids=["chain-7", "composed-12"],
+    )
+    def test_module_and_comodule_queries_share_one_tree(self, build, monkeypatch):
+        T = build()
+        builds = record_calls(monkeypatch, modular, "_tree")
+        is_indecomposable(T)
+        nontrivial_modules(T)
+        minimal_nontrivial_modules(T)
+        maximal_nontrivial_modules(T)
+        comodular_index(T)
+        transitive_components(T)
+        assert len(builds) == 1 and builds[0] is T
+
     def test_queries_and_certificate_share_one_tree(self, monkeypatch):
         # the later states of the certificate build their own trees
         T = transitive(7)
@@ -538,6 +554,89 @@ class TestModularPartition:
             for S, v, parts in self.prime_parts(T):
                 assert sorted(parts) == sorted(halving_partition(T, S, v)), T
             assert node_shapes(modular._tree(T)) == node_shapes(reference_tree(T, halving_partition))
+
+
+def reference_extremal_masks(n, tree):
+    """The minimal and maximal nontrivial modules read node by node: the
+    prime nodes below the root with single-vertex children and the pairs of
+    consecutive single-vertex children of a linear node, other than V; the
+    root's children with two or more vertices, or under a linear root with
+    m >= 3 children its two runs of m-1 children."""
+    full = (1 << n) - 1
+    minimal = []
+    for S, linear, children in tree:
+        if linear:
+            minimal += [
+                a | b
+                for a, b in zip(children, children[1:])
+                if a & (a - 1) == 0 and b & (b - 1) == 0 and a | b != full
+            ]
+        elif S != full and all(c & (c - 1) == 0 for c in children):
+            minimal.append(S)
+    _, linear, children = tree[0] if tree else (full, False, [])
+    if linear and len(children) >= 3:
+        return minimal, [full ^ children[-1], full ^ children[0]]
+    return minimal, [c for c in children if c & (c - 1)]
+
+
+def reference_mc(n, minimal, maximal):
+    """mc(T) in key order from every candidate at once: the minimal modules
+    and the complements of the maximal ones, keeping each that holds no
+    other candidate."""
+    full = (1 << n) - 1
+    complements = {full ^ m for m in maximal}
+    candidates = set(minimal) | complements
+    kinds = {m: "both" if m in complements else "module" for m in minimal}
+    kinds |= {m: "complement-module" for m in complements if m not in kinds}
+    kept = [m for m in candidates if not any(o != m and o & ~m == 0 for o in candidates)]
+    return {m: kinds[m] for m in sorted(kept, key=lambda m: modular._mask_key(n, m))}
+
+
+def reference_walks(tree, mc):
+    """The overlap graph's components read off each linear node's children:
+    runs of pairs of consecutive single-vertex children that are in mc,
+    then every other member of mc alone, listed by smallest position."""
+    position = {m: i for i, m in enumerate(mc)}
+    walks = []
+    for _, linear, children in tree:
+        if linear:
+            at = [
+                position.get(a | b) if (a | b).bit_count() == 2 else None
+                for a, b in zip(children, children[1:])
+            ]
+            walks += [list(run) for found, run in groupby(at, lambda i: i is not None) if found]
+    covered = {i for walk in walks for i in walk}
+    walks += [[i] for i in range(len(mc)) if i not in covered]
+    return sorted(walks, key=min)
+
+
+def reference_runs(n, tree):
+    """The transitive runs read node by node: each run of single-vertex
+    children of a linear node, and each single-vertex child of a prime
+    node alone."""
+    runs = [[0]] if n == 1 else []
+    for _, linear, children in tree:
+        for single, run in groupby(children, key=lambda c: c & (c - 1) == 0):
+            if single:
+                vertices = [c.bit_length() - 1 for c in run]
+                runs += [vertices] if linear else [[v] for v in vertices]
+    return sorted(runs, key=min)
+
+
+class TestOneChainScan:
+    """The record derives its twins, minimal modules, walks and runs from
+    one scan of the linear nodes' chains; references read every node."""
+
+    def test_matches_node_by_node_reading(self):
+        for T in TestTreeChildRule().inputs():
+            A = modular._analysis(T)
+            minimal, maximal = reference_extremal_masks(T.n, A.tree)
+            assert set(A.minimal_modules) == set(minimal), T
+            assert A.maximal_modules == maximal, T
+            mc = reference_mc(T.n, minimal, maximal)
+            assert list(A.mc.items()) == list(mc.items()), T
+            assert A.walks == reference_walks(A.tree, mc), T
+            assert A.runs == reference_runs(T.n, A.tree), T
 
 
 class TestTreeFailsFast:
