@@ -17,6 +17,7 @@ parts are all minimal co-modules.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterator
 
 from .core import Tournament, VertexSet, _members
@@ -132,11 +133,6 @@ def delta_decomposition(T: Tournament) -> CoModularDecomposition:
     return _as_decomposition(A, next(A.decompositions()))
 
 
-def _rel_all(out: tuple[int, ...], amask: int, bmask: int) -> bool:
-    """True when every vertex of amask beats every vertex of bmask."""
-    return all(out[v] & bmask == bmask for v in _members(amask))
-
-
 def structured_delta_decomposition(
     T: Tournament,
 ) -> tuple[CoModularDecomposition, dict[str, CoModule]]:
@@ -166,9 +162,25 @@ def structured_delta_decomposition(
     return _as_decomposition(A, parts), {k: A.comodule(m) for k, m in labels.items()}
 
 
+def _beaten(out: tuple[int, ...], part: int) -> int:
+    """The vertices that every member of ``part`` beats: the AND of their
+    rows, started from -1 so that no n is needed."""
+    below = -1
+    while part:
+        bit = part & -part
+        part ^= bit
+        below &= out[bit.bit_length() - 1]
+    return below
+
+
 def _structured(A: _Analysis) -> tuple[tuple[int, ...], dict[str, int]]:
     """``structured_delta_decomposition`` on masks: the parts and the
-    labelled parts as masks."""
+    labelled parts as masks.
+
+    From index 4 up, a part tried as M1 or M2 gets its dominance mask,
+    ``_beaten``: M1 beats all of M2 exactly when M2 lies in M1's mask, so
+    each (C2) test is one AND.  The loops and their order are those of the
+    docstring above, so the labelling is the first in that order."""
     if A.index < 2:
         raise ValueError("tournament is indecomposable")
     near = A.overlaps  # a part with at most one overlap has a tilde
@@ -197,21 +209,24 @@ def _structured(A: _Analysis) -> tuple[tuple[int, ...], dict[str, int]]:
         for i in span:
             if not free[i]:
                 continue
+            m1 = parts[i]
+            below_m1 = _beaten(out, m1)
             for j in span:
-                if j == i or not _rel_all(out, parts[i], parts[j]):
+                m2 = parts[j]
+                if j == i or below_m1 & m2 != m2:
                     continue
+                below_m2 = _beaten(out, m2)
                 for k in span:
-                    if k in (i, j) or not free[k] or not _rel_all(out, parts[j], parts[k]):
+                    m3 = parts[k]
+                    if k in (i, j) or not free[k] or below_m2 & m3 != m3:
                         continue
                     for l in span:
                         if l in (i, j, k) or not free[l]:
                             continue
-                        m1, m3 = parts[i], parts[k]
                         if any(
                             out[x] & m1 == m1 or out[x] & m3 == 0 for x in _members(parts[l])
                         ):
-                            chosen = (parts[q] for q in (i, j, k, l))
-                            return parts, dict(zip(("M1", "M2", "M3", "M4"), chosen))
+                            return parts, {"M1": m1, "M2": m2, "M3": m3, "M4": parts[l]}
     raise RuntimeError("no labelled four-part decomposition found")
 
 
@@ -236,7 +251,7 @@ def hereditary_witness(T: Tournament, k: int) -> VertexSet:
         if index == 0:
             designated = (0, 1, 2)
         else:
-            module = min(A.minimal_modules, key=lambda m: _mask_key(T.n, m))
+            module = min(A.minimal_modules, key=partial(_mask_key, T.n))
             x, y = _members(module)[:2]
             z = next(v for v in range(T.n) if not module >> v & 1)
             designated = (x, y, z)

@@ -164,24 +164,16 @@ class Tournament:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("a tournament needs at least one vertex")
-        n, m = self.n, pair_count(self.n)
+        m = pair_count(self.n)
         if self.bits < 0 or self.bits >> m:
             raise ValueError(f"bits value does not fit {m} pair positions")
-        # read from its high end, the bit string lists the rows (i, j > i)
-        # from i = n-1 down, each from its highest j: row i is i's out-arcs
-        # above i as one binary number.  Padded, complemented and stacked,
-        # the rows form a grid whose column n-1-i has i's out-arcs below i.
         s = format(self.bits, f"0{m}b").encode() if m else b""
-        rows = [s[pair_count(n - 1 - i) : pair_count(n - i)] for i in range(n)]
-        grid = b"".join(rows[i] + b"0" * (i + 1) for i in reversed(range(n))).translate(_FLIP)
-        outs = tuple(
-            [int(rows[i] + b"0" + grid[(n - i) * n + n - 1 - i :: n], 2) for i in range(n)]
-        )
-        object.__setattr__(self, "out_masks", outs)
+        object.__setattr__(self, "out_masks", _rows(self.n, s))
 
     @classmethod
     def _derived(cls, n: int, bits: int, out_masks: Sequence[int]) -> "Tournament":
-        """A tournament whose bits and rows come from a valid one by the same flips."""
+        """A tournament from bits and rows that agree: both decoded from one
+        string, or both flipped from a valid tournament's by the same arcs."""
         T = object.__new__(cls)
         vars(T).update(n=n, bits=bits, out_masks=tuple(out_masks))
         return T
@@ -223,6 +215,20 @@ class Tournament:
         return f"Tournament(n={self.n}, bits='{self.bit_string()}')"
 
 
+def _rows(n: int, s: bytes) -> tuple[int, ...]:
+    """The out-masks of the n-vertex tournament whose orientation bits,
+    read from the highest pair position down, are the ASCII '0'/'1' string
+    ``s`` (``format(bits, "0mb")``, the reversed ``bit_string``).
+
+    Read from its start, ``s`` lists the rows (i, j > i) from i = n-1 down,
+    each from its highest j: row i is i's out-arcs above i as one binary
+    number.  Padded, complemented and stacked, the rows form a grid whose
+    column n-1-i has i's out-arcs below i."""
+    rows = [s[pair_count(n - 1 - i) : pair_count(n - i)] for i in range(n)]
+    grid = b"".join(rows[i] + b"0" * (i + 1) for i in reversed(range(n))).translate(_FLIP)
+    return tuple([int(rows[i] + b"0" + grid[(n - i) * n + n - 1 - i :: n], 2) for i in range(n)])
+
+
 def make_tournament(n: int, orient: Sequence) -> Tournament:
     """Build a tournament from its orientation sequence.
 
@@ -234,16 +240,19 @@ def make_tournament(n: int, orient: Sequence) -> Tournament:
 
 def _from_bit_string(n: int, bits: str) -> Tournament:
     """The tournament whose orientation sequence is the '0'/'1' string
-    ``bits`` (as ``Tournament.bit_string`` writes it), read in one
-    conversion; raises ValueError for n < 1, a wrong length or any other
-    character."""
+    ``bits`` (as ``Tournament.bit_string`` writes it); raises ValueError
+    for n < 1, a wrong length or any other character.  The characters are
+    checked once, before ``int``, which would also take signs, spaces,
+    underscores, a 0b prefix and non-ASCII digits; the value and the rows
+    are then both read from the reversed string."""
     if n < 1:
         raise ValueError("a tournament needs at least one vertex")
     if len(bits) != pair_count(n):
         raise ValueError(f"expected {pair_count(n)} orientation bits for n={n}, got {len(bits)}")
-    if bits.count("0") + bits.count("1") != len(bits):
+    if not bits.isascii() or bits.encode().translate(None, b"01"):
         raise ValueError("orientation bits may contain only '0' and '1'")
-    return Tournament(n, int(bits[::-1] or "0", 2))
+    s = bits[::-1].encode()
+    return Tournament._derived(n, int(s or b"0", 2), _rows(n, s))
 
 
 def transitive(n: int) -> Tournament:

@@ -15,17 +15,18 @@ All of it is read off the modular decomposition tree of strong modules
 16, 1994), built on bitmasks in polynomial time, with no size cap.  In a
 tournament each internal node is linear (children ordered so that each
 beats all later ones) or prime, and the modules are exactly the nodes
-and the unions of runs of consecutive children of a linear node.  A
-linear node costs one read of each member's row.  A prime node costs a
-partition refinement that splits a part by all of its splitters in one
-pass, reading each member once per pass and about once in all on random
-inputs, plus one pass that grows a single closure around its lowest
-vertex and stops each part's test at the first child already found (see
-``_tree``), which reads about |S| rows on random and substituted inputs,
-plus the lowest vertex's row once per part.  The whole tree reads about
-4n rows of a random 400-vertex tournament,
-and a random tournament on 2000 vertices yields its tree in 5-9 ms (2
-shared cores, Python 3.11).
+and the unions of runs of consecutive children of a linear node.  The
+root reads every row once for the scores that order every node; a node
+tested for linearity then costs one pass over its members and one row
+read, and a child of a linear node, always prime, skips the test.  A
+prime node costs a partition refinement that splits a part by all of
+its splitters in one pass, reading each member once per pass and about
+once in all on random inputs, plus one pass that grows a single closure
+around its lowest vertex and stops each part's test at the first child
+already found (see ``_tree``), which reads about |S| rows on random and
+substituted inputs.  The whole tree reads about 3n rows of a random
+400-vertex tournament, and a random tournament on 2000 vertices yields
+its tree in 5-9 ms (2 shared cores, Python 3.11).
 
 Every structural query reads one record per tournament object,
 ``_Analysis``, built from one tree: the nontrivial modules, the minimal
@@ -40,7 +41,7 @@ included, reads it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate, chain, groupby, product
 from operator import or_
 from typing import Iterable, Iterator
@@ -92,16 +93,18 @@ def is_module(T: Tournament, X) -> bool:
     return _is_module_mask(T, _as_mask(T, X))
 
 
-def _closure_mask(T: Tournament, mask: int, unread=-1, stop=0, whole=-1) -> int:
+def _closure_mask(T: Tournament, mask: int, unread=-1, stop=0, whole=-1, ref=None) -> int:
     """Grow ``mask`` by splitter vertices until it becomes a module.  An
     outside vertex splits it when it treats some member w unlike the lowest
     member r, i.e. is a bit of out(w) ^ out(r), so each member is read once:
     the members of ``unread`` but r, then the vertices added.  A caller that
     grows a module by a part passes the part, since no vertex outside a
-    module splits it.  Growth stops early once the mask meets ``stop`` or
-    equals ``whole``."""
+    module splits it, and a caller that already holds r's row passes it as
+    ``ref``.  Growth stops early once the mask meets ``stop`` or equals
+    ``whole``."""
     out = T.out_masks
-    ref = out[(mask & -mask).bit_length() - 1]
+    if ref is None:
+        ref = out[(mask & -mask).bit_length() - 1]
     unread &= mask & (mask - 1)
     while unread and not mask & stop and mask != whole:
         bit = unread & -unread
@@ -173,10 +176,24 @@ def _tree(T: Tournament) -> Iterator[tuple[int, bool, list[int]]]:
     maximal module X of T[S] avoiding v is a child exactly when the
     closure of X and v is S, and the rest of S is the child C_v holding v.
 
+    One score pass at the root orders every node.  Each vertex outside a
+    module S treats all of S alike, so every member's inner score is its
+    score in T less one offset, read off one member's row.  A node sorts
+    its members by (score in T, vertex), which is the order by inner
+    score, and the test subtracts the offset.
+
+    A child of a linear node skips that test.  It is a strong component of
+    its parent, and one with two or more vertices has at least three (a
+    tournament on two vertices is transitive) and is strongly connected,
+    so its own component test would find the one block S: it is prime.
+    Such a child is pushed as known to be strong and goes straight to the
+    prime pass, with no score pass, sort or block loop.
+
     The parts are tested in one pass that keeps ``inner``, the union of
     the closures so far that stopped short of S, and ``known``, the union
     of the children found so far; ``_closure_mask`` grows inner | X from
-    each part X, with these early stops:
+    each part X against v's row, read once per node, with these early
+    stops:
 
     * if X lies in C_v, the closure stays inside the module C_v != S;
     * if X is another child, the closure holds closure(v | X) = S;
@@ -195,32 +212,42 @@ def _tree(T: Tournament) -> Iterator[tuple[int, bool, list[int]]]:
     raises RuntimeError rather than push S again.
     """
     out = T.out_masks
-    todo = [(1 << T.n) - 1] if T.n > 1 else []
+    score = [row.bit_count() for row in out]
+    todo = [((1 << T.n) - 1, False)] if T.n > 1 else []
     while todo:
-        S = todo.pop()
-        scores = []
-        rest = S
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            v = bit.bit_length() - 1
-            scores.append(((out[v] & S).bit_count(), v))
-        scores.sort()
+        S, strong = todo.pop()
         children = []
-        block = total = 0
-        for k, (score, v) in enumerate(reversed(scores), 1):
-            block |= 1 << v
-            total += score
-            if total == k * (k - 1) // 2 + k * (len(scores) - k):
-                children.append(block)
-                block = 0
+        if not strong:
+            ranked = []
+            rest = S
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                v = bit.bit_length() - 1
+                ranked.append((score[v], v))
+            ranked.sort()
+            # every member's inner score is its score less this offset (v is
+            # the last member read); from the top, the k-th member adds its
+            # inner score less s - k, and a block ends where the sum is 0
+            offset = score[v] - (out[v] & S).bit_count()
+            block = slack = 0
+            target = len(ranked) + offset
+            for root_score, v in reversed(ranked):
+                block |= 1 << v
+                target -= 1
+                slack += root_score - target
+                if not slack:
+                    children.append(block)
+                    block = 0
         linear = len(children) > 1
         if not linear:
             inner = S & -S
+            v = inner.bit_length() - 1
+            ref = out[v]
             children = []
             known = 0
-            for x in _modular_partition_avoiding(T, S, inner.bit_length() - 1):
-                grown = _closure_mask(T, inner | x, x, known, S)
+            for x in _modular_partition_avoiding(T, S, v):
+                grown = _closure_mask(T, inner | x, x, known, S, ref)
                 if grown & known or grown == S:
                     children.append(x)
                     known |= x
@@ -234,18 +261,25 @@ def _tree(T: Tournament) -> Iterator[tuple[int, bool, list[int]]]:
                 )
             children.append(S ^ known)
         yield S, linear, children
-        todo += [c for c in children if c & (c - 1)]
+        todo += [(c, linear) for c in children if c & (c - 1)]
 
 
-def _mask_key(n: int, mask: int) -> tuple[int, str]:
+# each byte value with its eight bits in reverse order
+_BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def _mask_key(n: int, mask: int) -> int:
     """Orders masks as ``VertexSet.key`` orders their sets: by size, then
-    first the set holding the lowest vertex in which two sets differ, whose
-    complement, written from vertex 0 up, is then the smaller string."""
-    return mask.bit_count(), format(((1 << n) - 1) ^ mask, f"0{n}b")[::-1]
+    first the set holding the lowest vertex in which two sets differ.  With
+    its bits reversed, that set is the larger number, so the key is the
+    size, shifted above every reversed mask, less the reversed mask."""
+    width = n // 8 + 1
+    reversed_mask = int.from_bytes(mask.to_bytes(width, "little").translate(_BIT_REVERSED), "big")
+    return (mask.bit_count() << 8 * width) - reversed_mask
 
 
 def _sorted_sets(T: Tournament, masks: Iterable[int]) -> list[VertexSet]:
-    return [VertexSet(T.n, m) for m in sorted(masks, key=lambda m: _mask_key(T.n, m))]
+    return [VertexSet(T.n, m) for m in sorted(masks, key=partial(_mask_key, T.n))]
 
 
 def nontrivial_modules(T: Tournament) -> list[VertexSet]:
@@ -307,8 +341,8 @@ def minimal_comodules(T: Tournament) -> list[CoModule]:
     """The inclusion-minimal co-modules mc(T); empty iff T is indecomposable.
 
     A minimal co-module is either a minimal nontrivial module or the
-    complement of a maximal one, so filtering that candidate pool for
-    inclusion-minimality is exhaustive.
+    complement of a maximal one; which candidates are minimal is read off
+    the shape of the tree's root (see ``_Analysis``).
     """
     A = _analysis(T)
     return [A.comodule(m) for m in A.mc]
@@ -325,13 +359,10 @@ def _path_optima(walk: list[int]) -> list[tuple[int, ...]]:
     """
     k = len(walk)
     if k % 2:
-        positions = [range(0, k, 2)]
-    else:
-        positions = [
-            [2 * t for t in range(j)] + [2 * t + 1 for t in range(j, k // 2)]
-            for j in range(k // 2 + 1)
-        ]
-    return sorted(tuple(sorted(walk[p] for p in pos)) for pos in positions)
+        return [tuple(sorted(walk[::2]))]
+    return sorted(
+        tuple(sorted(walk[: 2 * j : 2] + walk[2 * j + 1 :: 2])) for j in range(k // 2 + 1)
+    )
 
 
 class _Analysis:
@@ -349,20 +380,48 @@ class _Analysis:
     * ``minimal_modules``: the minimal nontrivial modules, the twins other
       than V and the prime nodes below the root with only single-vertex
       children;
-    * ``maximal_modules``: the maximal nontrivial modules, the root's
-      children with two or more vertices; under a linear root with m >= 3
-      children, the two runs of m-1 children instead;
-    * ``mc``: mc(T) as a mask -> kind dict in key order, filtered from the
-      minimal modules and the complements of the maximal ones (each family
-      is an antichain, so only a set of one can contain one of the other);
+    * ``mc``: mc(T) as a mask -> kind dict in key order, read off the
+      root's shape (below);
     * ``walks``: the overlap graph's components, each as mc positions in
       path order, listed by smallest position;
     * ``index``: the co-modular index, ceil(k/2) summed over the walks;
-    * ``overlaps``, ``runs`` and ``optima``, derived on first use.
+    * ``maximal_modules``, ``overlaps``, ``runs`` and ``optima``, derived
+      on first use.
+
+    A minimal co-module is a minimal nontrivial module or the complement
+    of a maximal one, and it is in mc exactly when no candidate of the
+    other family lies strictly inside it (each family is an antichain).
+    Every nontrivial module is a node below the root or a run of 2..m-1
+    consecutive children of a linear node with m children, so the root
+    decides which candidates survive:
+
+    * Prime root.  Every nontrivial module lies in one child, and the
+      maximal ones are the children c with two or more vertices.  V - c
+      holds the other children, at least two, so it is no module, and no
+      minimal module, which lies in one child, can contain it: every
+      minimal module is in mc.  V - c holds every minimal module outside
+      c strictly, so it is in mc exactly when all of them lie in c, that
+      is, when c is the only child with two or more vertices (any other
+      such child holds a minimal module).
+    * Linear root with m >= 3 children c_1 .. c_m.  The maximal modules
+      are the two runs of m-1 children, so the complements are the end
+      children.  An end child with two or more vertices is a nontrivial
+      module; it holds no minimal module strictly exactly when it is one
+      ("both").  A singleton end holds none ("complement-module").  A
+      minimal module that holds an end child e strictly is a run from e,
+      and only the run of e and its neighbour, when both are single
+      vertices, is minimal: that twin drops out.
+    * Linear root with 2 children.  The maximal modules are the children
+      with two or more vertices, and the complement of one is the other
+      child, kept by the end-child rule above.  No minimal module holds a
+      child strictly, since every run of two children is V.
 
     Only twins overlap.  Overlapping twins {a, b} and {b, c} both hold b,
     whose one parent lists a, b, c consecutively, so a walk is a run of
     twins of mc at consecutive positions of one chain, or a single node.
+    The only twins of a chain outside mc are V and those holding an end
+    of a linear root, so they sit at the ends of their chain, and the
+    twins of a chain that are in mc form one walk.
     """
 
     def __init__(self, T: Tournament):
@@ -375,34 +434,52 @@ class _Analysis:
                 self.chains += [
                     list(run) for size, run in groupby(children, int.bit_count) if size == 1
                 ]
-            elif S != full and all(c & (c - 1) == 0 for c in children):
+            elif S != full and len(children) == S.bit_count():
                 self.minimal_modules.append(S)
         twins = [[a | b for a, b in zip(run, run[1:])] for run in self.chains if len(run) > 1]
         self.minimal_modules += [t for pairs in twins for t in pairs if t != full]
-        _, linear, children = self.tree[0] if self.tree else (full, False, [])
-        if linear and len(children) >= 3:
-            self.maximal_modules = [full ^ children[-1], full ^ children[0]]
-        else:
-            self.maximal_modules = [c for c in children if c & (c - 1)]
-        modules = set(self.minimal_modules)
-        complements = {full ^ m for m in self.maximal_modules}
-        kinds = dict.fromkeys(modules, "module")
-        for m in complements:
-            kinds[m] = "both" if m in modules else "complement-module"
-        self.mc = {
-            m: kinds[m]
-            for m in sorted(kinds, key=lambda m: _mask_key(T.n, m))
-            if not any(o & m == o and o != m for o in (complements if m in modules else modules))
-        }
+        kinds = dict.fromkeys(self.minimal_modules, "module")
+        if self.tree:
+            _, linear, children = self.tree[0]
+            if linear:
+                if len(children) == 2:
+                    ends = [(c, o) for c, o in zip(children, children[::-1]) if o & (o - 1)]
+                else:
+                    ends = [(children[0], children[1]), (children[-1], children[-2])]
+                for end, beside in ends:
+                    if end & (end - 1) == 0:
+                        kinds[end] = "complement-module"
+                        # the twin of a singleton end and its neighbour,
+                        # if that is one; V with two children is none
+                        kinds.pop(end | beside, None)
+                    elif end in kinds:
+                        kinds[end] = "both"
+            else:
+                big = [c for c in children if c & (c - 1)]
+                if len(big) == 1:
+                    kinds[full ^ big[0]] = "complement-module"
+        self.mc = {m: kinds[m] for m in sorted(kinds, key=partial(_mask_key, T.n))}
         position = {m: i for i, m in enumerate(self.mc)}
         walks = []
         for pairs in twins:
-            at = [position.get(t) for t in pairs]
-            walks += [list(run) for found, run in groupby(at, lambda i: i is not None) if found]
+            walk = [position[t] for t in pairs if t in position]
+            if walk:
+                walks.append(walk)
         covered = {i for walk in walks for i in walk}
         walks += [[i] for i in range(len(self.mc)) if i not in covered]
         self.walks = sorted(walks, key=min)
         self.index = sum((len(walk) + 1) // 2 for walk in self.walks)
+
+    @cached_property
+    def maximal_modules(self) -> list[int]:
+        """The maximal nontrivial modules: the root's children with two or
+        more vertices; under a linear root with m >= 3 children, the two
+        runs of m-1 children instead."""
+        full = (1 << self.n) - 1
+        _, linear, children = self.tree[0] if self.tree else (full, False, [])
+        if linear and len(children) >= 3:
+            return [full ^ children[-1], full ^ children[0]]
+        return [c for c in children if c & (c - 1)]
 
     @cached_property
     def overlaps(self) -> dict[int, list[int]]:
@@ -451,7 +528,8 @@ class _Analysis:
 
     @cached_property
     def optima(self) -> list[list[tuple[int, ...]]]:
-        return [_path_optima(walk) for walk in self.walks]
+        """Each walk's optima; a one-node walk has its node alone."""
+        return [_path_optima(walk) if len(walk) > 1 else [tuple(walk)] for walk in self.walks]
 
     def comodule(self, mask: int) -> CoModule:
         return CoModule(VertexSet(self.n, mask), self.mc[mask])
@@ -464,7 +542,7 @@ class _Analysis:
             raise ValueError("an indecomposable tournament has no decomposition")
         masks = list(self.mc)
         for pick in product(*self.optima):
-            yield tuple(masks[i] for i in sorted(chain.from_iterable(pick)))
+            yield tuple([masks[i] for i in sorted(chain.from_iterable(pick))])
 
 
 def _analysis(T: Tournament) -> _Analysis:

@@ -36,6 +36,15 @@ from tourmod import modular
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# ten orientation characters (n = 5) that int(reversed, 2) would accept:
+# an underscore, a space, a sign, a 0b prefix, ARABIC-INDIC DIGIT ONE and
+# FULLWIDTH DIGIT ONE; the bit validator is the only guard against them
+NON_BINARY_BITS = pytest.mark.parametrize(
+    "bits",
+    ["1111_11111", " 111111111", "111111111+", "11111111b0", "11111\u06611111", "11111\uff111111"],
+    ids=["underscore", "space", "plus", "0b", "arabic-indic-one", "fullwidth-one"],
+)
+
 
 def run_python(args: list[str], timeout: float) -> tuple[int, str, str]:
     """Run a Python child with the library in src/ on its path; returns

@@ -30,7 +30,7 @@ from tourmod import (
 
 from tourmod import core
 
-from conftest import random_bits_tournament, random_perm, record_calls
+from conftest import NON_BINARY_BITS, random_bits_tournament, random_perm, record_calls
 
 
 def brute_canonical(T: Tournament) -> tuple[bool, ...]:
@@ -503,6 +503,12 @@ class TestTournV1:
     def test_rejects_malformed(self, text):
         with pytest.raises(ValueError):
             parse_tourn_v1(text)
+
+    @NON_BINARY_BITS
+    def test_rejects_bits_that_int_accepts(self, bits):
+        assert int(bits[::-1], 2) >= 0
+        with pytest.raises(ValueError, match="only '0' and '1'"):
+            parse_tourn_v1(f"tourn-v1\nn=5\nbits={bits}\n")
 
     @settings(max_examples=300, derandomize=True)
     @given(

@@ -43,6 +43,7 @@ from tourmod import inversion, modular
 from tourmod.cli import main
 
 from conftest import (
+    NON_BINARY_BITS,
     all_classes_up_to,
     ceil_half,
     checked_extension,
@@ -465,6 +466,13 @@ class TestCertificateJson:
     def test_malformed_rejected(self, line):
         with pytest.raises(ValueError):
             certificate_from_json(line)
+
+    @NON_BINARY_BITS
+    @pytest.mark.parametrize("field", ["base_bits", "final_bits"])
+    def test_rejects_bits_that_int_accepts(self, bits, field):
+        assert int(bits[::-1], 2) >= 0
+        with pytest.raises(ValueError, match="only '0' and '1'"):
+            certificate_from_json(json.dumps(dict(self.GOOD, **{field: bits})))
 
     def test_good_literal_parses(self):
         cert = certificate_from_json(json.dumps(self.GOOD))

@@ -1,7 +1,7 @@
 import gc
 import weakref
 from functools import reduce
-from itertools import groupby, islice
+from itertools import accumulate, groupby, islice
 from operator import or_
 
 import pytest
@@ -453,13 +453,19 @@ def prime_in_prime(k):
 
 
 class CountingRows(tuple):
-    """A tuple of out-masks that counts its element reads."""
+    """A tuple of out-masks that counts its element reads, by index or by
+    iteration."""
 
     reads = 0
 
     def __getitem__(self, i):
         self.reads += 1
         return tuple.__getitem__(self, i)
+
+    def __iter__(self):
+        for row in tuple.__iter__(self):
+            self.reads += 1
+            yield row
 
 
 class TestTreeChildRule:
@@ -482,17 +488,43 @@ class TestTreeChildRule:
             assert list(modular._tree(T)) == list(reference_tree(T)), T
 
     @pytest.mark.parametrize(
-        "build",
-        [lambda: random_tournament(400, 3), lambda: prime_in_prime(200)],
+        "build, bound",
+        [(lambda: random_tournament(400, 3), 1215), (lambda: prime_in_prime(200), 3990)],
         ids=["random400", "prime_in_prime399"],
     )
-    def test_reads_linear_in_n(self, build):
-        # one full closure per part read about n^2 rows on both inputs
+    def test_reads_linear_in_n(self, build, bound):
+        # one full closure per part read about n^2 rows on both inputs, and
+        # reading the lowest vertex's row once per part 1,612 on random400;
+        # it reads 400 rows for the scores, one for the root's offset and
+        # the rest in the prime pass
         T = build()
         rows = CountingRows(T.out_masks)
         object.__setattr__(T, "out_masks", rows)
         minimal_comodules(T)
-        assert rows.reads <= 10 * T.n
+        assert rows.reads <= bound
+
+    def test_children_of_linear_nodes_skip_the_score_pass(self):
+        # three primes substituted into transitive(3): the root reads every
+        # row once for its scores and one more for its offset, and each
+        # child, a module, costs exactly its prime pass, its own tree's
+        # reads less that tree's score pass and offset read.  A score pass
+        # per child that reads the child's rows makes 191 reads here, and
+        # one that reads the root's scores makes 3 more than this
+        tries = ((random_tournament(k, seed) for seed in range(100)) for k in (9, 12, 15))
+        primes = [next(P for P in candidates if is_indecomposable(P)) for candidates in tries]
+        T = transitive(3)
+        for at in reversed(range(3)):
+            T = substitute(T, primes[at], at)
+        prime_pass = 0
+        for P in primes:
+            rows = CountingRows(P.out_masks)
+            object.__setattr__(P, "out_masks", rows)
+            assert [linear for _, linear, _ in modular._tree(P)] == [False]
+            prime_pass += rows.reads - P.n - 1
+        rows = CountingRows(T.out_masks)
+        object.__setattr__(T, "out_masks", rows)
+        assert [linear for _, linear, _ in modular._tree(T)] == [True, False, False, False]
+        assert rows.reads == T.n + 1 + prime_pass
 
     def test_smallest_module_stops_at_every_vertex(self):
         # the closure of {0, 1} in a prime tournament is V, reached long
@@ -592,6 +624,23 @@ def reference_mc(n, minimal, maximal):
     return {m: kinds[m] for m in sorted(kept, key=lambda m: modular._mask_key(n, m))}
 
 
+def inclusion_filter_mc(n, minimal, maximal):
+    """mc(T) in key order by inclusion alone: the minimal modules and the
+    complements of the maximal ones, each kept when no member of the other
+    family lies strictly inside it (each family is an antichain)."""
+    full = (1 << n) - 1
+    modules = set(minimal)
+    complements = {full ^ m for m in maximal}
+    kinds = dict.fromkeys(modules, "module")
+    for m in complements:
+        kinds[m] = "both" if m in modules else "complement-module"
+    return {
+        m: kinds[m]
+        for m in sorted(kinds, key=lambda m: modular._mask_key(n, m))
+        if not any(o & m == o and o != m for o in (complements if m in modules else modules))
+    }
+
+
 def reference_walks(tree, mc):
     """The overlap graph's components read off each linear node's children:
     runs of pairs of consecutive single-vertex children that are in mc,
@@ -637,6 +686,23 @@ class TestOneChainScan:
             assert list(A.mc.items()) == list(mc.items()), T
             assert A.walks == reference_walks(A.tree, mc), T
             assert A.runs == reference_runs(T.n, A.tree), T
+
+
+class TestMcFromRootShape:
+    """The record reads mc off the shape of the tree's root; the reference
+    filters both candidate families by inclusion."""
+
+    def test_matches_inclusion_filter(self):
+        states = 0
+        for T in TestTreeChildRule().inputs():
+            arcs = synthesize_certificate(T).arcs if T.n >= 5 else ()
+            for state in accumulate(arcs, lambda S, a: invert(S, [a]), initial=T):
+                A = modular._analysis(state)
+                minimal, maximal = reference_extremal_masks(state.n, A.tree)
+                mc = inclusion_filter_mc(state.n, minimal, maximal)
+                assert list(A.mc.items()) == list(mc.items()), state
+                states += 1
+        assert states > 2000
 
 
 class TestTreeFailsFast:
