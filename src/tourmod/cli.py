@@ -24,6 +24,8 @@ from .core import (
 from .comodular import comodular_index
 from .inversion import (
     MIN_VERTICES,
+    _expected_max_index,
+    _expected_max_inversions,
     certificate_to_json,
     decomposability_index,
     synthesize_certificate,
@@ -61,7 +63,7 @@ def cmd_analyze(args) -> int:
             [] if indec else [list(_members(m)) for m in next(A.decompositions())]
         ),
     }
-    print(json.dumps(record, separators=(", ", ": ")))
+    print(json.dumps(record))
     print(
         f"n={T.n} Delta={index} delta={record['delta']} "
         f"{'indecomposable' if indec else 'decomposable'}",
@@ -108,22 +110,9 @@ def cmd_oracle(args) -> int:
         return USAGE_ERROR
     guided = guided_side(T)
     agree = guided == brute
-    print(
-        json.dumps(
-            {"check": args.check, "guided": guided, "brute": brute, "agree": agree},
-            separators=(", ", ": "),
-        )
-    )
+    print(json.dumps({"check": args.check, "guided": guided, "brute": brute, "agree": agree}))
     print(f"{args.check}: {'pass' if agree else 'FAIL'}", file=sys.stderr)
     return 0 if agree else CHECK_ERROR
-
-
-def _expected_max_index(n: int) -> int:
-    return (n + 2) // 2  # ceil((n+1)/2)
-
-
-def _expected_max_inversions(n: int) -> int:
-    return -(-(n + 1) // 4)  # ceil((n+1)/4)
 
 
 def cmd_sweep(args) -> int:

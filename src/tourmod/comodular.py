@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Iterator
 
-from .core import Tournament, VertexSet, _members
-from .modular import CoModule, _Analysis, _analysis, _mask_key
+from .core import Tournament, VertexSet, _mask_key, _members
+from .modular import CoModule, _Analysis, _analysis
 
 __all__ = [
     "CoModularDecomposition",

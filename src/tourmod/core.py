@@ -96,6 +96,19 @@ def _members(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+# each byte value with its eight bits in reverse order
+_BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def _mask_key(n: int, mask: int) -> int:
+    """The sort key of the vertex sets on n vertices: by size, then first
+    the set holding the lowest vertex in which two sets differ, which is
+    the larger number with its bits reversed, so less its reversed mask."""
+    width = n // 8 + 1
+    reversed_mask = int.from_bytes(mask.to_bytes(width, "little").translate(_BIT_REVERSED), "big")
+    return (mask.bit_count() << 8 * width) - reversed_mask
+
+
 class Arc(NamedTuple):
     """A directed arc tail -> head between two distinct vertices."""
 
@@ -130,9 +143,9 @@ class VertexSet:
         return VertexSet(self.n, ((1 << self.n) - 1) ^ self.mask)
 
     @property
-    def key(self) -> tuple:
-        """Sort key: by cardinality, then by member list."""
-        return (len(self), self.members())
+    def key(self) -> int:
+        """Sort key among the sets on n vertices: by cardinality, then by member list."""
+        return _mask_key(self.n, self.mask)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.members())
@@ -450,10 +463,10 @@ def canonical_form(T: Tournament) -> tuple[bool, ...]:
     return tuple(c == "1" for c in _canonical_string(T.out_masks))
 
 
-def _extend(task: tuple[int, Sequence[int]]) -> set[str]:
+def _extend(task: tuple[int, Sequence[str]]) -> set[str]:
     """The canonical strings of the n-vertex extensions, by a new vertex
     n-1 of highest score, of the (n-1)-vertex tournaments in ``task`` =
-    (n, their bits).
+    (n, their canonical strings).
 
     When k old vertices beat the new one, its score is n-1-k.  That is
     highest exactly when no old score exceeds n-1-k and each of the k
@@ -463,7 +476,7 @@ def _extend(task: tuple[int, Sequence[int]]) -> set[str]:
     n, parents = task
     forms = set()
     for bits in parents:
-        outs = Tournament(n - 1, bits).out_masks
+        outs = _from_bit_string(n - 1, bits).out_masks
         scores = [out.bit_count() for out in outs]
         top = max(scores)
         for k in range(n):
@@ -483,23 +496,20 @@ def _extend(task: tuple[int, Sequence[int]]) -> set[str]:
     return forms
 
 
-def _sorted_bits(forms: Iterable[str]) -> tuple[int, ...]:
-    """Canonical strings as tournament bits, in canonical-form order."""
-    return tuple(int(s[::-1], 2) for s in sorted(forms))
+def _classes(n: int, parents: Sequence[str], run=map) -> tuple[str, ...]:
+    """The sorted canonical strings of every class on n vertices: ``run``
+    (``map``, or a pool's) maps ``_extend`` over slices of 64 ``parents``,
+    those of every class on n-1.  Deleting a vertex of highest score from
+    any class leaves a class on n-1 vertices, so every class is reached."""
+    slices = [(n, parents[i : i + 64]) for i in range(0, len(parents), 64)]
+    return tuple(sorted(set().union(*run(_extend, slices))))
 
 
 @lru_cache(maxsize=None)
-def _enumerate_bits(n: int) -> tuple[int, ...]:
-    """Canonical bits of every class on n vertices, in canonical-form order.
-
-    Every class has a vertex of highest score, and deleting it leaves some
-    class on n-1 vertices.  So extending each (n-1)-vertex representative
-    by a new vertex n-1 of highest score in every way (``_extend``)
-    reaches every class.
-    """
-    if n == 1:
-        return (0,)
-    return _sorted_bits(_extend((n, _enumerate_bits(n - 1))))
+def _enumerate_bits(n: int) -> tuple[str, ...]:
+    """Canonical strings of every class on n vertices, sorted (so in
+    canonical-form order), grown one vertex at a time by ``_classes``."""
+    return ("",) if n == 1 else _classes(n, _enumerate_bits(n - 1))
 
 
 def enumerate_tournaments(n: int) -> list[Tournament]:
@@ -515,7 +525,7 @@ def enumerate_tournaments(n: int) -> list[Tournament]:
         raise ValueError("a tournament needs at least one vertex")
     if n > ENUMERATION_BOUND:
         raise ValueError(f"enumeration limited to n <= {ENUMERATION_BOUND}, got n={n}")
-    return [Tournament(n, bits) for bits in _enumerate_bits(n)]
+    return [_from_bit_string(n, bits) for bits in _enumerate_bits(n)]
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from itertools import islice, permutations as _permutations, product
 
 from .core import Arc, Tournament, _from_bit_string, _members, invert, relabel, transitive
 from .comodular import _structured, comodular_index
-from .modular import _analysis, is_indecomposable
+from .modular import _analysis, _closure_mask, _modular_partition_avoiding
 
 __all__ = [
     "GuidedChoiceWarning",
@@ -78,6 +78,16 @@ def decomposability_index(T: Tournament) -> int:
     """
     _require_size(T)
     return (comodular_index(T) + 1) // 2
+
+
+def _expected_max_index(n: int) -> int:
+    """The paper's Delta(n) = ceil((n+1)/2), the largest co-modular index on n vertices."""
+    return (n + 2) // 2
+
+
+def _expected_max_inversions(n: int) -> int:
+    """The paper's delta(n) = ceil((n+1)/4): delta's rule applied to Delta(n)."""
+    return (_expected_max_index(n) + 1) // 2
 
 
 def _part_masks(D) -> tuple[tuple[int, ...], dict[str, int]]:
@@ -258,14 +268,28 @@ def verify_certificate(T: Tournament, cert: InversionCertificate) -> Verificatio
     return VerificationResult(True)
 
 
+def _is_prime(T: Tournament) -> bool:
+    """Whether T has no nontrivial module, tested from the definition with
+    the pivot vertex 0 and no tree.  A nontrivial module holding 0 holds
+    the closure of 0 and some u, which is then not V; one avoiding 0 lies
+    in a maximal module avoiding 0 (a part of the partition of V - 0),
+    which then has two or more vertices.  Conversely each such set is one."""
+    full = (1 << T.n) - 1
+    if not all(_closure_mask(T, 1 | 1 << u, whole=full) == full for u in range(1, T.n)):
+        return False
+    return not any(p & (p - 1) for p in _modular_partition_avoiding(T, full, 0))
+
+
 def feasible_single_arcs(T: Tournament) -> list[Arc]:
-    """Arcs whose single reversal leaves T indecomposable.
+    """Arcs whose single reversal leaves T indecomposable, each reversed
+    state tested by ``_is_prime``, which reads no guided record, so that
+    it can check the ``reduction_arc_two`` proof.
 
     Nonempty exactly when one reversal suffices; in particular empty
     whenever the co-modular index is 4 or more.
     """
     _require_size(T)
-    return [a for a in T.arcs() if is_indecomposable(invert(T, [a]))]
+    return [a for a in T.arcs() if _is_prime(invert(T, [a]))]
 
 
 def certificate_to_json(cert: InversionCertificate) -> str:
@@ -276,7 +300,7 @@ def certificate_to_json(cert: InversionCertificate) -> str:
         "trace": list(cert.trace),
         "final_bits": cert.final.bit_string(),
     }
-    return json.dumps(record, separators=(", ", ": "))
+    return json.dumps(record)
 
 
 def certificate_from_json(line: str) -> InversionCertificate:

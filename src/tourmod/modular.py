@@ -46,7 +46,7 @@ from itertools import accumulate, chain, groupby, product
 from operator import or_
 from typing import Iterable, Iterator
 
-from .core import Tournament, VertexSet, _members
+from .core import Tournament, VertexSet, _mask_key, _members
 
 __all__ = [
     "CoModule",
@@ -264,20 +264,6 @@ def _tree(T: Tournament) -> Iterator[tuple[int, bool, list[int]]]:
         todo += [(c, linear) for c in children if c & (c - 1)]
 
 
-# each byte value with its eight bits in reverse order
-_BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
-
-
-def _mask_key(n: int, mask: int) -> int:
-    """Orders masks as ``VertexSet.key`` orders their sets: by size, then
-    first the set holding the lowest vertex in which two sets differ.  With
-    its bits reversed, that set is the larger number, so the key is the
-    size, shifted above every reversed mask, less the reversed mask."""
-    width = n // 8 + 1
-    reversed_mask = int.from_bytes(mask.to_bytes(width, "little").translate(_BIT_REVERSED), "big")
-    return (mask.bit_count() << 8 * width) - reversed_mask
-
-
 def _sorted_sets(T: Tournament, masks: Iterable[int]) -> list[VertexSet]:
     return [VertexSet(T.n, m) for m in sorted(masks, key=partial(_mask_key, T.n))]
 
@@ -330,7 +316,7 @@ class CoModule:
     kind: str
 
     @property
-    def key(self) -> tuple:
+    def key(self) -> int:
         return self.members.key
 
     def __repr__(self) -> str:

@@ -27,16 +27,17 @@ from .core import (
     ENUMERATION_BOUND,
     Tournament,
     VertexSet,
+    _classes,
     _enumerate_bits,
-    _extend,
+    _from_bit_string,
     _members,
-    _sorted_bits,
     dual,
     invert,
 )
 from .comodular import comodular_index
 from .inversion import (
     MIN_VERTICES,
+    _expected_max_inversions,
     _require_size,
     decomposability_index,
     synthesize_certificate,
@@ -187,8 +188,8 @@ def brute_delta(T: Tournament) -> int:
     applied to it makes the search branch over the arcs crossing its first
     nontrivial module in (size, mask) order, a smallest and so an
     inclusion-minimal one.  No guided analysis is read.  The size is
-    capped at ceil((n+1)/4), the worst case over all tournaments of that
-    size.
+    capped at ``inversion._expected_max_inversions(n)``, the paper's
+    worst case over all tournaments on n vertices.
     """
     _require_size(T)
     comods = _brute_comodule_masks(T)
@@ -199,8 +200,7 @@ def brute_delta(T: Tournament) -> int:
     # co-modules of holds[tail] ^ holds[head]
     holds = [sum(1 << j for j, m in enumerate(comods) if m >> v & 1) for v in range(T.n)]
     crosses = [holds[a.tail] ^ holds[a.head] for a in arcs]
-    cap = -(-(T.n + 1) // 4)
-    for size in range(1, cap + 1):
+    for size in range(1, _expected_max_inversions(T.n) + 1):
         if _arc_search(T, arcs, comods, crosses, [], 0, 0, size):
             return size
     raise RuntimeError("search cap exceeded; this contradicts the index bound")
@@ -261,13 +261,13 @@ def report_to_json(report: SweepReport) -> str:
         "max_delta": report.max_delta,
         "violations": report.violations,
     }
-    return json.dumps(record, separators=(", ", ": "))
+    return json.dumps(record)
 
 
 def _check_class(task) -> tuple[str, int, int | None, bool]:
-    """Validate one isomorphism class; returns (bits, Delta, delta, ok)."""
+    """Validate the class (n, canonical string); returns (that string, Delta, delta, ok)."""
     n, bits = task
-    T = Tournament(n, bits)
+    T = _from_bit_string(n, bits)
     index = comodular_index(T)
     ok = index == brute_Delta(T)
     ok = ok and index == comodular_index(dual(T))
@@ -278,7 +278,7 @@ def _check_class(task) -> tuple[str, int, int | None, bool]:
         ok = ok and bool(verify_certificate(T, cert))
         ok = ok and inv_count == decomposability_index(T)
         ok = ok and brute_delta(T) == inv_count
-    return T.bit_string(), index, inv_count, ok
+    return bits, index, inv_count, ok
 
 
 def sweep_verify(max_n: int, jobs: int = 1) -> list[SweepReport]:
@@ -290,11 +290,11 @@ def sweep_verify(max_n: int, jobs: int = 1) -> list[SweepReport]:
     certificate is synthesised, replay-verified, and required to contain
     exactly ``decomposability_index`` arcs, with the arc-set search oracle
     confirming the count.  Violations list the canonical bit strings of
-    the offending classes.  Each size is enumerated by extending slices of
-    the classes one vertex smaller (``core._extend``), then checked.  With
-    ``jobs`` above 1 one pool of at most ``os.cpu_count()`` processes does
-    both steps; with ``jobs`` 1 the same steps run in process.  The
-    reports do not depend on ``jobs``.
+    the offending classes.  Each size is enumerated by ``core._classes``,
+    as in ``enumerate_tournaments``, from the canonical strings one vertex
+    smaller, then checked.  With ``jobs`` above 1 one pool of at most
+    ``os.cpu_count()`` processes does both steps; with ``jobs`` 1 the same
+    steps run in process.  The reports do not depend on ``jobs``.
     """
     if not 3 <= max_n <= ENUMERATION_BOUND:
         raise ValueError(f"sweeps need 3 <= max_n <= {ENUMERATION_BOUND}")
@@ -313,8 +313,7 @@ def sweep_verify(max_n: int, jobs: int = 1) -> list[SweepReport]:
         )
         classes = _enumerate_bits(2)
         for n in range(3, max_n + 1):
-            slices = [(n, classes[i : i + 64]) for i in range(0, len(classes), 64)]
-            classes = _sorted_bits(set().union(*run(_extend, slices)))
+            classes = _classes(n, classes, run)
             results = run(_check_class, [(n, bits) for bits in classes], chunksize=16)
             inv_counts = [r[2] for r in results if r[2] is not None]
             reports.append(

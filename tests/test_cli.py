@@ -12,7 +12,7 @@ from tourmod import (
     parse_tourn_v1,
     transitive,
 )
-from tourmod import cli
+from tourmod import cli, inversion, oracle
 from tourmod.cli import main
 
 from conftest import composed_random, first_indecomposable, record_calls, run_python
@@ -267,6 +267,17 @@ class TestSweepCommand:
 
     def test_bound_exit_two(self):
         assert main(["sweep", "--max-n", "10"]) == 2
+
+    def test_extremal_values_have_one_definition(self):
+        assert cli._expected_max_index is inversion._expected_max_index
+        assert cli._expected_max_inversions is inversion._expected_max_inversions
+        assert oracle._expected_max_inversions is inversion._expected_max_inversions
+
+    @pytest.mark.parametrize("name", ["_expected_max_index", "_expected_max_inversions"])
+    def test_maxima_judged_against_the_paper(self, monkeypatch, name):
+        higher = lambda n: getattr(inversion, name)(n) + 1
+        monkeypatch.setattr(cli, name, higher)
+        assert main(["sweep", "--max-n", "5"]) == 1
 
     @pytest.mark.parametrize("max_n", ["2", "0", "-5"])
     def test_max_n_below_three_exit_two(self, capsys, max_n):

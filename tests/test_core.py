@@ -241,6 +241,23 @@ class TestVertexRange:
             VertexSet.from_members(5, [0, v])
 
 
+class TestVertexSetKey:
+    def test_orders_as_size_then_members(self):
+        # up to 70 vertices, so the byte reversal crosses up to 9 bytes
+        rng = Xorshift64Star(24)
+        for n in range(1, 71):
+            full = (1 << n) - 1
+            masks = [0, full, *(1 << v for v in range(n))]
+            for _ in range(60):
+                # sparse, even and dense masks, so that sizes both tie and differ
+                draws = [(rng.next() << 64 | rng.next()) & full for _ in range(3)]
+                masks += [draws[0] & draws[1] & draws[2], draws[0], draws[0] | draws[1] | draws[2]]
+            sets = [VertexSet(n, m) for m in masks]
+            assert sorted(sets, key=lambda s: s.key) == sorted(
+                sets, key=lambda s: (len(s), s.members())
+            )
+
+
 class TestSubtournament:
     def test_interval_of_transitive(self):
         S, labels = subtournament(transitive(5), {1, 2, 3})
@@ -385,7 +402,7 @@ def extensions_by_rejection(n: int) -> list[tuple[int, ...]]:
     old_vertices = (1 << (n - 1)) - 1
     kept = []
     for bits in core._enumerate_bits(n - 1):
-        outs = Tournament(n - 1, bits).out_masks
+        outs = core._from_bit_string(n - 1, bits).out_masks
         scores = [out.bit_count() for out in outs]
         for ext in range(1 << (n - 1)):
             # bit i of ext set: the arc (i, n-1); clear: the arc (n-1, i)
@@ -407,13 +424,19 @@ class TestEnumeration:
         assert core._extend((n, core._enumerate_bits(n - 1))) == forms
         # exactly the extensions the filter keeps, and no other, are made
         assert sorted(map(tuple, made)) == sorted(kept)
-        assert core._enumerate_bits(n) == tuple(int(s[::-1], 2) for s in sorted(forms))
+        assert core._enumerate_bits(n) == tuple(sorted(forms))
 
     def test_class_counts(self):
         assert [len(enumerate_tournaments(n)) for n in range(1, 6)] == [1, 1, 2, 4, 12]
 
     def test_seven_vertex_count(self):
         assert len(enumerate_tournaments(7)) == 456
+
+    def test_grown_by_the_one_class_step(self, monkeypatch):
+        core._enumerate_bits.cache_clear()
+        calls = record_calls(monkeypatch, core, "_classes")
+        assert len(enumerate_tournaments(5)) == 12
+        assert calls == [2, 3, 4, 5]
 
     def test_representatives_are_canonical(self):
         for T in enumerate_tournaments(5):

@@ -1,4 +1,5 @@
 import json
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -34,12 +35,13 @@ from tourmod import (
     reduction_arc_three,
     reduction_arc_two,
     structured_delta_decomposition,
+    substitute,
     synthesize_certificate,
     tilde,
     transitive,
     verify_certificate,
 )
-from tourmod import inversion, modular
+from tourmod import comodular, inversion, modular
 from tourmod.cli import main
 
 from conftest import (
@@ -71,6 +73,12 @@ class TestDecomposabilityIndex:
         for n in (3, 4):
             with pytest.raises(ValueError):
                 decomposability_index(transitive(n))
+
+    def test_extremal_values_closed_forms(self):
+        # Delta(n) = ceil((n+1)/2), and delta(n) = ceil((n+1)/4) is its half rounded up
+        for n in range(1, 300):
+            assert inversion._expected_max_index(n) == -(-(n + 1) // 2)
+            assert inversion._expected_max_inversions(n) == -(-(n + 1) // 4)
 
     def test_dual_invariant(self):
         for n in (5, 6):
@@ -377,6 +385,52 @@ class TestFeasibleArcs:
             feas = set(feasible_single_arcs(T))
             for a in T.arcs():
                 assert (a in feas) == is_indecomposable(invert(T, [a]))
+
+    def test_prime_test_agrees_with_the_record(self):
+        rng = Xorshift64Star(11)
+        inputs = [
+            *all_classes_up_to(7),
+            relabelled_chain(12, 3),
+            random_tournament(24, 5),
+            *(composed_random(rng, n) for n in (9, 16, 24, 33, 40)),
+        ]
+        for T in inputs:
+            assert inversion._is_prime(T) == is_indecomposable(T)
+
+    def test_independent_of_guided_analysis(self, monkeypatch):
+        inputs = [
+            *enumerate_tournaments(6),
+            relabelled_chain(12, 5),
+            substitute(random_tournament(18, 1), random_tournament(7, 2), 0),
+        ]
+        expected = [
+            (T, [a for a in T.arcs() if is_indecomposable(invert(T, [a]))]) for T in inputs
+        ]
+
+        def refuse(T):
+            raise AssertionError("feasible_single_arcs must not use the guided analysis")
+
+        # refuse the tree, the record, its accessor and the guided primality
+        # test in every module that binds them
+        guided = {
+            "_tree": modular,
+            "_Analysis": modular,
+            "_analysis": modular,
+            "is_indecomposable": modular,
+        }
+        bound = [
+            (module, attr)
+            for name, module in sys.modules.items()
+            if name.startswith("tourmod")
+            for attr, owner in guided.items()
+            if getattr(module, attr, None) is getattr(owner, attr)
+        ]
+        assert {attr for _, attr in bound} == set(guided)
+        assert {comodular, inversion, modular} <= {module for module, _ in bound}
+        for module, attr in bound:
+            monkeypatch.setattr(module, attr, refuse)
+        for T, arcs in expected:
+            assert feasible_single_arcs(T) == arcs
 
     def test_nonempty_iff_one_reversal_suffices(self):
         # for decomposable inputs; a prime tournament may stay prime under

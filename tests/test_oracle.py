@@ -106,6 +106,13 @@ class TestBruteInversionCount:
     def test_transitive_eight(self):
         assert brute_delta(transitive(8)) == 3
 
+    def test_search_capped_at_the_paper_bound(self, monkeypatch):
+        assert brute_delta(relabelled_chain(9, 1)) == inversion._expected_max_inversions(9) == 3
+        lower = lambda n: inversion._expected_max_inversions(n) - 1
+        monkeypatch.setattr(oracle, "_expected_max_inversions", lower)
+        with pytest.raises(RuntimeError, match="search cap exceeded"):
+            brute_delta(relabelled_chain(9, 1))
+
     def test_bounds(self, monkeypatch):
         with pytest.raises(ValueError):
             brute_delta(transitive(4))
@@ -258,6 +265,12 @@ class TestSweep:
         # each size is enumerated in the pool, then checked there
         assert mapped == [core._extend, oracle._check_class] * 3
 
+    def test_enumerates_through_the_one_class_step(self, monkeypatch):
+        assert oracle._classes is core._classes
+        calls = record_calls(monkeypatch, oracle, "_classes")
+        assert [r.class_count for r in sweep_verify(5)] == [2, 4, 12]
+        assert calls == [3, 4, 5]
+
     def test_inversion_count_checked_against_decomposability_index(self, monkeypatch):
         calls = record_calls(monkeypatch, oracle, "decomposability_index")
         assert sweep_verify(5)[-1].violations == []
@@ -269,5 +282,5 @@ class TestSweep:
         calls = record_calls(monkeypatch, oracle, "_module_family")
         for T in enumerate_tournaments(6):
             calls.clear()
-            assert oracle._check_class((6, T.bits))[3]
+            assert oracle._check_class((6, T.bit_string()))[3]
             assert calls.count(T) == 1
