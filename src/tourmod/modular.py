@@ -366,13 +366,15 @@ class _Analysis:
     * ``minimal_modules``: the minimal nontrivial modules, the twins other
       than V and the prime nodes below the root with only single-vertex
       children;
+    * ``maximal_modules``: the maximal nontrivial modules, the root's
+      children with two or more vertices; under a linear root with m >= 3
+      children, the two runs of m-1 children instead;
     * ``mc``: mc(T) as a mask -> kind dict in key order, read off the
       root's shape (below);
     * ``walks``: the overlap graph's components, each as mc positions in
       path order, listed by smallest position;
     * ``index``: the co-modular index, ceil(k/2) summed over the walks;
-    * ``maximal_modules``, ``overlaps``, ``runs`` and ``optima``, derived
-      on first use.
+    * ``overlaps``, ``runs`` and ``optima``, derived on first use.
 
     A minimal co-module is a minimal nontrivial module or the complement
     of a maximal one, and it is in mc exactly when no candidate of the
@@ -425,25 +427,23 @@ class _Analysis:
         twins = [[a | b for a, b in zip(run, run[1:])] for run in self.chains if len(run) > 1]
         self.minimal_modules += [t for pairs in twins for t in pairs if t != full]
         kinds = dict.fromkeys(self.minimal_modules, "module")
-        if self.tree:
-            _, linear, children = self.tree[0]
-            if linear:
-                if len(children) == 2:
-                    ends = [(c, o) for c, o in zip(children, children[::-1]) if o & (o - 1)]
-                else:
-                    ends = [(children[0], children[1]), (children[-1], children[-2])]
-                for end, beside in ends:
-                    if end & (end - 1) == 0:
-                        kinds[end] = "complement-module"
-                        # the twin of a singleton end and its neighbour,
-                        # if that is one; V with two children is none
-                        kinds.pop(end | beside, None)
-                    elif end in kinds:
-                        kinds[end] = "both"
-            else:
-                big = [c for c in children if c & (c - 1)]
-                if len(big) == 1:
-                    kinds[full ^ big[0]] = "complement-module"
+        _, linear, children = self.tree[0] if self.tree else (full, False, [])
+        if linear and len(children) >= 3:
+            self.maximal_modules = [full ^ children[-1], full ^ children[0]]
+        else:
+            self.maximal_modules = [c for c in children if c & (c - 1)]
+        for M in self.maximal_modules:
+            end = full ^ M
+            if not linear:
+                if len(self.maximal_modules) == 1:
+                    kinds[end] = "complement-module"
+            elif end & (end - 1) == 0:
+                kinds[end] = "complement-module"
+                # the twin of a singleton end and its neighbour, if that
+                # is one; V with two children is none
+                kinds.pop(end | (children[1] if end == children[0] else children[-2]), None)
+            elif end in kinds:
+                kinds[end] = "both"
         self.mc = {m: kinds[m] for m in sorted(kinds, key=partial(_mask_key, T.n))}
         position = {m: i for i, m in enumerate(self.mc)}
         walks = []
@@ -455,17 +455,6 @@ class _Analysis:
         walks += [[i] for i in range(len(self.mc)) if i not in covered]
         self.walks = sorted(walks, key=min)
         self.index = sum((len(walk) + 1) // 2 for walk in self.walks)
-
-    @cached_property
-    def maximal_modules(self) -> list[int]:
-        """The maximal nontrivial modules: the root's children with two or
-        more vertices; under a linear root with m >= 3 children, the two
-        runs of m-1 children instead."""
-        full = (1 << self.n) - 1
-        _, linear, children = self.tree[0] if self.tree else (full, False, [])
-        if linear and len(children) >= 3:
-            return [full ^ children[-1], full ^ children[0]]
-        return [c for c in children if c & (c - 1)]
 
     @cached_property
     def overlaps(self) -> dict[int, list[int]]:
@@ -514,8 +503,8 @@ class _Analysis:
 
     @cached_property
     def optima(self) -> list[list[tuple[int, ...]]]:
-        """Each walk's optima; a one-node walk has its node alone."""
-        return [_path_optima(walk) if len(walk) > 1 else [tuple(walk)] for walk in self.walks]
+        """Each walk's optima."""
+        return [_path_optima(walk) for walk in self.walks]
 
     def comodule(self, mask: int) -> CoModule:
         return CoModule(VertexSet(self.n, mask), self.mc[mask])
@@ -601,5 +590,8 @@ def component_comodule(T: Tournament, C, k: int) -> CoModule:
         raise ValueError(f"index k must lie in 0..{len(order) - 2}, got {k}")
     twin = (1 << order[k]) | (1 << order[k + 1])
     hits = [m for m in A.mc if m & ~twin == 0]
-    assert len(hits) == 1, "a twin must contain exactly one minimal co-module"
+    if len(hits) != 1:
+        raise RuntimeError(
+            f"a twin holds {len(hits)} minimal co-modules on n={T.n} bits={T.bit_string()}"
+        )
     return A.comodule(hits[0])

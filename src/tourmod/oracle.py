@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import os
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 from .core import (
@@ -254,14 +254,7 @@ class SweepReport:
 
 
 def report_to_json(report: SweepReport) -> str:
-    record = {
-        "n": report.n,
-        "class_count": report.class_count,
-        "max_Delta": report.max_Delta,
-        "max_delta": report.max_delta,
-        "violations": report.violations,
-    }
-    return json.dumps(record)
+    return json.dumps(asdict(report))
 
 
 def _check_class(task) -> tuple[str, int, int | None, bool]:

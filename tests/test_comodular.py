@@ -139,6 +139,11 @@ class TestDeltaDecomposition:
         ]
         assert sum(1 for _ in all_delta_decompositions(transitive(6))) == 1
 
+    def test_length_and_key(self):
+        D = delta_decomposition(transitive(6))
+        assert len(D) == 4
+        assert D.key == tuple(sorted(p.key for p in D.parts))
+
     def test_odd_transitive_variants(self):
         found = [parts_of(D) for D in all_delta_decompositions(transitive(5))]
         assert sorted(found) == [

@@ -258,6 +258,14 @@ class TestVertexSetKey:
             )
 
 
+class TestRepr:
+    def test_tournament(self):
+        assert repr(transitive(3)) == "Tournament(n=3, bits='111')"
+
+    def test_vertex_set(self):
+        assert repr(VertexSet(5, 0b101)) == "VertexSet(5, {0, 2})"
+
+
 class TestSubtournament:
     def test_interval_of_transitive(self):
         S, labels = subtournament(transitive(5), {1, 2, 3})

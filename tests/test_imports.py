@@ -1,14 +1,19 @@
 """Every imported name is read in the module that imports it.
 
 Skipped: ``__init__.py`` files (they re-export), names listed in
-``__all__`` and ``from __future__`` imports.
+``__all__`` and ``from __future__`` imports.  Also checked: the package
+exports exactly its modules' ``__all__`` lists, and holds no ``assert``.
 """
 
 import ast
+import types
 
 import pytest
 
+import tourmod
 from conftest import ROOT
+
+MODULES = (tourmod.core, tourmod.modular, tourmod.comodular, tourmod.inversion, tourmod.oracle)
 
 SOURCES = sorted(
     path
@@ -46,3 +51,28 @@ def test_scan_flags_only_unread_names():
         "__all__ = ['shown']\nprint(os.path.sep, parse)\n"
     )
     assert unused_imports(source) == ["dumps (line 3)"]
+
+
+def test_no_asserts_in_package():
+    # an assert vanishes under python -O, so contract checks raise instead
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((ROOT / "src/tourmod").rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_package_exports_each_module_all():
+    for module in MODULES:
+        assert [n for n in module.__all__ if getattr(module, n).__module__ != module.__name__] == []
+    # a later star import would shadow an earlier list's name
+    everything = [n for module in MODULES for n in module.__all__]
+    assert len(everything) == len(set(everything))
+    public = {
+        n
+        for n in dir(tourmod)
+        if not n.startswith("_") and not isinstance(getattr(tourmod, n), types.ModuleType)
+    }
+    assert public == set(everything)

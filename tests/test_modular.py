@@ -199,6 +199,9 @@ class TestMinimalComodules:
         for T in all_classes_up_to(5):
             check_twin_picks(T)
 
+    def test_repr(self):
+        assert repr(minimal_comodules(transitive(5))[0]) == "CoModule({0}, complement-module)"
+
     def test_kind_consistency(self):
         for T in all_classes_up_to(6):
             for c in minimal_comodules(T):
@@ -768,6 +771,14 @@ class TestComponentComodule:
             component_comodule(transitive(2), [0, 1], 0)  # too few vertices
         with pytest.raises(ValueError):
             component_comodule(c3, [0], 0)  # a one-vertex component
+
+    def test_broken_record_raises(self):
+        # a record whose mc puts two sets inside one twin breaks the
+        # contract; the check holds under python -O too
+        T = transitive(5)
+        modular._analysis(T).mc[0b11] = "module"
+        with pytest.raises(RuntimeError, match="n=5 bits=1111111111"):
+            component_comodule(T, range(5), 0)
 
     def test_minimal_comodules_meeting_component(self):
         for T in all_classes_up_to(6):
