@@ -109,6 +109,52 @@ def _mask_key(n: int, mask: int) -> int:
     return (mask.bit_count() << 8 * width) - reversed_mask
 
 
+# modules, pair closures and primality by definition, reading no tree
+def _is_module_mask(T: Tournament, mask: int) -> bool:
+    full = (1 << T.n) - 1
+    outside = full & ~mask
+    while outside:
+        bit = outside & -outside
+        outside ^= bit
+        rel = T.out_masks[bit.bit_length() - 1] & mask
+        if rel and rel != mask:
+            return False
+    return True
+
+
+def _closure_mask(T: Tournament, mask: int, unread=-1, stop=0, whole=-1, ref=None) -> int:
+    """Grow ``mask`` by splitter vertices until it becomes a module.  An
+    outside vertex splits it when it treats some member w unlike the lowest
+    member r, i.e. is a bit of out(w) ^ out(r), so each member is read once:
+    the members of ``unread`` but r, then the vertices added.  A caller that
+    grows a module by a part passes the part, since no vertex outside a
+    module splits it, and a caller that already holds r's row passes it as
+    ``ref``.  Growth stops early once the mask meets ``stop`` or equals
+    ``whole``."""
+    out = T.out_masks
+    if ref is None:
+        ref = out[(mask & -mask).bit_length() - 1]
+    unread &= mask & (mask - 1)
+    while unread and not mask & stop and mask != whole:
+        bit = unread & -unread
+        unread ^= bit
+        new = (out[bit.bit_length() - 1] ^ ref) & ~mask
+        mask |= new
+        unread |= new
+    return mask
+
+
+def _is_prime(T: Tournament) -> bool:
+    """Whether T is indecomposable: every pair's closure, the least module
+    holding it, is V.  The pairs through vertex 0 must grow to V; any other
+    pair {a, b} need only reach 0, as its closure then holds that of {0, a}."""
+    full = (1 << T.n) - 1
+    if not all(_closure_mask(T, 1 | 1 << u, whole=full) == full for u in range(1, T.n)):
+        return False
+    pairs = combinations(range(1, T.n), 2)
+    return all(_closure_mask(T, 1 << a | 1 << b, stop=1) & 1 for a, b in pairs)
+
+
 class Arc(NamedTuple):
     """A directed arc tail -> head between two distinct vertices."""
 

@@ -33,9 +33,9 @@ import json
 from dataclasses import dataclass
 from itertools import islice, permutations as _permutations, product
 
-from .core import Arc, Tournament, _from_bit_string, _members, invert, relabel, transitive
+from .core import Arc, Tournament, _from_bit_string, _is_prime, _members, invert, relabel, transitive
 from .comodular import _structured, comodular_index
-from .modular import _analysis, _closure_mask, _modular_partition_avoiding
+from .modular import _analysis
 
 __all__ = [
     "GuidedChoiceWarning",
@@ -268,22 +268,10 @@ def verify_certificate(T: Tournament, cert: InversionCertificate) -> Verificatio
     return VerificationResult(True)
 
 
-def _is_prime(T: Tournament) -> bool:
-    """Whether T has no nontrivial module, tested from the definition with
-    the pivot vertex 0 and no tree.  A nontrivial module holding 0 holds
-    the closure of 0 and some u, which is then not V; one avoiding 0 lies
-    in a maximal module avoiding 0 (a part of the partition of V - 0),
-    which then has two or more vertices.  Conversely each such set is one."""
-    full = (1 << T.n) - 1
-    if not all(_closure_mask(T, 1 | 1 << u, whole=full) == full for u in range(1, T.n)):
-        return False
-    return not any(p & (p - 1) for p in _modular_partition_avoiding(T, full, 0))
-
-
 def feasible_single_arcs(T: Tournament) -> list[Arc]:
     """Arcs whose single reversal leaves T indecomposable, each reversed
-    state tested by ``_is_prime``, which reads no guided record, so that
-    it can check the ``reduction_arc_two`` proof.
+    state tested by ``core._is_prime`` on core's pair closures alone, with
+    no tree or record, so that it can check the ``reduction_arc_two`` proof.
 
     Nonempty exactly when one reversal suffices; in particular empty
     whenever the co-modular index is 4 or more.

@@ -33,9 +33,9 @@ Every structural query reads one record per tournament object,
 and maximal ones and indecomposability, mc(T), the overlaps and tildes,
 the co-modular index and its decompositions, and the transitive
 components, whose order is the tree's dominance order of a linear node's
-children.  ``_analysis(T)`` builds it on first use and keeps it on T, so
-every later query on that object, certificates and their verification
-included, reads it.
+children.  ``_analysis(T)`` builds it from ``_tree(T)`` on first use and
+keeps it on T, so every later query on that object, certificates and
+their verification included, reads it.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from itertools import accumulate, chain, groupby, product
 from operator import or_
 from typing import Iterable, Iterator
 
-from .core import Tournament, VertexSet, _mask_key, _members
+from .core import Tournament, VertexSet, _closure_mask, _is_module_mask, _mask_key, _members
 
 __all__ = [
     "CoModule",
@@ -76,43 +76,9 @@ def _as_mask(T: Tournament, X) -> int:
     return VertexSet.from_members(T.n, X).mask
 
 
-def _is_module_mask(T: Tournament, mask: int) -> bool:
-    full = (1 << T.n) - 1
-    outside = full & ~mask
-    while outside:
-        bit = outside & -outside
-        outside ^= bit
-        rel = T.out_masks[bit.bit_length() - 1] & mask
-        if rel and rel != mask:
-            return False
-    return True
-
-
 def is_module(T: Tournament, X) -> bool:
     """True when every vertex outside X relates identically to all of X."""
     return _is_module_mask(T, _as_mask(T, X))
-
-
-def _closure_mask(T: Tournament, mask: int, unread=-1, stop=0, whole=-1, ref=None) -> int:
-    """Grow ``mask`` by splitter vertices until it becomes a module.  An
-    outside vertex splits it when it treats some member w unlike the lowest
-    member r, i.e. is a bit of out(w) ^ out(r), so each member is read once:
-    the members of ``unread`` but r, then the vertices added.  A caller that
-    grows a module by a part passes the part, since no vertex outside a
-    module splits it, and a caller that already holds r's row passes it as
-    ``ref``.  Growth stops early once the mask meets ``stop`` or equals
-    ``whole``."""
-    out = T.out_masks
-    if ref is None:
-        ref = out[(mask & -mask).bit_length() - 1]
-    unread &= mask & (mask - 1)
-    while unread and not mask & stop and mask != whole:
-        bit = unread & -unread
-        unread ^= bit
-        new = (out[bit.bit_length() - 1] ^ ref) & ~mask
-        mask |= new
-        unread |= new
-    return mask
 
 
 def smallest_module_containing(T: Tournament, S) -> VertexSet:
@@ -355,11 +321,11 @@ class _Analysis:
     """One tournament read off its decomposition tree once, on masks.
     Every structural query (modules, co-modules, transitive components),
     the index, the decompositions, every certificate step and its
-    verification read this record, through ``_analysis``.  It keeps n and
-    the rows (``out``), not the tournament, so a tournament and its record
-    form no reference cycle:
+    verification read this record, through ``_analysis``.  It is built
+    from n, the rows (``out``) and a tree, and reads nothing else; it keeps
+    no tournament, so a tournament and its record form no reference cycle:
 
-    * ``tree``: the nodes of ``_tree(T)``, which nothing else reads;
+    * ``tree``: the tree it was given, ``_tree``'s nodes, which nothing else reads;
     * ``chains``: the maximal runs of single-vertex children of each linear
       node, as one-bit masks in dominance order; the twins are the unions
       of consecutive members of a chain;
@@ -412,10 +378,9 @@ class _Analysis:
     twins of a chain that are in mc form one walk.
     """
 
-    def __init__(self, T: Tournament):
-        self.n, self.out = T.n, T.out_masks
-        self.tree = list(_tree(T))
-        full = (1 << T.n) - 1
+    def __init__(self, n: int, out: tuple[int, ...], tree: list[tuple[int, bool, list[int]]]):
+        self.n, self.out, self.tree = n, out, tree
+        full = (1 << n) - 1
         self.chains, self.minimal_modules = [], []
         for S, linear, children in self.tree:
             if linear:
@@ -444,7 +409,7 @@ class _Analysis:
                 kinds.pop(end | (children[1] if end == children[0] else children[-2]), None)
             elif end in kinds:
                 kinds[end] = "both"
-        self.mc = {m: kinds[m] for m in sorted(kinds, key=partial(_mask_key, T.n))}
+        self.mc = {m: kinds[m] for m in sorted(kinds, key=partial(_mask_key, n))}
         position = {m: i for i, m in enumerate(self.mc)}
         walks = []
         for pairs in twins:
@@ -525,7 +490,7 @@ def _analysis(T: Tournament) -> _Analysis:
     its value: two equal tournaments build two records."""
     A = vars(T).get("_analysis")
     if A is None:
-        A = vars(T)["_analysis"] = _Analysis(T)
+        A = vars(T)["_analysis"] = _Analysis(T.n, T.out_masks, list(_tree(T)))
     return A
 
 

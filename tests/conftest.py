@@ -31,7 +31,7 @@ from tourmod import (
     transitive,
     transitive_components,
 )
-from tourmod import modular
+from tourmod import core
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -129,24 +129,10 @@ def record_calls(monkeypatch, owner, name: str) -> list:
     return calls
 
 
-def record_analyses(monkeypatch) -> list:
-    """Wrap ``modular._Analysis.__init__`` so that each record built, by
-    whichever module's name for the class, appends its tournament to the
-    returned list."""
-    built, real = [], modular._Analysis.__init__
-
-    def recording(self, T):
-        built.append(T)
-        real(self, T)
-
-    monkeypatch.setattr(modular._Analysis, "__init__", recording)
-    return built
-
-
 def module_family_by_subsets(T: Tournament) -> int:
     """Reference module family, one subset at a time: bit X is set when
-    no vertex outside X splits X (``modular._is_module_mask``)."""
-    return sum(1 << m for m in range(1 << T.n) if modular._is_module_mask(T, m))
+    no vertex outside X splits X (``core._is_module_mask``)."""
+    return sum(1 << m for m in range(1 << T.n) if core._is_module_mask(T, m))
 
 
 def first_indecomposable(n: int) -> Tournament:

@@ -26,7 +26,7 @@ from tourmod import (
     transitive,
 )
 from tourmod.comodular import _structured
-from tourmod.modular import _Analysis, _analysis, _path_optima
+from tourmod.modular import _analysis, _path_optima
 
 from conftest import (
     all_classes_up_to,
@@ -410,7 +410,7 @@ class TestClosedFormOptima:
 
     def test_matches_subset_enumeration(self):
         for T in equivalence_corpus():
-            A = _Analysis(T)
+            A = _analysis(T)
             graph = conflict_graph(T)
             assert A.optima == [
                 reference_component_optima(graph, comp) for comp in graph.components()

@@ -2,7 +2,8 @@
 
 Skipped: ``__init__.py`` files (they re-export), names listed in
 ``__all__`` and ``from __future__`` imports.  Also checked: the package
-exports exactly its modules' ``__all__`` lists, and holds no ``assert``.
+exports exactly its modules' ``__all__`` lists, holds no ``assert``, and
+keeps its layers: ``core`` holds the definitions and imports no sibling.
 """
 
 import ast
@@ -11,6 +12,7 @@ import types
 import pytest
 
 import tourmod
+import tourmod.cli
 from conftest import ROOT
 
 MODULES = (tourmod.core, tourmod.modular, tourmod.comodular, tourmod.inversion, tourmod.oracle)
@@ -76,3 +78,26 @@ def test_package_exports_each_module_all():
         if not n.startswith("_") and not isinstance(getattr(tourmod, n), types.ModuleType)
     }
     assert public == set(everything)
+
+
+def imported_names(module) -> dict[str, list[str]]:
+    """The names a package module imports from each sibling module."""
+    path = ROOT / "src/tourmod" / f"{module.__name__.rpartition('.')[2]}.py"
+    found: dict[str, list[str]] = {}
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("tourmod")):
+            source = (node.module or "").removeprefix("tourmod").strip(".")
+            found.setdefault(source, []).extend(a.name for a in node.names)
+    return found
+
+
+def test_core_is_the_definitions_layer():
+    # the module test, the pair closure and primality by definition live
+    # in core, which reads no tree because it imports no sibling module
+    assert imported_names(tourmod.core) == {}
+    for name in ("_is_module_mask", "_closure_mask", "_is_prime"):
+        assert getattr(tourmod.core, name).__module__ == "tourmod.core"
+    # the other layers take only the record and its accessor from modular
+    for module in (tourmod.inversion, tourmod.comodular, tourmod.oracle, tourmod.cli):
+        taken = imported_names(module).get("modular", [])
+        assert [n for n in taken if n.startswith("_") and n not in ("_analysis", "_Analysis")] == []

@@ -51,7 +51,6 @@ from conftest import (
     checked_extension,
     composed_random,
     first_indecomposable,
-    record_analyses,
     record_calls,
     relabelled_chain,
 )
@@ -281,7 +280,7 @@ class TestSynthesize:
         # a fresh object, since building an input may already analyse it
         # (first_indecomposable asks is_indecomposable)
         T = Tournament(T.n, T.bits)
-        analysed = record_analyses(monkeypatch)
+        analysed = record_calls(monkeypatch, modular, "_tree")
         cert = synthesize_certificate(T)
         assert verify_certificate(T, cert)
         states = [T]
@@ -319,7 +318,7 @@ class TestVerify:
         partial = invert(T, [cert.arcs[0]])
         line = certificate_to_json(InversionCertificate(T, cert.arcs[:1], cert.trace[:1], partial))
         parsed = certificate_from_json(line)
-        analysed = record_analyses(monkeypatch)
+        analysed = record_calls(monkeypatch, modular, "_tree")
         res = verify_certificate(parsed.base, parsed)
         assert not res and res.reason == "final decomposable"
         assert analysed == [partial] and analysed[0] is parsed.final
@@ -407,13 +406,14 @@ class TestFeasibleArcs:
             (T, [a for a in T.arcs() if is_indecomposable(invert(T, [a]))]) for T in inputs
         ]
 
-        def refuse(T):
+        def refuse(*args):
             raise AssertionError("feasible_single_arcs must not use the guided analysis")
 
-        # refuse the tree, the record, its accessor and the guided primality
-        # test in every module that binds them
+        # refuse the tree, its refinement, the record, its accessor and the
+        # guided primality test in every module that binds them
         guided = {
             "_tree": modular,
+            "_modular_partition_avoiding": modular,
             "_Analysis": modular,
             "_analysis": modular,
             "is_indecomposable": modular,

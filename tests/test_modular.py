@@ -51,7 +51,6 @@ from conftest import (
     first_indecomposable,
     nested_substitution,
     overlaps,
-    record_analyses,
     record_calls,
     relabelled_chain,
 )
@@ -377,7 +376,7 @@ class TestOneRecordPerObject:
     def test_two_parses_build_two_records(self, monkeypatch):
         # the record belongs to the object, not to its value
         text = format_tourn_v1(relabelled_chain(9, 4))
-        built = record_analyses(monkeypatch)
+        built = record_calls(monkeypatch, modular, "_tree")
         first, second = parse_tourn_v1(text), parse_tourn_v1(text)
         assert first == second
         for T in (first, second, first, second):
@@ -396,6 +395,23 @@ class TestOneRecordPerObject:
             assert record() is None
         finally:
             gc.enable()
+
+    def test_record_reads_only_its_tree(self, monkeypatch):
+        # with `_tree` refused, a record built from a kept tree
+        # derives the same structure as the tournament's own record
+        rng = Xorshift64Star(23)
+        inputs = [*all_classes_up_to(6), relabelled_chain(17, 2)]
+        inputs += [composed_random(rng, n) for n in (9, 16, 24, 33)]
+        inputs += [nested_substitution(rng) for _ in range(6)]
+        kept = [(T, list(modular._tree(T)), modular._analysis(T)) for T in inputs]
+
+        def refuse(T):
+            raise AssertionError("a record must read the tree it is given")
+
+        monkeypatch.setattr(modular, "_tree", refuse)
+        for T, tree, own in kept:
+            A = modular._Analysis(T.n, T.out_masks, tree)
+            assert (A.mc, A.walks, A.index, A.runs) == (own.mc, own.walks, own.index, own.runs), T
 
 
 def halving_partition(T, S, v):
