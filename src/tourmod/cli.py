@@ -40,7 +40,7 @@ CHECK_ERROR = 1
 
 def _load(path: str) -> Tournament:
     try:
-        with open(path, "r", encoding="ascii") as fh:
+        with open(path, "r", encoding="ascii", newline="") as fh:
             return parse_tourn_v1(fh.read())
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -141,7 +141,7 @@ def cmd_sweep(args) -> int:
 def cmd_gen(args) -> int:
     try:
         T = random_tournament(args.n, args.seed) if args.type == "random" else transitive(args.n)
-        with open(args.output, "w", encoding="ascii") as fh:
+        with open(args.output, "w", encoding="ascii", newline="") as fh:
             fh.write(format_tourn_v1(T))
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,7 +17,8 @@ parts are all minimal co-modules.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import reduce
+from operator import and_
 from typing import Iterator
 
 from .core import Tournament, VertexSet, _mask_key, _members
@@ -162,25 +163,16 @@ def structured_delta_decomposition(
     return _as_decomposition(A, parts), {k: A.comodule(m) for k, m in labels.items()}
 
 
-def _beaten(out: tuple[int, ...], part: int) -> int:
-    """The vertices that every member of ``part`` beats: the AND of their
-    rows, started from -1 so that no n is needed."""
-    below = -1
-    while part:
-        bit = part & -part
-        part ^= bit
-        below &= out[bit.bit_length() - 1]
-    return below
-
-
 def _structured(A: _Analysis) -> tuple[tuple[int, ...], dict[str, int]]:
     """``structured_delta_decomposition`` on masks: the parts and the
     labelled parts as masks.
 
-    From index 4 up, a part tried as M1 or M2 gets its dominance mask,
-    ``_beaten``: M1 beats all of M2 exactly when M2 lies in M1's mask, so
-    each (C2) test is one AND.  The loops and their order are those of the
-    docstring above, so the labelling is the first in that order."""
+    From index 4 up, each decomposition lists its free parts, those with
+    at most one overlap, which alone may be M1, M3 or M4, and gives each
+    part its dominance mask, the AND of its members' rows: M1 beats all of
+    M2 exactly when M2 lies in M1's mask, so each (C2) test is one AND.
+    The loops and their order are those of the docstring above, so the
+    labelling is the first in that order."""
     if A.index < 2:
         raise ValueError("tournament is indecomposable")
     near = A.overlaps  # a part with at most one overlap has a tilde
@@ -204,24 +196,19 @@ def _structured(A: _Analysis) -> tuple[tuple[int, ...], dict[str, int]]:
 
     out = A.out
     for parts in A.decompositions():
-        free = [len(near[m]) <= 1 for m in parts]
-        span = range(len(parts))
-        for i in span:
-            if not free[i]:
-                continue
+        free = [i for i, m in enumerate(parts) if len(near[m]) <= 1]
+        below = [reduce(and_, map(out.__getitem__, _members(m))) for m in parts]
+        for i in free:
             m1 = parts[i]
-            below_m1 = _beaten(out, m1)
-            for j in span:
-                m2 = parts[j]
-                if j == i or below_m1 & m2 != m2:
+            for j, m2 in enumerate(parts):
+                if j == i or below[i] & m2 != m2:
                     continue
-                below_m2 = _beaten(out, m2)
-                for k in span:
+                for k in free:
                     m3 = parts[k]
-                    if k in (i, j) or not free[k] or below_m2 & m3 != m3:
+                    if k in (i, j) or below[j] & m3 != m3:
                         continue
-                    for l in span:
-                        if l in (i, j, k) or not free[l]:
+                    for l in free:
+                        if l in (i, j, k):
                             continue
                         if any(
                             out[x] & m1 == m1 or out[x] & m3 == 0 for x in _members(parts[l])
@@ -251,7 +238,7 @@ def hereditary_witness(T: Tournament, k: int) -> VertexSet:
         if index == 0:
             designated = (0, 1, 2)
         else:
-            module = min(A.minimal_modules, key=partial(_mask_key, T.n))
+            module = min(A.minimal_modules, key=_mask_key)
             x, y = _members(module)[:2]
             z = next(v for v in range(T.n) if not module >> v & 1)
             designated = (x, y, z)

@@ -96,17 +96,11 @@ def _members(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-# each byte value with its eight bits in reverse order
-_BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
-
-
-def _mask_key(n: int, mask: int) -> int:
-    """The sort key of the vertex sets on n vertices: by size, then first
-    the set holding the lowest vertex in which two sets differ, which is
-    the larger number with its bits reversed, so less its reversed mask."""
-    width = n // 8 + 1
-    reversed_mask = int.from_bytes(mask.to_bytes(width, "little").translate(_BIT_REVERSED), "big")
-    return (mask.bit_count() << 8 * width) - reversed_mask
+def _mask_key(mask: int) -> tuple[int, tuple[int, ...]]:
+    """The sort key of vertex sets: the size, then the member list.  Two
+    member lists of one size first differ at the lowest vertex in which
+    the sets differ, and the set holding it sorts first."""
+    return mask.bit_count(), _members(mask)
 
 
 # modules, pair closures and primality by definition, reading no tree
@@ -189,9 +183,9 @@ class VertexSet:
         return VertexSet(self.n, ((1 << self.n) - 1) ^ self.mask)
 
     @property
-    def key(self) -> int:
+    def key(self) -> tuple[int, tuple[int, ...]]:
         """Sort key among the sets on n vertices: by cardinality, then by member list."""
-        return _mask_key(self.n, self.mask)
+        return _mask_key(self.mask)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.members())

@@ -41,7 +41,7 @@ their verification included, reads it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import accumulate, chain, groupby, product
 from operator import or_
 from typing import Iterable, Iterator
@@ -231,7 +231,7 @@ def _tree(T: Tournament) -> Iterator[tuple[int, bool, list[int]]]:
 
 
 def _sorted_sets(T: Tournament, masks: Iterable[int]) -> list[VertexSet]:
-    return [VertexSet(T.n, m) for m in sorted(masks, key=partial(_mask_key, T.n))]
+    return [VertexSet(T.n, m) for m in sorted(masks, key=_mask_key)]
 
 
 def nontrivial_modules(T: Tournament) -> list[VertexSet]:
@@ -282,7 +282,7 @@ class CoModule:
     kind: str
 
     @property
-    def key(self) -> int:
+    def key(self) -> tuple[int, tuple[int, ...]]:
         return self.members.key
 
     def __repr__(self) -> str:
@@ -409,7 +409,7 @@ class _Analysis:
                 kinds.pop(end | (children[1] if end == children[0] else children[-2]), None)
             elif end in kinds:
                 kinds[end] = "both"
-        self.mc = {m: kinds[m] for m in sorted(kinds, key=partial(_mask_key, n))}
+        self.mc = {m: kinds[m] for m in sorted(kinds, key=_mask_key)}
         position = {m: i for i, m in enumerate(self.mc)}
         walks = []
         for pairs in twins:

@@ -30,7 +30,6 @@ from .core import (
     _classes,
     _enumerate_bits,
     _from_bit_string,
-    _members,
     dual,
     invert,
 )
@@ -213,12 +212,16 @@ def _arc_search(T, arcs, comods, crosses, chosen, crossed, barred, budget) -> bo
     uncrossed = ((1 << len(comods)) - 1) & ~crossed
     if uncrossed:
         used = count = 0
-        for j in _members(uncrossed):
-            if not comods[j] & used:
-                used |= comods[j]
+        rest = uncrossed
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            comod = comods[bit.bit_length() - 1]
+            if not comod & used:
+                used |= comod
                 count += 1
-        if count > 2 * budget:
-            return False
+                if count > 2 * budget:
+                    return False
         first = uncrossed & -uncrossed
         options = [i for i, c in enumerate(crosses) if c & first]
     else:

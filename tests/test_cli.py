@@ -142,6 +142,17 @@ class TestAnalyze:
             main(["analyze", str(bad)])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+    def test_foreign_line_ends_exit_two(self, tmp_path, capsys, newline):
+        # the file is read as parse_tourn_v1 reads text: only "\n" ends a line
+        bad = tmp_path / "t3.tourn"
+        bad.write_bytes(format_tourn_v1(transitive(3)).encode().replace(b"\n", newline))
+        with pytest.raises(SystemExit) as err:
+            main(["analyze", str(bad)])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
 
 class TestCertify:
     def test_five_chain(self, tmp_path, capsys):

@@ -18,11 +18,13 @@ from tourmod import (
     enumerate_tournaments,
     erdos_transitive_extension,
     hereditary_witness,
+    invert,
     is_indecomposable,
     minimal_comodules,
     random_tournament,
     structured_delta_decomposition,
     subtournament,
+    synthesize_certificate,
     transitive,
 )
 from tourmod.comodular import _structured
@@ -247,6 +249,47 @@ class TestStructuredDecomposition:
                     or all(T.relation(u, x) for u in m3)
                     for x in m4
                 )
+
+    @staticmethod
+    def certificate_states():
+        """The decomposable tournaments each certificate passes through."""
+        rng = Xorshift64Star(29)
+        corpus = [
+            *(T for T in all_classes_up_to(7) if T.n >= 5),
+            *(composed_random(rng, 6 + rng.below(35)) for _ in range(300)),
+            *(nested_substitution(rng) for _ in range(100)),
+            *(relabelled_chain(n, n) for n in range(5, 41)),
+        ]
+        for T in corpus:
+            for arc in synthesize_certificate(T).arcs:
+                yield T
+                T = invert(T, [arc])
+
+    def test_walks_at_most_three_decompositions(self):
+        # one of the first three decompositions qualified on every input
+        # tried; the labelled search has no proven bound on its walk
+        walked = {}
+        for T in self.certificate_states():
+            A = _analysis(T)
+            drawn = 0
+
+            def decompositions():
+                nonlocal drawn
+                for parts in A.decompositions():
+                    drawn += 1
+                    yield parts
+
+            _structured(
+                SimpleNamespace(
+                    index=A.index,
+                    mc=A.mc,
+                    out=A.out,
+                    decompositions=decompositions,
+                    overlaps=A.overlaps,
+                )
+            )
+            walked[drawn] = walked.get(drawn, 0) + 1
+        assert 1 in walked and max(walked) <= 3, walked
 
 
 def removed(T, X):

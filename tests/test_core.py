@@ -243,7 +243,7 @@ class TestVertexRange:
 
 class TestVertexSetKey:
     def test_orders_as_size_then_members(self):
-        # up to 70 vertices, so the byte reversal crosses up to 9 bytes
+        # up to 70 vertices, so masks span up to two 64-bit words
         rng = Xorshift64Star(24)
         for n in range(1, 71):
             full = (1 << n) - 1
@@ -255,6 +255,36 @@ class TestVertexSetKey:
             sets = [VertexSet(n, m) for m in masks]
             assert sorted(sets, key=lambda s: s.key) == sorted(
                 sets, key=lambda s: (len(s), s.members())
+            )
+
+    @staticmethod
+    def byte_reversed_key(n, mask):
+        # the order as one integer: the size above the mask with its bits
+        # reversed, subtracted, so that the set holding the lowest vertex in
+        # which two sets differ sorts first
+        width = n // 8 + 1
+        table = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+        reversed_mask = int.from_bytes(mask.to_bytes(width, "little").translate(table), "big")
+        return (mask.bit_count() << 8 * width) - reversed_mask
+
+    def test_matches_the_byte_reversed_key(self):
+        for n in range(9):
+            masks = range(1 << n)
+            assert sorted(masks, key=core._mask_key) == sorted(
+                masks, key=lambda m: self.byte_reversed_key(n, m)
+            )
+        rng = Xorshift64Star(29)
+        for n in (63, 64, 65, 200):
+            masks = []
+            for _ in range(300):
+                draws = [sum(rng.next() << 64 * w for w in range(4)) % (1 << n) for _ in range(3)]
+                masks += [draws[0] & draws[1] & draws[2], draws[0], draws[0] | draws[1] | draws[2]]
+                # the same size and a long common prefix: move one member
+                a, b = rng.below(n), rng.below(n)
+                if draws[0] >> a & 1 and not draws[0] >> b & 1:
+                    masks.append(draws[0] ^ (1 << a | 1 << b))
+            assert sorted(masks, key=core._mask_key) == sorted(
+                masks, key=lambda m: self.byte_reversed_key(n, m)
             )
 
 

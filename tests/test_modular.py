@@ -471,6 +471,22 @@ def prime_in_prime(k):
     return substitute(random_tournament(k, 2 * k), random_tournament(k, 2 * k + 1), 0)
 
 
+def nested_three_cycles(n):
+    """A 3-cycle substituted into vertex 0 of a 3-cycle, over and over, to
+    n vertices: a tree (n - 1) / 2 prime nodes deep."""
+    c3 = make_tournament(3, [1, 0, 1])
+    T = c3
+    while T.n < n:
+        T = substitute(T, c3, 0)
+    return T
+
+
+def chain_certificate_midway():
+    """The state after the first 25 of the 51 arcs certifying transitive(200)."""
+    T = transitive(200)
+    return invert(T, synthesize_certificate(T).arcs[:25])
+
+
 class CountingRows(tuple):
     """A tuple of out-masks that counts its element reads, by index or by
     iteration."""
@@ -516,6 +532,24 @@ class TestTreeChildRule:
         # reading the lowest vertex's row once per part 1,612 on random400;
         # it reads 400 rows for the scores, one for the root's offset and
         # the rest in the prime pass
+        T = build()
+        rows = CountingRows(T.out_masks)
+        object.__setattr__(T, "out_masks", rows)
+        minimal_comodules(T)
+        assert rows.reads <= bound
+
+    @pytest.mark.parametrize(
+        "build, bound",
+        [
+            (lambda: nested_three_cycles(127), 10333),
+            (lambda: nested_three_cycles(255), 41149),
+            (chain_certificate_midway, 4051),
+        ],
+        ids=["nested127", "nested255", "chain200_midway"],
+    )
+    def test_deep_reads_baseline(self, build, bound):
+        # today's counts, not a target: each prime node's pass reads every
+        # member again, so deep trees read about n * depth rows
         T = build()
         rows = CountingRows(T.out_masks)
         object.__setattr__(T, "out_masks", rows)
@@ -640,7 +674,7 @@ def reference_mc(n, minimal, maximal):
     kinds = {m: "both" if m in complements else "module" for m in minimal}
     kinds |= {m: "complement-module" for m in complements if m not in kinds}
     kept = [m for m in candidates if not any(o != m and o & ~m == 0 for o in candidates)]
-    return {m: kinds[m] for m in sorted(kept, key=lambda m: modular._mask_key(n, m))}
+    return {m: kinds[m] for m in sorted(kept, key=modular._mask_key)}
 
 
 def inclusion_filter_mc(n, minimal, maximal):
@@ -655,7 +689,7 @@ def inclusion_filter_mc(n, minimal, maximal):
         kinds[m] = "both" if m in modules else "complement-module"
     return {
         m: kinds[m]
-        for m in sorted(kinds, key=lambda m: modular._mask_key(n, m))
+        for m in sorted(kinds, key=modular._mask_key)
         if not any(o & m == o and o != m for o in (complements if m in modules else modules))
     }
 
