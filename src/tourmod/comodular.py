@@ -16,8 +16,8 @@ parts are all minimal co-modules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import reduce
+from dataclasses import dataclass
+from functools import cached_property, reduce
 from operator import and_
 from typing import Iterator
 
@@ -42,16 +42,15 @@ class ConflictGraph:
 
     nodes: tuple[CoModule, ...]
     edges: tuple[tuple[int, int], ...]
-    adjacency: tuple[tuple[int, ...], ...] = field(
-        init=False, repr=False, compare=False, default=()
-    )
 
-    def __post_init__(self):
+    @cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Each node's neighbours: the edges read both ways."""
         adj: list[list[int]] = [[] for _ in self.nodes]
         for a, b in self.edges:
             adj[a].append(b)
             adj[b].append(a)
-        object.__setattr__(self, "adjacency", tuple(map(tuple, adj)))
+        return tuple(map(tuple, adj))
 
     def degree(self, i: int) -> int:
         return len(self.adjacency[i])
@@ -167,45 +166,44 @@ def _structured(A: _Analysis) -> tuple[tuple[int, ...], dict[str, int]]:
     """``structured_delta_decomposition`` on masks: the parts and the
     labelled parts as masks.
 
-    From index 4 up, each decomposition lists its free parts, those with
-    at most one overlap, which alone may be M1, M3 or M4, and gives each
-    part its dominance mask, the AND of its members' rows: M1 beats all of
-    M2 exactly when M2 lies in M1's mask, so each (C2) test is one AND.
+    At index 2 and 3 every part needs a tilde, so the first decomposition
+    whose parts all have at most one overlap is labelled.  From index 4
+    up, each decomposition lists its free parts, those with at most one
+    overlap, which alone may be M1, M3 or M4, and gives each part its
+    dominance mask, the AND of its members' rows: M1 beats all of M2
+    exactly when M2 lies in M1's mask, so each (C2) test is one AND.
     The loops and their order are those of the docstring above, so the
     labelling is the first in that order."""
     if A.index < 2:
         raise ValueError("tournament is indecomposable")
     near = A.overlaps  # a part with at most one overlap has a tilde
 
-    if A.index == 2:
-        parts = next(A.decompositions())
-        a, b = parts
-        if len(near[a]) > 1 or len(near[b]) > 1:
-            raise RuntimeError("contract check failed for a two-part decomposition")
-        # prefer a nontrivial-module part for the M label; one exists from
-        # four vertices up, and below that the choice is immaterial
-        if A.mc[a] == "complement-module" and A.mc[b] in ("module", "both"):
-            a, b = b, a
-        return parts, {"M": a, "N": b}
-
-    if A.index == 3:
+    if A.index < 4:
         for parts in A.decompositions():
             if all(len(near[p]) <= 1 for p in parts):
-                return parts, dict(zip(("M", "N", "L"), parts))
-        raise RuntimeError("no three-part decomposition with all overlaps <= 1")
+                a, b = parts[:2]
+                # at index 2, prefer a nontrivial-module part for M; one exists
+                # from four vertices up, and below that the choice is immaterial
+                swap = A.mc[a] == "complement-module" and A.mc[b] in ("module", "both")
+                return parts, dict(zip("MNL", (b, a) if A.index == 2 and swap else parts))
+        size = ("two", "three")[A.index - 2]
+        raise RuntimeError(f"no {size}-part decomposition with all overlaps <= 1")
 
     out = A.out
     for parts in A.decompositions():
         free = [i for i, m in enumerate(parts) if len(near[m]) <= 1]
         below = [reduce(and_, map(out.__getitem__, _members(m))) for m in parts]
+        # no vertex beats itself, so a part's mask holds none of its own
+        # members: the (C2) tests alone make j differ from i, and, as M2
+        # loses to all of M1, make k differ from i and j; (C3) does not
         for i in free:
             m1 = parts[i]
             for j, m2 in enumerate(parts):
-                if j == i or below[i] & m2 != m2:
+                if below[i] & m2 != m2:
                     continue
                 for k in free:
                     m3 = parts[k]
-                    if k in (i, j) or below[j] & m3 != m3:
+                    if below[j] & m3 != m3:
                         continue
                     for l in free:
                         if l in (i, j, k):

@@ -325,7 +325,9 @@ class _Analysis:
     from n, the rows (``out``) and a tree, and reads nothing else; it keeps
     no tournament, so a tournament and its record form no reference cycle:
 
-    * ``tree``: the tree it was given, ``_tree``'s nodes, which nothing else reads;
+    * ``tree``: the tree it was given, ``_tree``'s nodes, which only
+      ``nontrivial_modules`` and ``inversion.erdos_transitive_extension``
+      read besides this record;
     * ``chains``: the maximal runs of single-vertex children of each linear
       node, as one-bit masks in dominance order; the twins are the unions
       of consecutive members of a chain;

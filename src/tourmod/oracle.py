@@ -135,19 +135,6 @@ def _brute_comodule_masks(T: Tournament) -> tuple[int, ...]:
     return vars(T)["_brute_comodules"]
 
 
-def _brute_packing(T: Tournament) -> tuple[int, ...]:
-    """The masks of a maximum set of pairwise disjoint co-modules, by
-    branch and bound.
-
-    Candidates are every co-module, ordered by size; the bound uses the
-    vertices still free divided by the smallest remaining candidate size.
-    """
-    comods = _brute_comodule_masks(T)
-    best: list[int] = []
-    _pack(comods, [m.bit_count() for m in comods], 0, 0, T.n, [], best)
-    return tuple(best)
-
-
 def _pack(comods, sizes, start: int, used: int, free: int, chosen: list, best: list) -> None:
     """Copy into ``best`` each larger packing that extends ``chosen`` (which
     covers ``used``, leaving ``free`` vertices) by candidates from ``start``
@@ -165,9 +152,15 @@ def _pack(comods, sizes, start: int, used: int, free: int, chosen: list, best: l
 
 
 def brute_Delta(T: Tournament) -> int:
-    """Maximum number of pairwise disjoint co-modules: the size of
-    ``_brute_packing``."""
-    return len(_brute_packing(T))
+    """Maximum number of pairwise disjoint co-modules, by branch and bound.
+
+    Candidates are every co-module, ordered by size; the bound uses the
+    vertices still free divided by the smallest remaining candidate size.
+    """
+    comods = _brute_comodule_masks(T)
+    best: list[int] = []
+    _pack(comods, [m.bit_count() for m in comods], 0, 0, T.n, [], best)
+    return len(best)
 
 
 def brute_delta(T: Tournament) -> int:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from types import SimpleNamespace
 
@@ -130,6 +131,20 @@ class TestConflictGraph:
             for comp in g.components():
                 assert sum(i in comp for i, _ in g.edges) == len(comp) - 1
 
+    def test_graph_is_its_nodes_and_edges(self):
+        g = conflict_graph(transitive(9))
+        assert [f.name for f in dataclasses.fields(g)] == ["nodes", "edges"]
+        unread, read = ConflictGraph(g.nodes, g.edges), ConflictGraph(g.nodes, g.edges)
+        assert read.adjacency is read.adjacency
+        assert read == unread and hash(read) == hash(unread) and repr(read) == repr(unread)
+        both_ways = sorted([*g.edges, *((b, a) for a, b in g.edges)])
+        assert sorted((a, b) for a, near in enumerate(read.adjacency) for b in near) == both_ways
+        # built directly, without conflict_graph, as synthetic_path builds one
+        graph, walk = synthetic_path(5, Xorshift64Star(3))
+        assert [graph.degree(v) for v in walk] == [1, 2, 2, 2, 1]
+        assert [graph.degree(v) for v in (5, 6)] == [0, 0]
+        assert graph.components() == [sorted(walk), [5], [6]]
+
 
 class TestDeltaDecomposition:
     def test_even_transitive_unique(self):
@@ -214,6 +229,21 @@ class TestStructuredDecomposition:
         )
         with pytest.raises(RuntimeError, match=message):
             _structured(doctored)
+
+    def test_two_parts_take_the_first_qualifying_decomposition(self):
+        # the record of a 3-chain, doctored so that its first decomposition
+        # pairs {0} with the twin {0, 1}, which overlaps two parts
+        A = _analysis(transitive(3))
+        a, b = next(A.decompositions())
+        twin = 0b011
+        doctored = SimpleNamespace(
+            index=A.index,
+            mc={**A.mc, twin: "module"},
+            out=A.out,
+            decompositions=lambda: iter([(a, twin), (a, b)]),
+            overlaps={**A.overlaps, twin: (0, 0)},
+        )
+        assert _structured(doctored) == ((a, b), {"M": a, "N": b})
 
     def test_contract_exhaustive(self):
         for T in all_classes_up_to(7):
@@ -471,6 +501,19 @@ class TestClosedFormOptima:
         chains = (relabelled_chain(n, seed) for n in range(6, 13) for seed in (1, 2))
         for T in itertools.chain(equivalence_corpus(), chains):
             if comodular_index(T) < 2:
+                continue
+            D, labels = structured_delta_decomposition(T)
+            parts, ref_labels = reference_structured(T)
+            assert list(D.parts) == parts
+            assert labels == ref_labels
+
+    def test_labels_match_permutation_scan_on_certificate_states(self):
+        # the states certificates reach are not transitive, so the scan of
+        # ordered quadruples of distinct parts checks that the (C2) tests
+        # alone keep the labelled parts distinct; the scan's subset
+        # enumeration bounds n
+        for T in TestStructuredDecomposition.certificate_states():
+            if T.n > 16:
                 continue
             D, labels = structured_delta_decomposition(T)
             parts, ref_labels = reference_structured(T)
