@@ -78,8 +78,7 @@ class ConflictGraph:
 def conflict_graph(T: Tournament) -> ConflictGraph:
     """The overlap graph on mc(T); its edges join neighbours on a walk."""
     A = _analysis(T)
-    edges = sorted((min(e), max(e)) for walk in A.walks for e in zip(walk, walk[1:]))
-    return ConflictGraph(tuple(map(A.comodule, A.mc)), tuple(edges))
+    return ConflictGraph(tuple(map(A.comodule, A.mc)), tuple(A.edges))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,8 @@ pair {i, j} with i < j sits at position
 and is True when the arc (i, j) is present, False when (j, i) is.  The
 sequence is packed into a single int (bit k = entry k), which makes
 tournaments cheap to hash and compare.  The out-neighbourhood masks are
-decoded from it once; ``invert`` and ``dual`` derive theirs by flipping.
+decoded from it on first read; ``invert`` and ``dual`` derive theirs by
+flipping.
 
 All values in this module are immutable; every function is pure.
 
@@ -40,8 +41,8 @@ and the orientation bit for pair position k is bit 63 of the k-th output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -210,9 +211,6 @@ class Tournament:
 
     n: int
     bits: int
-    out_masks: tuple[int, ...] = field(
-        init=False, repr=False, compare=False, hash=False, default=()
-    )
 
     def __post_init__(self):
         if self.n < 1:
@@ -220,8 +218,6 @@ class Tournament:
         m = pair_count(self.n)
         if self.bits < 0 or self.bits >> m:
             raise ValueError(f"bits value does not fit {m} pair positions")
-        s = format(self.bits, f"0{m}b").encode() if m else b""
-        object.__setattr__(self, "out_masks", _rows(self.n, s))
 
     @classmethod
     def _derived(cls, n: int, bits: int, out_masks: Sequence[int]) -> "Tournament":
@@ -230,6 +226,13 @@ class Tournament:
         T = object.__new__(cls)
         vars(T).update(n=n, bits=bits, out_masks=tuple(out_masks))
         return T
+
+    @cached_property
+    def out_masks(self) -> tuple[int, ...]:
+        """Bit y of out_masks[x] is set when the arc (x, y) is present;
+        decoded from ``bits`` on first read unless ``_derived`` seeded it."""
+        m = pair_count(self.n)
+        return _rows(self.n, format(self.bits, f"0{m}b").encode() if m else b"")
 
     @property
     def orient(self) -> tuple[bool, ...]:
@@ -280,6 +283,13 @@ def _rows(n: int, s: bytes) -> tuple[int, ...]:
     rows = [s[pair_count(n - 1 - i) : pair_count(n - i)] for i in range(n)]
     grid = b"".join(rows[i] + b"0" * (i + 1) for i in reversed(range(n))).translate(_FLIP)
     return tuple([int(rows[i] + b"0" + grid[(n - i) * n + n - 1 - i :: n], 2) for i in range(n)])
+
+
+def _read(outs: Sequence[int], order: Sequence[int]) -> str:
+    """The orientation sequence, as a '0'/'1' string in idx order, of the
+    tournament with out-neighbourhoods ``outs`` relabelled so that its
+    vertex k is ``order[k]``."""
+    return "".join("1" if outs[x] >> y & 1 else "0" for x, y in combinations(order, 2))
 
 
 def make_tournament(n: int, orient: Sequence) -> Tournament:
@@ -359,8 +369,7 @@ def subtournament(T: Tournament, W) -> tuple[Tournament, tuple[int, ...]]:
     for v in members:
         if not 0 <= v < T.n:
             raise ValueError(f"vertex {v} out of range 0..{T.n - 1}")
-    bits = "".join(str(T.relation(x, y)) for x, y in combinations(members, 2))
-    return _from_bit_string(len(members), bits), members
+    return _from_bit_string(len(members), _read(T.out_masks, members)), members
 
 
 def relabel(T: Tournament, perm: Sequence[int]) -> Tournament:
@@ -370,7 +379,7 @@ def relabel(T: Tournament, perm: Sequence[int]) -> Tournament:
     if sorted(perm) != list(range(n)):
         raise ValueError(f"perm must list each of 0..{n - 1} exactly once")
     old = sorted(range(n), key=perm.__getitem__)  # old[perm[v]] = v
-    return make_tournament(n, [T.relation(x, y) for x, y in combinations(old, 2)])
+    return _from_bit_string(n, _read(T.out_masks, old))
 
 
 def substitute(outer: Tournament, inner: Tournament, at: int) -> Tournament:
@@ -480,17 +489,6 @@ def _canonical_order(outs: Sequence[int]) -> tuple[int, ...]:
     return frontier[0][0]
 
 
-def _canonical_string(outs: Sequence[int]) -> str:
-    """The canonical orientation sequence as a '0'/'1' string in idx order."""
-    order = _canonical_order(outs)
-    n = len(order)
-    return "".join(
-        "1" if outs[order[a]] >> order[b] & 1 else "0"
-        for a in range(n)
-        for b in range(a + 1, n)
-    )
-
-
 def canonical_form(T: Tournament) -> tuple[bool, ...]:
     """Lexicographically minimal orientation sequence over all relabelings.
 
@@ -500,7 +498,8 @@ def canonical_form(T: Tournament) -> tuple[bool, ...]:
     """
     if T.n > ENUMERATION_BOUND:
         raise ValueError(f"canonicalization limited to n <= {ENUMERATION_BOUND}, got n={T.n}")
-    return tuple(c == "1" for c in _canonical_string(T.out_masks))
+    outs = T.out_masks
+    return tuple(c == "1" for c in _read(outs, _canonical_order(outs)))
 
 
 def _extend(task: tuple[int, Sequence[str]]) -> set[str]:
@@ -532,7 +531,7 @@ def _extend(task: tuple[int, Sequence[str]]) -> set[str]:
                     new_outs[i] |= 1 << (n - 1)
                     ext |= 1 << i
                 new_outs.append(((1 << (n - 1)) - 1) ^ ext)
-                forms.add(_canonical_string(new_outs))
+                forms.add(_read(new_outs, _canonical_order(new_outs)))
     return forms
 
 

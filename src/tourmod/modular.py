@@ -342,7 +342,7 @@ class _Analysis:
     * ``walks``: the overlap graph's components, each as mc positions in
       path order, listed by smallest position;
     * ``index``: the co-modular index, ceil(k/2) summed over the walks;
-    * ``overlaps``, ``runs`` and ``optima``, derived on first use.
+    * ``edges``, ``overlaps``, ``runs`` and ``optima``, derived on first use.
 
     A minimal co-module is a minimal nontrivial module or the complement
     of a maximal one, and it is in mc exactly when no candidate of the
@@ -424,19 +424,20 @@ class _Analysis:
         self.index = sum((len(walk) + 1) // 2 for walk in self.walks)
 
     @cached_property
+    def edges(self) -> list[tuple[int, int]]:
+        """The overlap graph's edges, sorted: the pairs (i, j), i < j, of
+        mc positions that are neighbours on a walk."""
+        return sorted((min(e), max(e)) for walk in self.walks for e in zip(walk, walk[1:]))
+
+    @cached_property
     def overlaps(self) -> dict[int, list[int]]:
-        """The minimal co-modules each one overlaps, in mc order: its
-        neighbours on its walk, so at most two."""
+        """The minimal co-modules each one overlaps, so at most two, in mc
+        order: the edges are sorted, so each meets its lower one first."""
         masks = list(self.mc)
-        near = {}
-        for walk in self.walks:
-            if len(walk) == 1:
-                near[masks[walk[0]]] = []
-                continue
-            near[masks[walk[0]]] = [masks[walk[1]]]
-            near[masks[walk[-1]]] = [masks[walk[-2]]]
-            for i, j, k in zip(walk, walk[1:], walk[2:]):
-                near[masks[j]] = [masks[i], masks[k]] if i < k else [masks[k], masks[i]]
+        near = {m: [] for m in masks}
+        for i, j in self.edges:
+            near[masks[i]].append(masks[j])
+            near[masks[j]].append(masks[i])
         return near
 
     def overlapping(self, mask: int) -> list[int]:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 
@@ -109,7 +110,21 @@ def pairwise_out_masks(n: int, bits: int) -> list[int]:
     return outs
 
 
+def read_by_relation(T: Tournament, order) -> str:
+    """Reference reading: the orientation string of T with its vertex k
+    called order[k], one validated ``relation`` call per pair."""
+    return "".join(str(T.relation(x, y)) for x, y in itertools.combinations(order, 2))
+
+
 class TestConstruction:
+    def test_fields_are_n_and_bits(self):
+        # the rows are derived, decoded from bits on first read: here the
+        # 3-cycle 0 -> 1 -> 2 -> 0
+        assert [f.name for f in dataclasses.fields(Tournament)] == ["n", "bits"]
+        T = Tournament(3, 0b101)
+        assert "out_masks" not in vars(T)
+        assert T.out_masks == (0b010, 0b100, 0b001) and "out_masks" in vars(T)
+
     def test_out_masks_match_pairwise_reading(self):
         rng = Xorshift64Star(53)
         # past 40, sizes around the 64-bit word boundaries and one large n
@@ -122,17 +137,21 @@ class TestConstruction:
 
     def test_builders_keep_bits(self):
         rng = Xorshift64Star(59)
-        for n in (1, 2, 5, 17, 40):
+        for n in (1, 2, 5, 17, 40, 64, 200):
             orient = [rng.below(2) for _ in range(pair_count(n))]
             T = make_tournament(n, orient)
             assert T.orient == tuple(map(bool, orient))
-            S, labels = subtournament(T, range(0, n, 2))
-            assert all(
-                S.relation(a, b) == T.relation(labels[a], labels[b])
-                for a in range(S.n)
-                for b in range(S.n)
-                if a != b
-            )
+            picked = [v for v in range(n) if rng.below(2)] or [0]
+            for W in (range(0, n, 2), picked):
+                S, labels = subtournament(T, W)
+                assert labels == tuple(sorted(W))
+                assert S.bit_string() == read_by_relation(T, labels)
+                assert all(
+                    S.relation(a, b) == T.relation(labels[a], labels[b])
+                    for a in range(S.n)
+                    for b in range(S.n)
+                    if a != b
+                )
 
     @pytest.mark.parametrize("n, bits", [(0, 0), (3, 1 << 3), (3, -1)])
     def test_rejects_bad_fields(self, n, bits):
@@ -332,11 +351,13 @@ class TestRelabelAndSubstitute:
         # 0 -> 1 -> 2 renamed 0:2, 1:0, 2:1 reads 2 -> 0 -> 1
         assert sorted(relabel(transitive(3), [2, 0, 1]).arcs()) == [(0, 1), (2, 0), (2, 1)]
         rng = Xorshift64Star(61)
-        for n in (1, 2, 5, 9):
+        for n in (1, 2, 5, 9, 64, 200):
             T, p = random_bits_tournament(rng, n), random_perm(rng, n)
             R = relabel(T, p)
             pairs = itertools.permutations(range(n), 2)
             assert all(R.relation(p[u], p[v]) == T.relation(u, v) for u, v in pairs)
+            # R's vertex k is T's vertex v with p[v] = k
+            assert R.bit_string() == read_by_relation(T, sorted(range(n), key=p.__getitem__))
 
     @pytest.mark.parametrize("perm", [[0, 0, 1], [0, 1], [0, 1, 2, 3], [1, 2, 3], [-1, 0, 1]])
     def test_relabel_rejects_non_permutations(self, perm):
@@ -457,8 +478,8 @@ class TestEnumeration:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_extensions_match_rejection_filter(self, n, monkeypatch):
         kept = extensions_by_rejection(n)
-        forms = {core._canonical_string(outs) for outs in kept}
-        made = record_calls(monkeypatch, core, "_canonical_string")
+        forms = {core._read(outs, core._canonical_order(outs)) for outs in kept}
+        made = record_calls(monkeypatch, core, "_canonical_order")
         assert core._extend((n, core._enumerate_bits(n - 1))) == forms
         # exactly the extensions the filter keeps, and no other, are made
         assert sorted(map(tuple, made)) == sorted(kept)

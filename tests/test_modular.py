@@ -256,13 +256,29 @@ class TestOverlap:
         with pytest.raises(ValueError):
             overlap_set(transitive(6), [0, 1])
 
+    @staticmethod
+    def chain_certificate_states():
+        """The states the certificates of relabelled 17..40-vertex chains
+        pass through, whose walks are long and mostly not monotone in mc."""
+        for n in range(17, 41):
+            T = relabelled_chain(n, n)
+            for arc in synthesize_certificate(T).arcs:
+                yield T
+                T = invert(T, [arc])
+
     def test_matches_the_definition(self):
         # M' overlaps M when they meet and neither contains the other
-        for T in all_classes_up_to(7):
+        unsorted = 0
+        for T in (*all_classes_up_to(7), *self.chain_certificate_states()):
             masks = [c.members.mask for c in minimal_comodules(T)]
             for m in masks:
                 expected = [o for o in masks if overlaps(o, m)]
                 assert [c.members.mask for c in overlap_set(T, VertexSet(T.n, m))] == expected
+            walks = modular._analysis(T).walks
+            unsorted += sum(walk not in (sorted(walk), sorted(walk)[::-1]) for walk in walks)
+        # most walks of three or more twins run out of mc order, so the
+        # overlaps' mc order is not their order along the walk
+        assert unsorted > 100
 
     def test_degree_bound_and_twin_requirement(self):
         for T in all_classes_up_to(6):
