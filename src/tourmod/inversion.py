@@ -33,7 +33,17 @@ import json
 from dataclasses import dataclass
 from itertools import islice, permutations as _permutations, product
 
-from .core import Arc, Tournament, _from_bit_string, _is_prime, _members, invert, relabel, transitive
+from .core import (
+    Arc,
+    InputError,
+    Tournament,
+    _from_bit_string,
+    _is_prime,
+    _members,
+    invert,
+    relabel,
+    transitive,
+)
 from .comodular import _structured, comodular_index
 from .modular import _analysis
 
@@ -57,14 +67,13 @@ MIN_VERTICES = 5
 
 
 class GuidedChoiceWarning(UserWarning):
-    """Formerly warned that a guided reduction step fell back to an arc
-    scan.  Every step now has a single proven path, so nothing raises it;
-    it stays exported for callers that still count it."""
+    """Raised by nothing in the library.  ``perfbench/tracing.py`` imports
+    it, so it goes with the next change to the benchmark (ROADMAP item 2)."""
 
 
 def _require_size(T: Tournament):
     if T.n < MIN_VERTICES:
-        raise ValueError(
+        raise InputError(
             f"the decomposability index is only defined from {MIN_VERTICES} vertices up"
         )
 

@@ -25,8 +25,7 @@ once in all on random inputs, plus one pass that grows a single closure
 around its lowest vertex and stops each part's test at the first child
 already found (see ``_tree``), which reads about |S| rows on random and
 substituted inputs.  The whole tree reads about 3n rows of a random
-400-vertex tournament, and a random tournament on 2000 vertices yields
-its tree in 5-9 ms (2 shared cores, Python 3.11).
+400-vertex tournament.
 
 Every structural query reads one record per tournament object,
 ``_Analysis``, built from one tree: the nontrivial modules, the minimal

@@ -25,6 +25,7 @@ from functools import lru_cache
 
 from .core import (
     ENUMERATION_BOUND,
+    InputError,
     Tournament,
     VertexSet,
     _classes,
@@ -36,6 +37,7 @@ from .core import (
 from .comodular import comodular_index
 from .inversion import (
     MIN_VERTICES,
+    _expected_max_index,
     _expected_max_inversions,
     _require_size,
     decomposability_index,
@@ -57,7 +59,7 @@ MODULE_SCAN_BOUND = 16
 
 def _check_scan_bound(T: Tournament) -> None:
     if T.n > MODULE_SCAN_BOUND:
-        raise ValueError(f"subset scan limited to n <= {MODULE_SCAN_BOUND}")
+        raise InputError(f"subset scan limited to n <= {MODULE_SCAN_BOUND}")
 
 
 @lru_cache(maxsize=None)
@@ -248,6 +250,12 @@ class SweepReport:
     max_delta: int | None
     violations: list[str]
 
+    @property
+    def ok(self) -> bool:
+        """No violation, and the maxima are the paper's Delta(n) and delta(n)."""
+        delta_ok = self.n < MIN_VERTICES or self.max_delta == _expected_max_inversions(self.n)
+        return not self.violations and self.max_Delta == _expected_max_index(self.n) and delta_ok
+
 
 def report_to_json(report: SweepReport) -> str:
     return json.dumps(asdict(report))
@@ -286,9 +294,9 @@ def sweep_verify(max_n: int, jobs: int = 1) -> list[SweepReport]:
     steps run in process.  The reports do not depend on ``jobs``.
     """
     if not 3 <= max_n <= ENUMERATION_BOUND:
-        raise ValueError(f"sweeps need 3 <= max_n <= {ENUMERATION_BOUND}")
+        raise InputError(f"sweeps need 3 <= max_n <= {ENUMERATION_BOUND}")
     if jobs < 1:
-        raise ValueError("sweeps need at least one job")
+        raise InputError("sweeps need at least one job")
     if jobs > 1:
         from multiprocessing import Pool  # loaded here, so importing tourmod skips it
 

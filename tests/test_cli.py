@@ -5,11 +5,20 @@ import sys
 import pytest
 
 from tourmod import (
+    InputError,
+    Tournament,
     VerificationResult,
     Xorshift64Star,
+    brute_Delta,
+    canonical_form,
+    decomposability_index,
+    enumerate_tournaments,
     format_tourn_v1,
     modular,
     parse_tourn_v1,
+    random_tournament,
+    sweep_verify,
+    synthesize_certificate,
     transitive,
 )
 from tourmod import cli, inversion, oracle
@@ -21,6 +30,42 @@ from conftest import composed_random, first_indecomposable, record_calls, run_py
 def write_tourn(path, T):
     path.write_text(format_tourn_v1(T))
     return str(path)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: Tournament(0, 0),
+        lambda: random_tournament(0, 1),
+        lambda: canonical_form(transitive(10)),
+        lambda: enumerate_tournaments(0),
+        lambda: enumerate_tournaments(10),
+        lambda: decomposability_index(transitive(4)),
+        lambda: synthesize_certificate(transitive(4)),
+        lambda: brute_Delta(transitive(17)),
+        lambda: sweep_verify(2),
+        lambda: sweep_verify(10),
+        lambda: sweep_verify(5, jobs=0),
+    ],
+    ids=[
+        "tournament-n0",
+        "random-n0",
+        "canonical-n10",
+        "enumerate-n0",
+        "enumerate-n10",
+        "decomposability-n4",
+        "certificate-n4",
+        "brute-Delta-n17",
+        "sweep-max-n2",
+        "sweep-max-n10",
+        "sweep-jobs0",
+    ],
+)
+def test_bounds_raise_input_error(call):
+    # the one error main turns into exit 2; still a ValueError for callers
+    assert issubclass(InputError, ValueError)
+    with pytest.raises(InputError):
+        call()
 
 
 class TestGen:
@@ -138,18 +183,19 @@ class TestAnalyze:
     def test_parse_error_exit_two(self, tmp_path):
         bad = tmp_path / "bad.tourn"
         bad.write_text("nonsense\n")
-        with pytest.raises(SystemExit) as err:
-            main(["analyze", str(bad)])
-        assert err.value.code == 2
+        assert main(["analyze", str(bad)]) == 2
+
+    def test_missing_file_exit_two(self, tmp_path, capsys):
+        assert main(["analyze", str(tmp_path / "absent.tourn")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
 
     @pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "cr"])
     def test_foreign_line_ends_exit_two(self, tmp_path, capsys, newline):
         # the file is read as parse_tourn_v1 reads text: only "\n" ends a line
         bad = tmp_path / "t3.tourn"
         bad.write_bytes(format_tourn_v1(transitive(3)).encode().replace(b"\n", newline))
-        with pytest.raises(SystemExit) as err:
-            main(["analyze", str(bad)])
-        assert err.value.code == 2
+        assert main(["analyze", str(bad)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
 
@@ -259,6 +305,15 @@ class TestOracleCommand:
         with pytest.raises(ValueError, match="guided failure"):
             main(["oracle", path, "--check", "Delta"])
 
+    def test_brute_value_error_is_not_a_usage_error(self, tmp_path, monkeypatch):
+        def broken(T):
+            raise ValueError("brute failure")
+
+        monkeypatch.setattr(cli, "brute_Delta", broken)
+        path = write_tourn(tmp_path / "six.tourn", transitive(6))
+        with pytest.raises(ValueError, match="brute failure"):
+            main(["oracle", path, "--check", "Delta"])
+
 
 class TestSweepCommand:
     def test_max_n_five(self, tmp_path, capsys):
@@ -280,14 +335,13 @@ class TestSweepCommand:
         assert main(["sweep", "--max-n", "10"]) == 2
 
     def test_extremal_values_have_one_definition(self):
-        assert cli._expected_max_index is inversion._expected_max_index
-        assert cli._expected_max_inversions is inversion._expected_max_inversions
+        assert oracle._expected_max_index is inversion._expected_max_index
         assert oracle._expected_max_inversions is inversion._expected_max_inversions
 
     @pytest.mark.parametrize("name", ["_expected_max_index", "_expected_max_inversions"])
     def test_maxima_judged_against_the_paper(self, monkeypatch, name):
         higher = lambda n: getattr(inversion, name)(n) + 1
-        monkeypatch.setattr(cli, name, higher)
+        monkeypatch.setattr(oracle, name, higher)
         assert main(["sweep", "--max-n", "5"]) == 1
 
     @pytest.mark.parametrize("max_n", ["2", "0", "-5"])

@@ -233,6 +233,21 @@ class TestSweep:
         assert list(record) == ["n", "class_count", "max_Delta", "max_delta", "violations"]
         assert record["max_delta"] == 2
 
+    @pytest.mark.parametrize(
+        "n, max_Delta, max_delta, violations, ok",
+        [
+            (5, 3, 2, [], True),
+            (5, 3, 2, ["1111111111"], False),
+            (5, 4, 2, [], False),
+            (5, 3, 3, [], False),
+            (4, 3, None, [], True),
+        ],
+        ids=["paper", "violation", "Delta-off", "delta-off", "no-delta-below-five"],
+    )
+    def test_report_judges_its_size(self, n, max_Delta, max_delta, violations, ok):
+        rep = SweepReport(n, 12, max_Delta, max_delta, violations)
+        assert rep.ok is ok
+
     def test_parallel_matches_serial(self):
         assert sweep_verify(4, jobs=2) == sweep_verify(4)
 
