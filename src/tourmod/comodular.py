@@ -17,8 +17,7 @@ parts are all minimal co-modules.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from operator import and_
+from functools import cached_property
 from typing import Iterator
 
 from .core import Tournament, VertexSet, _mask_key, _members
@@ -163,55 +162,79 @@ def structured_delta_decomposition(
 
 def _structured(A: _Analysis) -> tuple[tuple[int, ...], dict[str, int]]:
     """``structured_delta_decomposition`` on masks: the parts and the
-    labelled parts as masks.
-
-    At index 2 and 3 every part needs a tilde, so the first decomposition
-    whose parts all have at most one overlap is labelled.  From index 4
-    up, each decomposition lists its free parts, those with at most one
-    overlap, which alone may be M1, M3 or M4, and gives each part its
-    dominance mask, the AND of its members' rows: M1 beats all of M2
-    exactly when M2 lies in M1's mask, so each (C2) test is one AND.
-    The loops and their order are those of the docstring above, so the
-    labelling is the first in that order."""
+    labelled parts as masks, from the first decomposition that ``_label``
+    labels.  From index 4 up each decomposition's dominance masks are
+    built once, for ``_label`` to read."""
     if A.index < 2:
         raise ValueError("tournament is indecomposable")
-    near = A.overlaps  # a part with at most one overlap has a tilde
-
+    for parts in A.decompositions():
+        below = _dominance(A.out, parts) if A.index >= 4 else ()
+        labels = _label(A, parts, A.out, below)
+        if labels is not None:
+            return parts, labels
     if A.index < 4:
-        for parts in A.decompositions():
-            if all(len(near[p]) <= 1 for p in parts):
-                a, b = parts[:2]
-                # at index 2, prefer a nontrivial-module part for M; one exists
-                # from four vertices up, and below that the choice is immaterial
-                swap = A.mc[a] == "complement-module" and A.mc[b] in ("module", "both")
-                return parts, dict(zip("MNL", (b, a) if A.index == 2 and swap else parts))
         size = ("two", "three")[A.index - 2]
         raise RuntimeError(f"no {size}-part decomposition with all overlaps <= 1")
-
-    out = A.out
-    for parts in A.decompositions():
-        free = [i for i, m in enumerate(parts) if len(near[m]) <= 1]
-        below = [reduce(and_, map(out.__getitem__, _members(m))) for m in parts]
-        # no vertex beats itself, so a part's mask holds none of its own
-        # members: the (C2) tests alone make j differ from i, and, as M2
-        # loses to all of M1, make k differ from i and j; (C3) does not
-        for i in free:
-            m1 = parts[i]
-            for j, m2 in enumerate(parts):
-                if below[i] & m2 != m2:
-                    continue
-                for k in free:
-                    m3 = parts[k]
-                    if below[j] & m3 != m3:
-                        continue
-                    for l in free:
-                        if l in (i, j, k):
-                            continue
-                        if any(
-                            out[x] & m1 == m1 or out[x] & m3 == 0 for x in _members(parts[l])
-                        ):
-                            return parts, {"M1": m1, "M2": m2, "M3": m3, "M4": parts[l]}
     raise RuntimeError("no labelled four-part decomposition found")
+
+
+def _dominance(out: tuple[int, ...], parts: tuple[int, ...]) -> list[int]:
+    """Each part's dominance mask, the AND of its members' rows: the
+    vertices that every member beats."""
+    masks = []
+    for rest in parts:
+        mask = -1
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            mask &= out[bit.bit_length() - 1]
+        masks.append(mask)
+    return masks
+
+
+def _label(A, parts: tuple[int, ...], out: tuple[int, ...], below) -> dict[str, int] | None:
+    """The labels of one delta decomposition, or None when it has none:
+    the loop that ``_structured`` runs on each decomposition in turn and
+    a certificate's plan (``inversion._Plan``) runs on its one.  ``A`` is
+    the state's record or plan, read for its index, overlaps and kinds;
+    ``out`` holds the rows and ``below`` the parts' dominance masks (read
+    from index 4 up).
+
+    At index 2 and 3 every part needs a tilde, so the parts are labelled
+    M, N (and L) when all have at most one overlap.  From index 4 up, the
+    free parts, those with at most one overlap, alone may be M1, M3 or
+    M4, and M1 beats all of M2 exactly when M2 lies in M1's dominance
+    mask, so each (C2) test is one AND.  The loops and their order are
+    those of ``structured_delta_decomposition``, so the labelling is the
+    first in that order."""
+    near = A.overlaps
+    if A.index < 4:
+        if any(len(near[p]) > 1 for p in parts):
+            return None
+        a, b = parts[:2]
+        # at index 2, prefer a nontrivial-module part for M; one exists
+        # from four vertices up, and below that the choice is immaterial
+        swap = A.mc[a] == "complement-module" and A.mc[b] in ("module", "both")
+        return dict(zip("MNL", (b, a) if A.index == 2 and swap else parts))
+    free = [i for i, m in enumerate(parts) if len(near[m]) <= 1]
+    # no vertex beats itself, so a part's mask holds none of its own
+    # members: the (C2) tests alone make j differ from i, and, as M2
+    # loses to all of M1, make k differ from i and j; (C3) does not
+    for i in free:
+        m1 = parts[i]
+        for j, m2 in enumerate(parts):
+            if below[i] & m2 != m2:
+                continue
+            for k in free:
+                m3 = parts[k]
+                if below[j] & m3 != m3:
+                    continue
+                for l in free:
+                    if l in (i, j, k):
+                        continue
+                    if any(out[x] & m1 == m1 or out[x] & m3 == 0 for x in _members(parts[l])):
+                        return {"M1": m1, "M2": m2, "M3": m3, "M4": parts[l]}
+    return None
 
 
 def hereditary_witness(T: Tournament, k: int) -> VertexSet:

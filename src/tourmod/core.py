@@ -308,13 +308,14 @@ def make_tournament(n: int, orient: Sequence) -> Tournament:
 
 def _from_bit_string(n: int, bits: str) -> Tournament:
     """The tournament whose orientation sequence is the '0'/'1' string
-    ``bits`` (as ``Tournament.bit_string`` writes it); raises ValueError
-    for n < 1, a wrong length or any other character.  The characters are
-    checked once, before ``int``, which would also take signs, spaces,
-    underscores, a 0b prefix and non-ASCII digits; the value and the rows
-    are then both read from the reversed string."""
+    ``bits`` (as ``Tournament.bit_string`` writes it); raises InputError
+    for n < 1, as ``Tournament`` does, and ValueError for a wrong length
+    or any other character.  The characters are checked once, before
+    ``int``, which would also take signs, spaces, underscores, a 0b prefix
+    and non-ASCII digits; the value and the rows are then both read from
+    the reversed string."""
     if n < 1:
-        raise ValueError("a tournament needs at least one vertex")
+        raise InputError("a tournament needs at least one vertex")
     if len(bits) != pair_count(n):
         raise ValueError(f"expected {pair_count(n)} orientation bits for n={n}, got {len(bits)}")
     if not bits.isascii() or bits.encode().translate(None, b"01"):

@@ -16,12 +16,24 @@ co-modular decomposition.  The bound from above is constructive, and
 * at index 2, some single reversal between the distinguished subsets of
   the two parts yields an indecomposable tournament.
 
-Each step is the one path the proof gives, and one checked step,
-``_reduce``, serves synthesis and the three public reductions alike.  It
-reverses the step's candidate arcs in turn and keeps the first result
-that meets the postcondition (the index drops by 2, reaches 2, or the
-result is indecomposable); when none does, it raises RuntimeError naming
-the input, since that can only mean an implementation bug.
+Each step is the one path the proof gives, and one step, ``_reduce``,
+serves synthesis and the three public reductions alike.  It reverses
+the step's candidate arcs in turn and keeps the first whose result meets
+the postcondition (the index reaches 2, or the result is
+indecomposable), read off the result's record; when none does, it raises
+RuntimeError naming the input, since that can only mean an
+implementation bug.  The high step has one candidate, which lowers the
+index by exactly 2 (the paper's step, see ``_Plan``), so it builds no
+record to check that; ``reduction_arc_high`` checks it anyway.
+
+A step reads the state's view: its index, its labelled decomposition
+and the tilde rule.  A state's record (``modular._Analysis``) is one
+view; a high step hands the next state another, a ``_Plan``: the next
+state's minimal co-modules and their overlaps, which are the old ones
+less at most four sets that hold an end of the arc, and the parts that
+survive, with their dominance masks.  So a certificate builds the
+records of its input, of its final state, of the state an index-3 step
+reaches and of the states where a plan breaks (``_view``), and no other.
 
 Certificates serialise to single-line JSON objects with the fields
 ``n``, ``base_bits``, ``arcs``, ``trace`` and ``final_bits``.
@@ -31,7 +43,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import islice, permutations as _permutations, product
+from itertools import chain, islice, permutations as _permutations, product
 
 from .core import (
     Arc,
@@ -44,7 +56,7 @@ from .core import (
     relabel,
     transitive,
 )
-from .comodular import _structured, comodular_index
+from .comodular import _dominance, _label, _structured, comodular_index
 from .modular import _analysis
 
 __all__ = [
@@ -114,9 +126,13 @@ def reduction_arc_high(T: Tournament, D) -> Arc:
     vertices of the distinguished subsets of M1 and M3; the index drop is
     re-verified before returning.
     """
-    if _analysis(T).index < 4:
+    A = _analysis(T)
+    if A.index < 4:
         raise ValueError("this reduction applies only when the index is at least 4")
-    return _reduce(T, _part_masks(D))[0]
+    arc, after = _reduce(T, A, _part_masks(D))
+    if _analysis(after).index != A.index - 2:
+        raise _failed("high-index reduction", T)
+    return arc
 
 
 def reduction_arc_three(T: Tournament, D) -> Arc:
@@ -127,9 +143,10 @@ def reduction_arc_three(T: Tournament, D) -> Arc:
     assignments in order and the smallest vertices first.  The paper shows
     that every such pattern works; the result is checked once.
     """
-    if _analysis(T).index != 3:
+    A = _analysis(T)
+    if A.index != 3:
         raise ValueError("this reduction applies only when the index is exactly 3")
-    return _reduce(T, _part_masks(D))[0]
+    return _reduce(T, A, _part_masks(D))[0]
 
 
 def reduction_arc_two(T: Tournament, D) -> Arc:
@@ -151,41 +168,201 @@ def reduction_arc_two(T: Tournament, D) -> Arc:
       theorem (delta = 1 at index 2) says that one exists.
     """
     _require_size(T)
-    if _analysis(T).index != 2:
+    A = _analysis(T)
+    if A.index != 2:
         raise ValueError("this reduction applies only when the index is exactly 2")
-    return _reduce(T, _part_masks(D))[0]
+    return _reduce(T, A, _part_masks(D))[0]
 
 
-def _reduce(T: Tournament, D) -> tuple[Arc, Tournament]:
+def _failed(step: str, T: Tournament) -> RuntimeError:
+    return RuntimeError(f"guided {step} failed its check on n={T.n} bits={T.bit_string()}")
+
+
+def _reduce(T: Tournament, view, D) -> tuple[Arc, Tournament]:
     """The step of the public reduction for T's index (at least 2): the
     first candidate arc whose reversal reaches the target index, and the
-    state it leads to.  ``D`` holds masks, as ``_structured`` returns them."""
-    A = _analysis(T)
+    state it leads to.  ``view`` is T's record or plan, read for the index
+    and the tilde rule; ``D`` holds masks, as ``_structured`` returns
+    them.  The high step's one arc is not checked (see ``_Plan``)."""
     parts, labels = D
-    if A.index >= 4:
-        step, target = "high-index reduction", A.index - 2
-        pairs = [(_members(A.tilde(labels["M1"]))[0], _members(A.tilde(labels["M3"]))[0])]
-    elif A.index == 3:
+    if view.index >= 4:
+        x, y = (_members(view.tilde(labels[k]))[0] for k in ("M1", "M3"))
+        arc = Arc(x, y) if T.relation(x, y) else Arc(y, x)
+        return arc, invert(T, [arc])
+    if view.index == 3:
         # only the first pattern: the paper shows that every one works
         step, target = "three-part reduction", 2
         patterns = (
             (x, y)
             for part_m, part_n, part_l in _permutations(parts)
-            for zs in [_members(A.tilde(part_l))]
-            for x in _members(A.tilde(part_m))
-            for y in _members(A.tilde(part_n))
+            for zs in [_members(view.tilde(part_l))]
+            for x in _members(view.tilde(part_m))
+            for y in _members(view.tilde(part_n))
             if any(T.relation(x, z) and T.relation(z, y) for z in zs)
         )
         pairs = islice(patterns, 1)
     else:
         step, target = "two-part reduction", 0
-        pairs = product(_members(A.tilde(labels["M"])), _members(A.tilde(labels["N"])))
+        pairs = product(_members(view.tilde(labels["M"])), _members(view.tilde(labels["N"])))
     for x, y in pairs:
         arc = Arc(x, y) if T.relation(x, y) else Arc(y, x)
         after = invert(T, [arc])
         if _analysis(after).index == target:
             return arc, after
-    raise RuntimeError(f"guided {step} failed its check on n={T.n} bits={T.bit_string()}")
+    raise _failed(step, T)
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """The view of the state that a high step reaches, carried over from
+    the view the step read instead of read off the state's record.
+
+    The step starts from T, with index k >= 4 and labels M1..M4, and
+    reverses the arc on e = {x, y}, x in tilde(M1) and y in tilde(M3)
+    (both free by (C1)); it reaches T'.  The survivors are the step's
+    parts other than M1 and M3, the ones that avoid e.  The plan holds:
+
+    * ``index``: k - 2;
+    * ``parts``: the survivors, in key order;
+    * ``mc``: mc(T) without M1, M3 and their overlaps, with its kinds;
+    * ``overlaps``: each set's overlaps in T but those sets;
+    * ``below``: the survivors' dominance masks in T, as ``parts``.
+
+    These are T''s mc, overlaps and index, and the survivors are T''s
+    first decomposition when ``_cut_first`` holds for the step:
+
+    * A set that holds both ends or neither has the same arcs to the rest
+      in T and T', so it is a module of one exactly when it is one of the
+      other.  So a set of mc(T) that avoids e is in mc(T') with the same
+      kind, as no co-module of T' lies strictly inside it, and two such
+      sets overlap in both or in neither.  Only the rows of x and y
+      change, so a survivor's dominance mask and (C3) rows stay.
+    * The sets of mc(T) that hold x are M1 and the one set it may overlap
+      (any other meets M1, hence overlaps it), and likewise for y and M3;
+      none holds both, as M2 beats y and loses to x (C2).  None is a
+      co-module of T'.  {x} beats or loses to every other vertex, which
+      a reversal undoes.  Otherwise both sides have two or more vertices;
+      a side that is a module of T is split in T' by the end outside it,
+      and a side that is none is split by every member of the other
+      side, a module, so still by one whose arc did not change.
+    * The survivors are k - 2 disjoint co-modules of T', and the paper's
+      step (this is where (C1)-(C3) are needed) gives index(T') = k - 2.
+      So a set R of mc(T') that holds an end meets some survivor S, or
+      the survivors and R would be k - 1 disjoint co-modules; two minimal
+      co-modules that meet overlap, so R = {a, s} and S = {s, t} are
+      twins of T' with a in e.  No such R exists.  Let b be the other
+      end, M the part that holds a and M' the one that holds b.  In T'
+      the vertices t, s, a are consecutive children of a linear node, s
+      in the middle, so in T every vertex but b treats t, s and a alike,
+      and b treats s and t alike and a otherwise.  Reversing every arc
+      keeps all of this, so take a beating s:
+      - M = {a}: a beats every vertex.  In T' b beats a, so b beats s,
+        and every other vertex loses to a, so to s: only a and b beat s.
+        M' is not {b} (b beats s and loses to a), not a module of two or
+        more vertices (it would beat s, as b does), and not the singleton
+        children of a prime root (T's root is linear).
+      - M is the singleton children of a prime root whose other child c
+        holds S and M'.  a beats all of c, so in T' b beats a, hence s,
+        and s beats the rest of c.  M' is not {b} (no vertex beats or
+        loses to all under a prime root), not a module of two or more
+        vertices (it would beat s, as b does), and not M.
+      - M is a module of two or more vertices.  Each p in M - {a} treats
+        a and s alike (R is a module of T') and s treats a and p alike (M
+        is one of T), so p beats a and s.  Then a, s and every vertex
+        outside M treat M - {a} alike: it is a module, so a single vertex
+        p by the minimality of M, and p -> a -> s -> t is transitive and
+        split in T by b alone, which treats s unlike a.  So M' is not {b},
+        not a module of two or more vertices (another member would treat
+        s and a as b does) and not the singleton children of a prime root
+        (its other child, a module, would hold s and a).
+    * So mc(T') is mc(T) without the sets that hold x or y, with the same
+      kinds and overlaps, and the index is k - 2 as the plan says.  M1 is
+      free, so it ends a walk, a path, and its overlap is the next node;
+      cutting both off leaves a path, and likewise for M3.
+    * The first decomposition takes each walk's first optimum.  Sets keep
+      their order in mc, and of two sets of positions of equal size the
+      one that holds the least position of their symmetric difference
+      sorts first, so dropping common members keeps their order.  The
+      optima of a walk that hold its cut parts are those of the cut walk
+      plus the cut parts.  So when the step's parts are, on every walk,
+      the first optimum among those that hold its cut parts, which
+      ``_cut_first`` tests, the survivors are T''s first decomposition.
+
+    So ``_label`` on a plan's parts finds what ``_structured`` would on
+    T''s record, which tries that decomposition first, whenever it finds
+    labels there; otherwise the plan breaks and ``_view`` builds the
+    record.  A plan's parts are its first decomposition, so a high step
+    from a plan plans again.
+    """
+
+    index: int
+    parts: tuple[int, ...]
+    mc: dict[int, str]
+    overlaps: dict[int, list[int]]
+    below: tuple[int, ...]
+
+    def tilde(self, mask: int) -> int:
+        """As ``_Analysis.tilde``, for a set with at most one overlap."""
+        near = self.overlaps[mask]
+        return mask & near[0] if near else mask
+
+
+def _plan(view, D) -> _Plan | None:
+    """The plan for the state that the step from ``view`` with labelled
+    decomposition D leads to; None unless the step is high and its
+    survivors are that state's first decomposition, as they always are
+    after a plan.  The sets that leave mc are M1, M3 and their overlaps
+    (see ``_Plan``)."""
+    parts, labels = D
+    if view.index < 4:
+        return None
+    m1, m3 = labels["M1"], labels["M3"]
+    i, j = sorted((parts.index(m1), parts.index(m3)))
+    survivors = parts[:i] + parts[i + 1 : j] + parts[j + 1 :]
+    if isinstance(view, _Plan):
+        below = view.below[:i] + view.below[i + 1 : j] + view.below[j + 1 :]
+    elif _cut_first(view, parts, (m1, m3)):
+        below = tuple(_dominance(view.out, survivors))
+    else:
+        return None
+    gone = {m1, m3, *view.overlaps[m1], *view.overlaps[m3]}
+    mc, overlaps = dict(view.mc), dict(view.overlaps)
+    for g in gone:
+        del mc[g]
+        for q in overlaps.pop(g):
+            if q not in gone:
+                overlaps[q] = [o for o in overlaps[q] if o not in gone]
+    return _Plan(view.index - 2, survivors, mc, overlaps, below)
+
+
+def _cut_first(A, parts: tuple[int, ...], cut: tuple[int, ...]) -> bool:
+    """Whether the parts are, on every walk of the record A, the first
+    optimum among those holding the walk's parts in ``cut``: then the
+    other parts are the first decomposition of the state that a step
+    cutting those off reaches (see ``_Plan``)."""
+    position = {m: i for i, m in enumerate(A.mc)}
+    cut_at = {position[m] for m in cut}
+    picks = [
+        next(o for o in optima if cut_at.intersection(walk) <= set(o))
+        for walk, optima in zip(A.walks, A.optima)
+    ]
+    return sorted(chain.from_iterable(picks)) == sorted(map(position.__getitem__, parts))
+
+
+def _view(T: Tournament, plan: _Plan | None):
+    """T's view and labelled decomposition (None below index 2): the
+    plan's, when ``_label`` labels its parts, else T's record's.  A plan
+    that breaks must still agree with the record on the index."""
+    if plan is not None:
+        labels = _label(plan, plan.parts, T.out_masks, plan.below)
+        if labels is not None:
+            return plan, (plan.parts, labels)
+    A = _analysis(T)
+    if plan is not None and A.index != plan.index:
+        raise RuntimeError(
+            f"planned index {plan.index}, recorded {A.index} on n={T.n} bits={T.bit_string()}"
+        )
+    return A, (_structured(A) if A.index >= 2 else None)
 
 
 @dataclass(frozen=True)
@@ -207,19 +384,21 @@ def synthesize_certificate(T: Tournament) -> InversionCertificate:
     """A verified minimum inversion set, built by index reduction.
 
     The certificate always contains exactly ceil(comodular_index / 2)
-    arcs (none when T is already indecomposable).
+    arcs (none when T is already indecomposable).  Each step reads the
+    view ``_view`` gives of its state, a plan from the step before or the
+    state's record, and the final state's record is the one the last
+    step checked.
     """
     _require_size(T)
     arcs: list[Arc] = []
     trace: list[int] = []
-    # the step that reaches a state builds its record to check the index,
-    # and the next step, the final one included, reads that record
-    state, A = T, _analysis(T)
-    while A.index >= 2:
-        step, state = _reduce(state, _structured(A))
-        arcs.append(step)
-        trace.append(A.index)
-        A = _analysis(state)
+    state = T
+    view, D = _view(T, None)
+    while view.index >= 2:
+        arc, state = _reduce(state, view, D)
+        arcs.append(arc)
+        trace.append(view.index)
+        view, D = _view(state, _plan(view, D))
     return InversionCertificate(T, tuple(arcs), tuple(trace), state)
 
 
@@ -248,8 +427,8 @@ def verify_certificate(T: Tournament, cert: InversionCertificate) -> Verificatio
     by exactly one).
 
     Both indices are read from the records of T and ``cert.final``, so the
-    objects that synthesised a certificate bring the records built on the
-    way; a certificate parsed from JSON brings fresh objects.
+    objects that synthesised a certificate bring their records, which
+    synthesis built; a certificate parsed from JSON brings fresh objects.
     """
     if cert.base != T:
         return VerificationResult(False, "base mismatch")

@@ -11,9 +11,11 @@ from tourmod import (
     Xorshift64Star,
     brute_Delta,
     canonical_form,
+    certificate_from_json,
     decomposability_index,
     enumerate_tournaments,
     format_tourn_v1,
+    make_tournament,
     modular,
     parse_tourn_v1,
     random_tournament,
@@ -36,6 +38,11 @@ def write_tourn(path, T):
     "call",
     [
         lambda: Tournament(0, 0),
+        lambda: make_tournament(0, []),
+        lambda: parse_tourn_v1("tourn-v1\nn=0\nbits=\n"),
+        lambda: certificate_from_json(
+            '{"n": 0, "base_bits": "", "arcs": [], "trace": [], "final_bits": ""}'
+        ),
         lambda: random_tournament(0, 1),
         lambda: canonical_form(transitive(10)),
         lambda: enumerate_tournaments(0),
@@ -49,6 +56,9 @@ def write_tourn(path, T):
     ],
     ids=[
         "tournament-n0",
+        "make-n0",
+        "parse-n0",
+        "certificate-json-n0",
         "random-n0",
         "canonical-n10",
         "enumerate-n0",

@@ -297,7 +297,9 @@ class TestStructuredDecomposition:
 
     def test_walks_at_most_three_decompositions(self):
         # one of the first three decompositions qualified on every input
-        # tried; the labelled search has no proven bound on its walk
+        # tried; the labelled search has no proven bound on its walk.  A
+        # certificate walks this way only on the records it builds: a
+        # planned step tries one decomposition, the plan's
         walked = {}
         for T in self.certificate_states():
             A = _analysis(T)

@@ -27,6 +27,7 @@ from tourmod import (
     format_tourn_v1,
     invert,
     is_indecomposable,
+    make_tournament,
     minimal_comodules,
     nontrivial_modules,
     pair_count,
@@ -51,6 +52,7 @@ from conftest import (
     checked_extension,
     composed_random,
     first_indecomposable,
+    nested_substitution,
     record_calls,
     relabelled_chain,
 )
@@ -275,7 +277,7 @@ class TestSynthesize:
         ids=["chain-9", "relabelled-chain-15", "composed-14", "prime-6"],
     )
     def test_one_analysis_per_state(self, T, monkeypatch):
-        # every state is analysed once, by the step that reaches it, and
+        # no state is analysed twice, a planned state not at all, and
         # verification reads the records of the input and the final state;
         # a fresh object, since building an input may already analyse it
         # (first_indecomposable asks is_indecomposable)
@@ -286,7 +288,8 @@ class TestSynthesize:
         states = [T]
         for arc in cert.arcs:
             states.append(invert(states[-1], [arc]))
-        assert analysed == states  # the index falls, so no state repeats
+        # the index falls, so no two states are equal
+        assert len(set(analysed)) == len(analysed) and set(analysed) <= set(states)
         assert analysed[0] is T and analysed[-1] is cert.final
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -303,6 +306,135 @@ class TestSynthesize:
         assert comodular_index(T) == 9
         assert len(cert.arcs) == 5
         assert built == dict.fromkeys(built, [])
+
+
+def twins_800() -> Tournament:
+    """Vertex i of a random 400-vertex tournament becomes 2i -> 2i+1."""
+    P = random_tournament(400, 7)
+    return make_tournament(
+        800, [i // 2 == j // 2 or P.has_arc(i // 2, j // 2) for i in range(800) for j in range(i + 1, 800)]
+    )
+
+
+def record_path(T):
+    """The arcs that labelling every state's own record gives: the public
+    reduction for each state's index, on its structured decomposition."""
+    arcs, state = [], T
+    while (index := comodular_index(state)) >= 2:
+        reduce = {2: reduction_arc_two, 3: reduction_arc_three}.get(index, reduction_arc_high)
+        arcs.append(reduce(state, structured_delta_decomposition(state)))
+        state = invert(state, arcs[-1:])
+    return tuple(arcs)
+
+
+def substituted_chain() -> Tournament:
+    """A 6-chain with random blocks of 4 and 5 vertices substituted: its
+    state at index 4 labels its record's second decomposition."""
+    return substitute(substitute(transitive(6), random_tournament(4, 7), 0), random_tournament(5, 3), 3)
+
+
+def plan_corpus():
+    """The certificate inputs of the suite that reach planned states."""
+    yield substituted_chain()
+    for n in range(5, 62):
+        for seed in range(1, 6):
+            yield relabelled_chain(n, seed)
+    rng = Xorshift64Star(29)
+    for _ in range(200):
+        yield composed_random(rng, 6 + rng.below(35))
+    nested = (nested_substitution(rng) for _ in range(100))
+    yield from (T for T in nested if T.n >= 5)
+    yield from (T for T in all_classes_up_to(7) if T.n >= 5)
+
+
+class TestPlan:
+    """A high step hands the next state a plan (``inversion._Plan``), and
+    a record is built only where the plan breaks."""
+
+    @pytest.mark.parametrize(
+        "make, trees",
+        [(lambda: transitive(400), 3), (twins_800, 2)],
+        ids=["chain-400", "twins-800"],
+    )
+    def test_tree_counts(self, make, trees, monkeypatch):
+        # the input, the state an index-3 step reaches (the chain's index
+        # is odd) and the final state
+        T = make()
+        analysed = record_calls(monkeypatch, modular, "_tree")
+        cert = synthesize_certificate(T)
+        assert len(analysed) == trees
+        assert analysed[0] is T and analysed[-1] is cert.final
+        assert verify_certificate(T, cert)
+
+    def test_failed_labelling_builds_the_record(self, monkeypatch):
+        # the plan for 6 -> 4 has no labelling: that state's record is
+        # built, and its labelling sits on its second decomposition, yet
+        # the 4 -> 2 step plans again
+        T = relabelled_chain(15, 1)
+        analysed = record_calls(monkeypatch, modular, "_tree")
+        cert = synthesize_certificate(T)
+        assert cert.trace == (8, 6, 4, 2)
+        assert analysed == [T, invert(T, cert.arcs[:2]), cert.final]
+        assert cert.arcs == record_path(relabelled_chain(15, 1))
+
+    def test_survivor_with_two_overlaps_builds_the_record(self, monkeypatch):
+        # at 5 -> 3 one survivor keeps two overlaps, so it has no tilde and
+        # the state's record picks another decomposition
+        T = relabelled_chain(17, 1)
+        analysed = record_calls(monkeypatch, modular, "_tree")
+        cert = synthesize_certificate(T)
+        assert cert.trace == (9, 7, 5, 3, 2)
+        states = [T]
+        for arc in cert.arcs:
+            states.append(invert(states[-1], [arc]))
+        assert analysed == [T, states[3], states[4], cert.final]
+        assert cert.arcs == record_path(relabelled_chain(17, 1))
+
+    def test_later_pick_builds_the_record(self, monkeypatch):
+        # the 6 -> 4 plan breaks, and that state's record labels its second
+        # decomposition, which differs from the first on a walk the 4 -> 2
+        # arc leaves alone, so the survivors are not the first
+        # decomposition of the state at 2: that step makes no plan
+        T = substituted_chain()
+        analysed = record_calls(monkeypatch, modular, "_tree")
+        cert = synthesize_certificate(T)
+        assert cert.trace == (6, 4, 2)
+        states = [T]
+        for arc in cert.arcs:
+            states.append(invert(states[-1], [arc]))
+        assert analysed == states
+        assert cert.arcs == record_path(substituted_chain())
+
+    def test_broken_plan_must_agree_with_the_record(self):
+        # a plan whose parts have no labelling, and whose index the
+        # record contradicts, is a bug and raises
+        T = transitive(9)
+        plan = inversion._Plan(7, (), {}, {}, ())
+        with pytest.raises(RuntimeError, match=f"planned index 7, recorded 5 on n=9 bits={T.bit_string()}"):
+            inversion._view(T, plan)
+
+    def test_plans_equal_records(self, monkeypatch):
+        # every planned state is compared with the record of a fresh copy
+        real = inversion._view
+        seen = {"labelled": 0, "broke": 0}
+
+        def checked(T, plan):
+            view, D = real(T, plan)
+            if plan is not None:
+                A = modular._analysis(Tournament(T.n, T.bits))
+                assert plan.index == A.index
+                assert plan.parts == next(A.decompositions())
+                assert plan.mc == A.mc and plan.overlaps == A.overlaps
+                assert plan.below == tuple(comodular._dominance(A.out, plan.parts))
+                if view is plan:
+                    assert D == comodular._structured(A)
+                seen["labelled" if view is plan else "broke"] += 1
+            return view, D
+
+        monkeypatch.setattr(inversion, "_view", checked)
+        for T in plan_corpus():
+            synthesize_certificate(T)
+        assert all(seen.values()), seen
 
 
 class TestVerify:
