@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
 
-from .core import Tournament, VertexSet, _mask_key, _members
+from .core import InputError, Tournament, VertexSet, _mask_key, _members
 from .modular import CoModule, _Analysis, _analysis
 
 __all__ = [
@@ -163,13 +163,12 @@ def structured_delta_decomposition(
 def _structured(A: _Analysis) -> tuple[tuple[int, ...], dict[str, int]]:
     """``structured_delta_decomposition`` on masks: the parts and the
     labelled parts as masks, from the first decomposition that ``_label``
-    labels.  From index 4 up each decomposition's dominance masks are
-    built once, for ``_label`` to read."""
+    labels.  ``A`` is a state's record, built from its tree or derived by
+    a certificate's high step (``_Analysis.without``)."""
     if A.index < 2:
         raise ValueError("tournament is indecomposable")
     for parts in A.decompositions():
-        below = _dominance(A.out, parts) if A.index >= 4 else ()
-        labels = _label(A, parts, A.out, below)
+        labels = _label(A, parts)
         if labels is not None:
             return parts, labels
     if A.index < 4:
@@ -178,36 +177,30 @@ def _structured(A: _Analysis) -> tuple[tuple[int, ...], dict[str, int]]:
     raise RuntimeError("no labelled four-part decomposition found")
 
 
-def _dominance(out: tuple[int, ...], parts: tuple[int, ...]) -> list[int]:
-    """Each part's dominance mask, the AND of its members' rows: the
-    vertices that every member beats."""
-    masks = []
-    for rest in parts:
-        mask = -1
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            mask &= out[bit.bit_length() - 1]
-        masks.append(mask)
-    return masks
+def _dominance(out: tuple[int, ...], part: int) -> int:
+    """A part's dominance mask, the AND of its members' rows: the vertices
+    that every member beats."""
+    mask = -1
+    while part:
+        bit = part & -part
+        part ^= bit
+        mask &= out[bit.bit_length() - 1]
+    return mask
 
 
-def _label(A, parts: tuple[int, ...], out: tuple[int, ...], below) -> dict[str, int] | None:
-    """The labels of one delta decomposition, or None when it has none:
-    the loop that ``_structured`` runs on each decomposition in turn and
-    a certificate's plan (``inversion._Plan``) runs on its one.  ``A`` is
-    the state's record or plan, read for its index, overlaps and kinds;
-    ``out`` holds the rows and ``below`` the parts' dominance masks (read
-    from index 4 up).
+def _label(A: _Analysis, parts: tuple[int, ...]) -> dict[str, int] | None:
+    """The labels of one delta decomposition of the record A, or None when
+    it has none.
 
     At index 2 and 3 every part needs a tilde, so the parts are labelled
     M, N (and L) when all have at most one overlap.  From index 4 up, the
     free parts, those with at most one overlap, alone may be M1, M3 or
     M4, and M1 beats all of M2 exactly when M2 lies in M1's dominance
-    mask, so each (C2) test is one AND.  The loops and their order are
-    those of ``structured_delta_decomposition``, so the labelling is the
-    first in that order."""
-    near = A.overlaps
+    mask, so each (C2) test is one AND; a part's mask is built when a
+    (C2) test first reads it.  The loops and their order are those of
+    ``structured_delta_decomposition``, so the labelling is the first in
+    that order."""
+    near, out = A.overlaps, A.out
     if A.index < 4:
         if any(len(near[p]) > 1 for p in parts):
             return None
@@ -222,12 +215,14 @@ def _label(A, parts: tuple[int, ...], out: tuple[int, ...], below) -> dict[str, 
     # loses to all of M1, make k differ from i and j; (C3) does not
     for i in free:
         m1 = parts[i]
+        below_m1 = _dominance(out, m1)
         for j, m2 in enumerate(parts):
-            if below[i] & m2 != m2:
+            if below_m1 & m2 != m2:
                 continue
+            below_m2 = _dominance(out, m2)
             for k in free:
                 m3 = parts[k]
-                if below[j] & m3 != m3:
+                if below_m2 & m3 != m3:
                     continue
                 for l in free:
                     if l in (i, j, k):
@@ -249,9 +244,9 @@ def hereditary_witness(T: Tournament, k: int) -> VertexSet:
     decomposition, whose remaining parts survive in T-X.
     """
     if not 1 <= k <= 4:
-        raise ValueError("k must be between 1 and 4")
+        raise InputError("k must be between 1 and 4")
     if T.n < 3 + k:
-        raise ValueError(f"needs at least {3 + k} vertices, got {T.n}")
+        raise InputError(f"needs at least {3 + k} vertices, got {T.n}")
     A = _analysis(T)
     index = A.index
     if index <= 4:

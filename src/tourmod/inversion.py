@@ -23,17 +23,17 @@ the postcondition (the index reaches 2, or the result is
 indecomposable), read off the result's record; when none does, it raises
 RuntimeError naming the input, since that can only mean an
 implementation bug.  The high step has one candidate, which lowers the
-index by exactly 2 (the paper's step, see ``_Plan``), so it builds no
+index by exactly 2 (the paper's step, see ``_plan``), so it builds no
 record to check that; ``reduction_arc_high`` checks it anyway.
 
-A step reads the state's view: its index, its labelled decomposition
-and the tilde rule.  A state's record (``modular._Analysis``) is one
-view; a high step hands the next state another, a ``_Plan``: the next
-state's minimal co-modules and their overlaps, which are the old ones
-less at most four sets that hold an end of the arc, and the parts that
-survive, with their dominance masks.  So a certificate builds the
-records of its input, of its final state, of the state an index-3 step
-reaches and of the states where a plan breaks (``_view``), and no other.
+A step reads the state's record (``modular._Analysis``): its index, its
+labelled decomposition and the tilde rule.  After a high step the next
+state's record is derived from the step's (``_plan``): its minimal
+co-modules and their overlaps are the old ones less at most four sets
+that hold an end of the arc, and its walks are the old walks less those
+sets.  So a certificate builds the trees of its input, of the state an
+index-3 step reaches, of its final state and of any index-2 candidate
+that fails, and no other.
 
 Certificates serialise to single-line JSON objects with the fields
 ``n``, ``base_bits``, ``arcs``, ``trace`` and ``final_bits``.
@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain, islice, permutations as _permutations, product
+from itertools import islice, permutations as _permutations, product
 
 from .core import (
     Arc,
@@ -56,7 +56,7 @@ from .core import (
     relabel,
     transitive,
 )
-from .comodular import _dominance, _label, _structured, comodular_index
+from .comodular import _structured, comodular_index
 from .modular import _analysis
 
 __all__ = [
@@ -181,9 +181,10 @@ def _failed(step: str, T: Tournament) -> RuntimeError:
 def _reduce(T: Tournament, view, D) -> tuple[Arc, Tournament]:
     """The step of the public reduction for T's index (at least 2): the
     first candidate arc whose reversal reaches the target index, and the
-    state it leads to.  ``view`` is T's record or plan, read for the index
-    and the tilde rule; ``D`` holds masks, as ``_structured`` returns
-    them.  The high step's one arc is not checked (see ``_Plan``)."""
+    state it leads to.  ``view`` is T's record, built from its tree or
+    derived by ``_plan``, read for the index and the tilde rule; ``D``
+    holds masks, as ``_structured`` returns them.  The high step's one arc
+    is not checked (see ``_plan``)."""
     parts, labels = D
     if view.index >= 4:
         x, y = (_members(view.tilde(labels[k]))[0] for k in ("M1", "M3"))
@@ -212,31 +213,23 @@ def _reduce(T: Tournament, view, D) -> tuple[Arc, Tournament]:
     raise _failed(step, T)
 
 
-@dataclass(frozen=True)
-class _Plan:
-    """The view of the state that a high step reaches, carried over from
-    the view the step read instead of read off the state's record.
+def _plan(A, D, out: tuple[int, ...]):
+    """The record of the state that the step from the record A, with
+    labelled decomposition D, reaches, derived from A when the step is
+    high (None otherwise); ``out`` holds that state's rows.
 
     The step starts from T, with index k >= 4 and labels M1..M4, and
     reverses the arc on e = {x, y}, x in tilde(M1) and y in tilde(M3)
     (both free by (C1)); it reaches T'.  The survivors are the step's
-    parts other than M1 and M3, the ones that avoid e.  The plan holds:
-
-    * ``index``: k - 2;
-    * ``parts``: the survivors, in key order;
-    * ``mc``: mc(T) without M1, M3 and their overlaps, with its kinds;
-    * ``overlaps``: each set's overlaps in T but those sets;
-    * ``below``: the survivors' dominance masks in T, as ``parts``.
-
-    These are T''s mc, overlaps and index, and the survivors are T''s
-    first decomposition when ``_cut_first`` holds for the step:
+    parts other than M1 and M3, the ones that avoid e.  mc(T') is mc(T)
+    without M1, M3 and their overlaps, with the same kinds and overlaps,
+    and its index is k - 2:
 
     * A set that holds both ends or neither has the same arcs to the rest
       in T and T', so it is a module of one exactly when it is one of the
       other.  So a set of mc(T) that avoids e is in mc(T') with the same
       kind, as no co-module of T' lies strictly inside it, and two such
-      sets overlap in both or in neither.  Only the rows of x and y
-      change, so a survivor's dominance mask and (C3) rows stay.
+      sets overlap in both or in neither.
     * The sets of mc(T) that hold x are M1 and the one set it may overlap
       (any other meets M1, hence overlaps it), and likewise for y and M3;
       none holds both, as M2 beats y and loses to x (C2).  None is a
@@ -276,93 +269,18 @@ class _Plan:
         s and a as b does) and not the singleton children of a prime root
         (its other child, a module, would hold s and a).
     * So mc(T') is mc(T) without the sets that hold x or y, with the same
-      kinds and overlaps, and the index is k - 2 as the plan says.  M1 is
-      free, so it ends a walk, a path, and its overlap is the next node;
-      cutting both off leaves a path, and likewise for M3.
-    * The first decomposition takes each walk's first optimum.  Sets keep
-      their order in mc, and of two sets of positions of equal size the
-      one that holds the least position of their symmetric difference
-      sorts first, so dropping common members keeps their order.  The
-      optima of a walk that hold its cut parts are those of the cut walk
-      plus the cut parts.  So when the step's parts are, on every walk,
-      the first optimum among those that hold its cut parts, which
-      ``_cut_first`` tests, the survivors are T''s first decomposition.
-
-    So ``_label`` on a plan's parts finds what ``_structured`` would on
-    T''s record, which tries that decomposition first, whenever it finds
-    labels there; otherwise the plan breaks and ``_view`` builds the
-    record.  A plan's parts are its first decomposition, so a high step
-    from a plan plans again.
+      kinds and overlaps, and the index is k - 2.  M1 is free, so it ends
+      a walk, a path, and its overlap is the next node; cutting both off
+      leaves a path, and likewise for M3.  So the walks of T' are those
+      of T less those sets.  Positions in T's mask list keep the order of
+      mc(T'), and a path's optima do not depend on its direction, so
+      ``_Analysis.without``, which sorts the cut walks by least position,
+      gives the decompositions in the order of T''s own record.
     """
-
-    index: int
-    parts: tuple[int, ...]
-    mc: dict[int, str]
-    overlaps: dict[int, list[int]]
-    below: tuple[int, ...]
-
-    def tilde(self, mask: int) -> int:
-        """As ``_Analysis.tilde``, for a set with at most one overlap."""
-        near = self.overlaps[mask]
-        return mask & near[0] if near else mask
-
-
-def _plan(view, D) -> _Plan | None:
-    """The plan for the state that the step from ``view`` with labelled
-    decomposition D leads to; None unless the step is high and its
-    survivors are that state's first decomposition, as they always are
-    after a plan.  The sets that leave mc are M1, M3 and their overlaps
-    (see ``_Plan``)."""
-    parts, labels = D
-    if view.index < 4:
+    if A.index < 4:
         return None
-    m1, m3 = labels["M1"], labels["M3"]
-    i, j = sorted((parts.index(m1), parts.index(m3)))
-    survivors = parts[:i] + parts[i + 1 : j] + parts[j + 1 :]
-    if isinstance(view, _Plan):
-        below = view.below[:i] + view.below[i + 1 : j] + view.below[j + 1 :]
-    elif _cut_first(view, parts, (m1, m3)):
-        below = tuple(_dominance(view.out, survivors))
-    else:
-        return None
-    gone = {m1, m3, *view.overlaps[m1], *view.overlaps[m3]}
-    mc, overlaps = dict(view.mc), dict(view.overlaps)
-    for g in gone:
-        del mc[g]
-        for q in overlaps.pop(g):
-            if q not in gone:
-                overlaps[q] = [o for o in overlaps[q] if o not in gone]
-    return _Plan(view.index - 2, survivors, mc, overlaps, below)
-
-
-def _cut_first(A, parts: tuple[int, ...], cut: tuple[int, ...]) -> bool:
-    """Whether the parts are, on every walk of the record A, the first
-    optimum among those holding the walk's parts in ``cut``: then the
-    other parts are the first decomposition of the state that a step
-    cutting those off reaches (see ``_Plan``)."""
-    position = {m: i for i, m in enumerate(A.mc)}
-    cut_at = {position[m] for m in cut}
-    picks = [
-        next(o for o in optima if cut_at.intersection(walk) <= set(o))
-        for walk, optima in zip(A.walks, A.optima)
-    ]
-    return sorted(chain.from_iterable(picks)) == sorted(map(position.__getitem__, parts))
-
-
-def _view(T: Tournament, plan: _Plan | None):
-    """T's view and labelled decomposition (None below index 2): the
-    plan's, when ``_label`` labels its parts, else T's record's.  A plan
-    that breaks must still agree with the record on the index."""
-    if plan is not None:
-        labels = _label(plan, plan.parts, T.out_masks, plan.below)
-        if labels is not None:
-            return plan, (plan.parts, labels)
-    A = _analysis(T)
-    if plan is not None and A.index != plan.index:
-        raise RuntimeError(
-            f"planned index {plan.index}, recorded {A.index} on n={T.n} bits={T.bit_string()}"
-        )
-    return A, (_structured(A) if A.index >= 2 else None)
+    m1, m3 = D[1]["M1"], D[1]["M3"]
+    return A.without(out, {m1, m3, *A.overlaps[m1], *A.overlaps[m3]})
 
 
 @dataclass(frozen=True)
@@ -384,21 +302,22 @@ def synthesize_certificate(T: Tournament) -> InversionCertificate:
     """A verified minimum inversion set, built by index reduction.
 
     The certificate always contains exactly ceil(comodular_index / 2)
-    arcs (none when T is already indecomposable).  Each step reads the
-    view ``_view`` gives of its state, a plan from the step before or the
-    state's record, and the final state's record is the one the last
-    step checked.
+    arcs (none when T is already indecomposable).  Each step reads its
+    state's record, derived from the step before when that step was high
+    (``_plan``), and the final state's record is the one the last step
+    checked.
     """
     _require_size(T)
     arcs: list[Arc] = []
     trace: list[int] = []
     state = T
-    view, D = _view(T, None)
+    view = _analysis(T)
     while view.index >= 2:
+        D = _structured(view)
         arc, state = _reduce(state, view, D)
         arcs.append(arc)
         trace.append(view.index)
-        view, D = _view(state, _plan(view, D))
+        view = _plan(view, D, state.out_masks) or _analysis(state)
     return InversionCertificate(T, tuple(arcs), tuple(trace), state)
 
 

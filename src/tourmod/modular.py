@@ -39,13 +39,22 @@ their verification included, reads it.
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, groupby, product
-from operator import or_
+from itertools import accumulate, chain, compress, groupby, product
+from operator import not_, or_
 from typing import Iterable, Iterator
 
-from .core import Tournament, VertexSet, _closure_mask, _is_module_mask, _mask_key, _members
+from .core import (
+    InputError,
+    Tournament,
+    VertexSet,
+    _closure_mask,
+    _is_module_mask,
+    _mask_key,
+    _members,
+)
 
 __all__ = [
     "CoModule",
@@ -337,9 +346,9 @@ class _Analysis:
       children with two or more vertices; under a linear root with m >= 3
       children, the two runs of m-1 children instead;
     * ``mc``: mc(T) as a mask -> kind dict in key order, read off the
-      root's shape (below);
-    * ``walks``: the overlap graph's components, each as mc positions in
-      path order, listed by smallest position;
+      root's shape (below), and ``masks``, its sets as a list;
+    * ``walks``: the overlap graph's components, each as positions in
+      ``masks`` in path order, listed by smallest position;
     * ``index``: the co-modular index, ceil(k/2) summed over the walks;
     * ``edges``, ``overlaps``, ``runs`` and ``optima``, derived on first use.
 
@@ -411,7 +420,8 @@ class _Analysis:
             elif end in kinds:
                 kinds[end] = "both"
         self.mc = {m: kinds[m] for m in sorted(kinds, key=_mask_key)}
-        position = {m: i for i, m in enumerate(self.mc)}
+        self.masks = list(self.mc)
+        position = {m: i for i, m in enumerate(self.masks)}
         walks = []
         for pairs in twins:
             walk = [position[t] for t in pairs if t in position]
@@ -421,6 +431,42 @@ class _Analysis:
         walks += [[i] for i in range(len(self.mc)) if i not in covered]
         self.walks = sorted(walks, key=min)
         self.index = sum((len(walk) + 1) // 2 for walk in self.walks)
+
+    def without(self, out: tuple[int, ...], gone: set[int]) -> _Analysis:
+        """The record of the state with rows ``out`` whose mc is this
+        record's less the sets in ``gone``, each with the same kind and
+        overlaps, and whose walks are this record's less those sets, each
+        still a path (``inversion._plan`` proves both of a high step).  It
+        shares this record's mask list, so no position is renumbered and
+        the positions keep mc's order, and it keeps the optima of the walks
+        left whole.  It has no tree, chains or runs, and ``_analysis`` never
+        stores it."""
+        A = object.__new__(_Analysis)
+        A.n, A.out, A.masks = self.n, out, self.masks
+        # copy() clones the hash table; dict() would insert every mask again,
+        # and masks a multiple of 61 bits apart share a hash
+        A.mc, A.overlaps = self.mc.copy(), self.overlaps.copy()
+        for g in gone:
+            del A.mc[g]
+            for q in A.overlaps.pop(g):
+                if q not in gone:
+                    A.overlaps[q] = [o for o in A.overlaps[q] if o not in gone]
+        # the walks that keep all their sets keep their optima, their share
+        # of the index and their order; a cut walk is placed again by its
+        # least position
+        cut = {self.masks.index(g) for g in gone}
+        keep = list(map(cut.isdisjoint, self.walks))
+        A.walks, A.optima = list(compress(self.walks, keep)), list(compress(self.optima, keep))
+        A.index = self.index
+        for walk in compress(self.walks, map(not_, keep)):
+            A.index -= (len(walk) + 1) // 2
+            walk = [i for i in walk if i not in cut]
+            if walk:
+                A.index += (len(walk) + 1) // 2
+                at = bisect(A.walks, min(walk), key=min)
+                A.walks.insert(at, walk)
+                A.optima.insert(at, _path_optima(walk))
+        return A
 
     @cached_property
     def edges(self) -> list[tuple[int, int]]:
@@ -432,7 +478,7 @@ class _Analysis:
     def overlaps(self) -> dict[int, list[int]]:
         """The minimal co-modules each one overlaps, so at most two, in mc
         order: the edges are sorted, so each meets its lower one first."""
-        masks = list(self.mc)
+        masks = self.masks
         near = {m: [] for m in masks}
         for i, j in self.edges:
             near[masks[i]].append(masks[j])
@@ -482,9 +528,9 @@ class _Analysis:
         component, since each component's optima are sorted tuples."""
         if not self.mc:
             raise ValueError("an indecomposable tournament has no decomposition")
-        masks = list(self.mc)
+        masks = self.masks
         for pick in product(*self.optima):
-            yield tuple([masks[i] for i in sorted(chain.from_iterable(pick))])
+            yield tuple(map(masks.__getitem__, sorted(chain.from_iterable(pick))))
 
 
 def _analysis(T: Tournament) -> _Analysis:
@@ -545,7 +591,7 @@ def component_comodule(T: Tournament, C, k: int) -> CoModule:
     its two singletons is a minimal co-module; that element is returned.
     """
     if T.n < 3:
-        raise ValueError("needs a tournament with at least three vertices")
+        raise InputError("needs a tournament with at least three vertices")
     mask = _as_mask(T, C)
     A = _analysis(T)
     order = next((r for r in A.runs if tuple(sorted(r)) == _members(mask)), None)

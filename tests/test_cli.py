@@ -12,9 +12,11 @@ from tourmod import (
     brute_Delta,
     canonical_form,
     certificate_from_json,
+    component_comodule,
     decomposability_index,
     enumerate_tournaments,
     format_tourn_v1,
+    hereditary_witness,
     make_tournament,
     modular,
     parse_tourn_v1,
@@ -53,6 +55,9 @@ def write_tourn(path, T):
         lambda: sweep_verify(2),
         lambda: sweep_verify(10),
         lambda: sweep_verify(5, jobs=0),
+        lambda: hereditary_witness(transitive(9), 5),
+        lambda: hereditary_witness(transitive(4), 2),
+        lambda: component_comodule(transitive(2), transitive(2).vertex_set(), 0),
     ],
     ids=[
         "tournament-n0",
@@ -69,6 +74,9 @@ def write_tourn(path, T):
         "sweep-max-n2",
         "sweep-max-n10",
         "sweep-jobs0",
+        "hereditary-witness-k5",
+        "hereditary-witness-n4",
+        "component-comodule-n2",
     ],
 )
 def test_bounds_raise_input_error(call):

@@ -298,8 +298,8 @@ class TestStructuredDecomposition:
     def test_walks_at_most_three_decompositions(self):
         # one of the first three decompositions qualified on every input
         # tried; the labelled search has no proven bound on its walk.  A
-        # certificate walks this way only on the records it builds: a
-        # planned step tries one decomposition, the plan's
+        # certificate walks this way on every state, on the record of its
+        # tree or on the one its high step derives
         walked = {}
         for T in self.certificate_states():
             A = _analysis(T)

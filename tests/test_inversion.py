@@ -348,8 +348,8 @@ def plan_corpus():
 
 
 class TestPlan:
-    """A high step hands the next state a plan (``inversion._Plan``), and
-    a record is built only where the plan breaks."""
+    """A high step derives the next state's record from its own
+    (``inversion._plan``), so no tree is built for the state it reaches."""
 
     @pytest.mark.parametrize(
         "make, trees",
@@ -366,75 +366,89 @@ class TestPlan:
         assert analysed[0] is T and analysed[-1] is cert.final
         assert verify_certificate(T, cert)
 
-    def test_failed_labelling_builds_the_record(self, monkeypatch):
-        # the plan for 6 -> 4 has no labelling: that state's record is
-        # built, and its labelling sits on its second decomposition, yet
-        # the 4 -> 2 step plans again
+    def test_failed_first_labelling_walks_on(self, monkeypatch):
+        # the state at 4 has no labelling on its first decomposition, so
+        # its derived record labels its second, and the 4 -> 2 step
+        # derives again
         T = relabelled_chain(15, 1)
         analysed = record_calls(monkeypatch, modular, "_tree")
         cert = synthesize_certificate(T)
         assert cert.trace == (8, 6, 4, 2)
-        assert analysed == [T, invert(T, cert.arcs[:2]), cert.final]
+        assert analysed == [T, cert.final]
         assert cert.arcs == record_path(relabelled_chain(15, 1))
 
-    def test_survivor_with_two_overlaps_builds_the_record(self, monkeypatch):
+    def test_survivor_with_two_overlaps_walks_on(self, monkeypatch):
         # at 5 -> 3 one survivor keeps two overlaps, so it has no tilde and
-        # the state's record picks another decomposition
+        # the derived record picks another decomposition; the state that
+        # the index-3 step reaches is checked, so it has a tree
         T = relabelled_chain(17, 1)
         analysed = record_calls(monkeypatch, modular, "_tree")
         cert = synthesize_certificate(T)
         assert cert.trace == (9, 7, 5, 3, 2)
-        states = [T]
-        for arc in cert.arcs:
-            states.append(invert(states[-1], [arc]))
-        assert analysed == [T, states[3], states[4], cert.final]
+        assert analysed == [T, invert(T, cert.arcs[:4]), cert.final]
         assert cert.arcs == record_path(relabelled_chain(17, 1))
 
-    def test_later_pick_builds_the_record(self, monkeypatch):
-        # the 6 -> 4 plan breaks, and that state's record labels its second
-        # decomposition, which differs from the first on a walk the 4 -> 2
-        # arc leaves alone, so the survivors are not the first
-        # decomposition of the state at 2: that step makes no plan
+    def test_later_pick_walks_on(self, monkeypatch):
+        # the state at 4 labels its second decomposition, which differs
+        # from the first on a walk the 4 -> 2 arc leaves alone, so the
+        # survivors are not the first decomposition of the state at 2;
+        # its derived record walks its decompositions all the same
         T = substituted_chain()
         analysed = record_calls(monkeypatch, modular, "_tree")
         cert = synthesize_certificate(T)
         assert cert.trace == (6, 4, 2)
-        states = [T]
-        for arc in cert.arcs:
-            states.append(invert(states[-1], [arc]))
-        assert analysed == states
+        assert analysed == [T, cert.final]
         assert cert.arcs == record_path(substituted_chain())
 
-    def test_broken_plan_must_agree_with_the_record(self):
-        # a plan whose parts have no labelling, and whose index the
-        # record contradicts, is a bug and raises
-        T = transitive(9)
-        plan = inversion._Plan(7, (), {}, {}, ())
-        with pytest.raises(RuntimeError, match=f"planned index 7, recorded 5 on n=9 bits={T.bit_string()}"):
-            inversion._view(T, plan)
+    def test_planned_states_build_no_tree(self, monkeypatch):
+        # a state that a high step reaches reads the record derived from
+        # the step, which is never stored on it
+        real = inversion._reduce
+        planned = []
 
-    def test_plans_equal_records(self, monkeypatch):
-        # every planned state is compared with the record of a fresh copy
-        real = inversion._view
-        seen = {"labelled": 0, "broke": 0}
+        def reduce(T, view, D):
+            arc, after = real(T, view, D)
+            if view.index >= 4:
+                planned.append(after)
+            return arc, after
 
-        def checked(T, plan):
-            view, D = real(T, plan)
-            if plan is not None:
-                A = modular._analysis(Tournament(T.n, T.bits))
-                assert plan.index == A.index
-                assert plan.parts == next(A.decompositions())
-                assert plan.mc == A.mc and plan.overlaps == A.overlaps
-                assert plan.below == tuple(comodular._dominance(A.out, plan.parts))
-                if view is plan:
-                    assert D == comodular._structured(A)
-                seen["labelled" if view is plan else "broke"] += 1
-            return view, D
-
-        monkeypatch.setattr(inversion, "_view", checked)
+        monkeypatch.setattr(inversion, "_reduce", reduce)
+        analysed = record_calls(monkeypatch, modular, "_tree")
         for T in plan_corpus():
             synthesize_certificate(T)
-        assert all(seen.values()), seen
+        assert planned
+        analysed = set(map(id, analysed))
+        assert not any(id(S) in analysed or "_analysis" in vars(S) for S in planned)
+
+    def test_plans_equal_records(self, monkeypatch):
+        # every derived record is compared with the record of a fresh
+        # copy of its state
+        real = inversion._plan
+        compared = 0
+
+        def checked(A, D, out):
+            nonlocal compared
+            plan = real(A, D, out)
+            if plan is not None:
+                n = len(out)
+                state = make_tournament(n, [out[i] >> j & 1 for i in range(n) for j in range(i + 1, n)])
+                fresh = modular._analysis(state)
+                assert plan.out == fresh.out
+                assert list(plan.mc.items()) == list(fresh.mc.items())
+                assert plan.overlaps == fresh.overlaps and plan.index == fresh.index
+                # each walk as a set, as a path may run either way
+                assert [{plan.masks[i] for i in w} for w in plan.walks] == [
+                    {fresh.masks[i] for i in w} for w in fresh.walks
+                ]
+                assert list(plan.decompositions()) == list(fresh.decompositions())
+                assert comodular._structured(plan) == comodular._structured(fresh)
+                compared += 1
+            return plan
+
+        monkeypatch.setattr(inversion, "_plan", checked)
+        for T in plan_corpus():
+            synthesize_certificate(T)
+        assert compared
 
 
 class TestVerify:
