@@ -54,10 +54,10 @@ def cmd_analyze(args) -> int:
         "indecomposable": indec,
         "Delta": index,
         "delta": decomposability_index(T) if T.n >= MIN_VERTICES else None,
-        "mc": [list(_members(m)) for m in A.mc],
+        "mc": [list(_members(m)) for m in A.masks],
         "components": [sorted(run) for run in A.runs],
         "delta_decomposition": (
-            [] if indec else [list(_members(m)) for m in next(A.decompositions())]
+            [] if indec else [list(_members(A.masks[p])) for p in next(A.decompositions())]
         ),
     }
     print(json.dumps(record))

@@ -77,7 +77,8 @@ class ConflictGraph:
 def conflict_graph(T: Tournament) -> ConflictGraph:
     """The overlap graph on mc(T); its edges join neighbours on a walk."""
     A = _analysis(T)
-    return ConflictGraph(tuple(map(A.comodule, A.mc)), tuple(A.edges))
+    edges = tuple((i, j) for i, near in enumerate(A.near) for j in near if i < j)
+    return ConflictGraph(tuple(map(A.comodule, range(len(A.masks)))), edges)
 
 
 @dataclass(frozen=True)
@@ -157,14 +158,15 @@ def structured_delta_decomposition(
     """
     A = _analysis(T)
     parts, labels = _structured(A)
-    return _as_decomposition(A, parts), {k: A.comodule(m) for k, m in labels.items()}
+    return _as_decomposition(A, parts), {k: A.comodule(p) for k, p in labels.items()}
 
 
 def _structured(A: _Analysis) -> tuple[tuple[int, ...], dict[str, int]]:
-    """``structured_delta_decomposition`` on masks: the parts and the
-    labelled parts as masks, from the first decomposition that ``_label``
-    labels.  ``A`` is a state's record, built from its tree or derived by
-    a certificate's high step (``_Analysis.without``)."""
+    """``structured_delta_decomposition`` on positions: the parts and the
+    labelled parts as positions in ``A.masks``, from the first
+    decomposition that ``_label`` labels.  ``A`` is a state's record,
+    built from its tree or derived by a certificate's high step
+    (``_Analysis.without``)."""
     if A.index < 2:
         raise ValueError("tournament is indecomposable")
     for parts in A.decompositions():
@@ -189,8 +191,8 @@ def _dominance(out: tuple[int, ...], part: int) -> int:
 
 
 def _label(A: _Analysis, parts: tuple[int, ...]) -> dict[str, int] | None:
-    """The labels of one delta decomposition of the record A, or None when
-    it has none.
+    """The labels of one delta decomposition of the record A, given and
+    returned as positions, or None when it has none.
 
     At index 2 and 3 every part needs a tilde, so the parts are labelled
     M, N (and L) when all have at most one overlap.  From index 4 up, the
@@ -200,35 +202,37 @@ def _label(A: _Analysis, parts: tuple[int, ...]) -> dict[str, int] | None:
     (C2) test first reads it.  The loops and their order are those of
     ``structured_delta_decomposition``, so the labelling is the first in
     that order."""
-    near, out = A.overlaps, A.out
+    near, out, masks = A.near, A.out, A.masks
     if A.index < 4:
         if any(len(near[p]) > 1 for p in parts):
             return None
         a, b = parts[:2]
         # at index 2, prefer a nontrivial-module part for M; one exists
         # from four vertices up, and below that the choice is immaterial
-        swap = A.mc[a] == "complement-module" and A.mc[b] in ("module", "both")
+        swap = A.kinds[a] == "complement-module" and A.kinds[b] in ("module", "both")
         return dict(zip("MNL", (b, a) if A.index == 2 and swap else parts))
-    free = [i for i, m in enumerate(parts) if len(near[m]) <= 1]
+    free = [i for i, p in enumerate(parts) if len(near[p]) <= 1]
     # no vertex beats itself, so a part's mask holds none of its own
     # members: the (C2) tests alone make j differ from i, and, as M2
     # loses to all of M1, make k differ from i and j; (C3) does not
     for i in free:
-        m1 = parts[i]
+        m1 = masks[parts[i]]
         below_m1 = _dominance(out, m1)
-        for j, m2 in enumerate(parts):
+        for j, p2 in enumerate(parts):
+            m2 = masks[p2]
             if below_m1 & m2 != m2:
                 continue
             below_m2 = _dominance(out, m2)
             for k in free:
-                m3 = parts[k]
+                m3 = masks[parts[k]]
                 if below_m2 & m3 != m3:
                     continue
                 for l in free:
                     if l in (i, j, k):
                         continue
-                    if any(out[x] & m1 == m1 or out[x] & m3 == 0 for x in _members(parts[l])):
-                        return {"M1": m1, "M2": m2, "M3": m3, "M4": parts[l]}
+                    m4 = masks[parts[l]]
+                    if any(out[x] & m1 == m1 or out[x] & m3 == 0 for x in _members(m4)):
+                        return {"M1": parts[i], "M2": p2, "M3": parts[k], "M4": parts[l]}
     return None
 
 
@@ -259,5 +263,5 @@ def hereditary_witness(T: Tournament, k: int) -> VertexSet:
             designated = (x, y, z)
         pool = [v for v in range(T.n) if v not in designated]
         return VertexSet.from_members(T.n, pool[:k])
-    big = [p for p in next(A.decompositions()) if p.bit_count() >= 2]
+    big = [m for m in map(A.masks.__getitem__, next(A.decompositions())) if m.bit_count() >= 2]
     return VertexSet.from_members(T.n, _members(big[0] | big[1])[:k])

@@ -111,11 +111,12 @@ def _expected_max_inversions(n: int) -> int:
     return (_expected_max_index(n) + 1) // 2
 
 
-def _part_masks(D) -> tuple[tuple[int, ...], dict[str, int]]:
-    """D from ``structured_delta_decomposition`` as ``_structured`` gives it."""
+def _part_positions(A, D) -> tuple[tuple[int, ...], dict[str, int]]:
+    """D from ``structured_delta_decomposition`` as ``_structured`` gives
+    it for the record A; a part outside mc is a ValueError."""
     decomp, labels = D
-    parts = tuple(p.members.mask for p in decomp.parts)
-    return parts, {k: c.members.mask for k, c in labels.items()}
+    parts = tuple(A.position_of(p.members.mask) for p in decomp.parts)
+    return parts, {k: A.position_of(c.members.mask) for k, c in labels.items()}
 
 
 def reduction_arc_high(T: Tournament, D) -> Arc:
@@ -129,7 +130,7 @@ def reduction_arc_high(T: Tournament, D) -> Arc:
     A = _analysis(T)
     if A.index < 4:
         raise ValueError("this reduction applies only when the index is at least 4")
-    arc, after = _reduce(T, A, _part_masks(D))
+    arc, after = _reduce(T, A, _part_positions(A, D))
     if _analysis(after).index != A.index - 2:
         raise _failed("high-index reduction", T)
     return arc
@@ -146,7 +147,7 @@ def reduction_arc_three(T: Tournament, D) -> Arc:
     A = _analysis(T)
     if A.index != 3:
         raise ValueError("this reduction applies only when the index is exactly 3")
-    return _reduce(T, A, _part_masks(D))[0]
+    return _reduce(T, A, _part_positions(A, D))[0]
 
 
 def reduction_arc_two(T: Tournament, D) -> Arc:
@@ -171,7 +172,7 @@ def reduction_arc_two(T: Tournament, D) -> Arc:
     A = _analysis(T)
     if A.index != 2:
         raise ValueError("this reduction applies only when the index is exactly 2")
-    return _reduce(T, A, _part_masks(D))[0]
+    return _reduce(T, A, _part_positions(A, D))[0]
 
 
 def _failed(step: str, T: Tournament) -> RuntimeError:
@@ -183,8 +184,8 @@ def _reduce(T: Tournament, view, D) -> tuple[Arc, Tournament]:
     first candidate arc whose reversal reaches the target index, and the
     state it leads to.  ``view`` is T's record, built from its tree or
     derived by ``_plan``, read for the index and the tilde rule; ``D``
-    holds masks, as ``_structured`` returns them.  The high step's one arc
-    is not checked (see ``_plan``)."""
+    holds positions in its ``masks``, as ``_structured`` returns them.  The
+    high step's one arc is not checked (see ``_plan``)."""
     parts, labels = D
     if view.index >= 4:
         x, y = (_members(view.tilde(labels[k]))[0] for k in ("M1", "M3"))
@@ -215,8 +216,8 @@ def _reduce(T: Tournament, view, D) -> tuple[Arc, Tournament]:
 
 def _plan(A, D, out: tuple[int, ...]):
     """The record of the state that the step from the record A, with
-    labelled decomposition D, reaches, derived from A when the step is
-    high (None otherwise); ``out`` holds that state's rows.
+    labelled decomposition D in positions, reaches, derived from A when the
+    step is high (None otherwise); ``out`` holds that state's rows.
 
     The step starts from T, with index k >= 4 and labels M1..M4, and
     reverses the arc on e = {x, y}, x in tilde(M1) and y in tilde(M3)
@@ -272,15 +273,16 @@ def _plan(A, D, out: tuple[int, ...]):
       kinds and overlaps, and the index is k - 2.  M1 is free, so it ends
       a walk, a path, and its overlap is the next node; cutting both off
       leaves a path, and likewise for M3.  So the walks of T' are those
-      of T less those sets.  Positions in T's mask list keep the order of
+      of T less those sets.  Positions in T's ``masks`` keep the order of
       mc(T'), and a path's optima do not depend on its direction, so
-      ``_Analysis.without``, which sorts the cut walks by least position,
-      gives the decompositions in the order of T''s own record.
+      ``_Analysis.without``, which drops the positions of those sets and
+      sorts the cut walks by least position, gives the decompositions in
+      the order of T''s own record.
     """
     if A.index < 4:
         return None
     m1, m3 = D[1]["M1"], D[1]["M3"]
-    return A.without(out, {m1, m3, *A.overlaps[m1], *A.overlaps[m3]})
+    return A.without(out, {m1, m3, *A.near[m1], *A.near[m3]})
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,8 @@ the co-modular index and its decompositions, and the transitive
 components, whose order is the tree's dominance order of a linear node's
 children.  ``_analysis(T)`` builds it from ``_tree(T)`` on first use and
 keeps it on T, so every later query on that object, certificates and
-their verification included, reads it.
+their verification included, reads it.  Inside the record a set of mc
+is its position in mc's key order; only the public functions see sets.
 """
 
 from __future__ import annotations
@@ -257,7 +258,7 @@ def nontrivial_modules(T: Tournament) -> list[VertexSet]:
 
 def is_indecomposable(T: Tournament) -> bool:
     """True when the only modules are the trivial ones: mc(T) is empty."""
-    return not _analysis(T).mc
+    return not _analysis(T).masks
 
 
 def minimal_nontrivial_modules(T: Tournament) -> list[VertexSet]:
@@ -305,7 +306,7 @@ def minimal_comodules(T: Tournament) -> list[CoModule]:
     the shape of the tree's root (see ``_Analysis``).
     """
     A = _analysis(T)
-    return [A.comodule(m) for m in A.mc]
+    return list(map(A.comodule, range(len(A.masks))))
 
 
 def _path_optima(walk: list[int]) -> list[tuple[int, ...]]:
@@ -345,12 +346,13 @@ class _Analysis:
     * ``maximal_modules``: the maximal nontrivial modules, the root's
       children with two or more vertices; under a linear root with m >= 3
       children, the two runs of m-1 children instead;
-    * ``mc``: mc(T) as a mask -> kind dict in key order, read off the
-      root's shape (below), and ``masks``, its sets as a list;
-    * ``walks``: the overlap graph's components, each as positions in
-      ``masks`` in path order, listed by smallest position;
+    * ``masks`` and ``kinds``: mc(T) read off the root's shape (below),
+      its sets in key order and their kinds; elsewhere in the record a set
+      of mc is its position here, and ``position`` maps a set to it;
+    * ``walks``: the overlap graph's components, each as positions in path
+      order, listed by smallest position;
     * ``index``: the co-modular index, ceil(k/2) summed over the walks;
-    * ``edges``, ``overlaps``, ``runs`` and ``optima``, derived on first use.
+    * ``near``, ``runs`` and ``optima``, derived on first use.
 
     A minimal co-module is a minimal nontrivial module or the complement
     of a maximal one, and it is in mc exactly when no candidate of the
@@ -419,48 +421,45 @@ class _Analysis:
                 kinds.pop(end | (children[1] if end == children[0] else children[-2]), None)
             elif end in kinds:
                 kinds[end] = "both"
-        self.mc = {m: kinds[m] for m in sorted(kinds, key=_mask_key)}
-        self.masks = list(self.mc)
-        position = {m: i for i, m in enumerate(self.masks)}
+        self.masks = sorted(kinds, key=_mask_key)
+        self.kinds = list(map(kinds.__getitem__, self.masks))
+        self.position = position = {m: i for i, m in enumerate(self.masks)}
         walks = []
         for pairs in twins:
             walk = [position[t] for t in pairs if t in position]
             if walk:
                 walks.append(walk)
         covered = {i for walk in walks for i in walk}
-        walks += [[i] for i in range(len(self.mc)) if i not in covered]
+        walks += [[i] for i in range(len(self.masks)) if i not in covered]
         self.walks = sorted(walks, key=min)
         self.index = sum((len(walk) + 1) // 2 for walk in self.walks)
 
     def without(self, out: tuple[int, ...], gone: set[int]) -> _Analysis:
         """The record of the state with rows ``out`` whose mc is this
-        record's less the sets in ``gone``, each with the same kind and
-        overlaps, and whose walks are this record's less those sets, each
-        still a path (``inversion._plan`` proves both of a high step).  It
-        shares this record's mask list, so no position is renumbered and
-        the positions keep mc's order, and it keeps the optima of the walks
-        left whole.  It has no tree, chains or runs, and ``_analysis`` never
-        stores it."""
+        record's less the positions in ``gone``, each with the same kind and
+        overlaps, and whose walks are this record's less those positions,
+        each still a path (``inversion._plan`` proves both of a high step).
+        It shares this record's ``masks`` and ``kinds``, so no position is
+        renumbered, and its mc is the positions on its walks; it copies
+        ``near`` and keeps the optima of the walks left whole.  It has no
+        tree, chains, runs or ``position``, and ``_analysis`` never stores
+        it."""
         A = object.__new__(_Analysis)
-        A.n, A.out, A.masks = self.n, out, self.masks
-        # copy() clones the hash table; dict() would insert every mask again,
-        # and masks a multiple of 61 bits apart share a hash
-        A.mc, A.overlaps = self.mc.copy(), self.overlaps.copy()
+        A.n, A.out, A.masks, A.kinds = self.n, out, self.masks, self.kinds
+        A.near = self.near.copy()
         for g in gone:
-            del A.mc[g]
-            for q in A.overlaps.pop(g):
+            for q in self.near[g]:
                 if q not in gone:
-                    A.overlaps[q] = [o for o in A.overlaps[q] if o not in gone]
+                    A.near[q] = [o for o in A.near[q] if o not in gone]
         # the walks that keep all their sets keep their optima, their share
         # of the index and their order; a cut walk is placed again by its
         # least position
-        cut = {self.masks.index(g) for g in gone}
-        keep = list(map(cut.isdisjoint, self.walks))
+        keep = list(map(gone.isdisjoint, self.walks))
         A.walks, A.optima = list(compress(self.walks, keep)), list(compress(self.optima, keep))
         A.index = self.index
         for walk in compress(self.walks, map(not_, keep)):
             A.index -= (len(walk) + 1) // 2
-            walk = [i for i in walk if i not in cut]
+            walk = [i for i in walk if i not in gone]
             if walk:
                 A.index += (len(walk) + 1) // 2
                 at = bisect(A.walks, min(walk), key=min)
@@ -469,37 +468,30 @@ class _Analysis:
         return A
 
     @cached_property
-    def edges(self) -> list[tuple[int, int]]:
-        """The overlap graph's edges, sorted: the pairs (i, j), i < j, of
-        mc positions that are neighbours on a walk."""
-        return sorted((min(e), max(e)) for walk in self.walks for e in zip(walk, walk[1:]))
-
-    @cached_property
-    def overlaps(self) -> dict[int, list[int]]:
-        """The minimal co-modules each one overlaps, so at most two, in mc
-        order: the edges are sorted, so each meets its lower one first."""
-        masks = self.masks
-        near = {m: [] for m in masks}
-        for i, j in self.edges:
-            near[masks[i]].append(masks[j])
-            near[masks[j]].append(masks[i])
+    def near(self) -> list[list[int]]:
+        """By position, the sets each one overlaps: its neighbours on its
+        walk, at most two, ascending (walk[-1:0] is empty)."""
+        near = [[] for _ in self.masks]
+        for walk in self.walks:
+            for k, i in enumerate(walk):
+                near[i] = sorted(walk[k - 1 : k] + walk[k + 1 : k + 2])
         return near
 
-    def overlapping(self, mask: int) -> list[int]:
-        """``overlaps[mask]``, rejecting a mask that is not in mc."""
-        near = self.overlaps.get(mask)
-        if near is None:
+    def position_of(self, mask: int) -> int:
+        """A caller's set's position, rejecting one that is not in mc."""
+        i = self.position.get(mask)
+        if i is None:
             raise ValueError("argument is not a minimal co-module of the tournament")
-        return near
+        return i
 
-    def tilde(self, mask: int) -> int:
-        """The distinguished subset of a minimal co-module with at most one
-        overlap: the set itself with none, the vertex it shares with its
-        one neighbour otherwise."""
-        near = self.overlapping(mask)
+    def tilde(self, i: int) -> int:
+        """The distinguished subset of the minimal co-module at position i,
+        which has at most one overlap: the set itself with none, the vertex
+        it shares with its one neighbour otherwise."""
+        near = self.near[i]
         if len(near) > 1:
             raise ValueError("tilde is undefined when two minimal co-modules overlap")
-        return mask & near[0] if near else mask
+        return self.masks[i] & self.masks[near[0]] if near else self.masks[i]
 
     @cached_property
     def runs(self) -> list[list[int]]:
@@ -519,18 +511,17 @@ class _Analysis:
         """Each walk's optima."""
         return [_path_optima(walk) for walk in self.walks]
 
-    def comodule(self, mask: int) -> CoModule:
-        return CoModule(VertexSet(self.n, mask), self.mc[mask])
+    def comodule(self, i: int) -> CoModule:
+        return CoModule(VertexSet(self.n, self.masks[i]), self.kinds[i])
 
     def decompositions(self) -> Iterator[tuple[int, ...]]:
-        """The parts of each delta decomposition as masks in key order, as
-        mc is.  The first takes the smallest selection of vertex sets per
-        component, since each component's optima are sorted tuples."""
-        if not self.mc:
+        """The parts of each delta decomposition as sorted positions.  The
+        first takes the smallest selection of vertex sets per component,
+        since each component's optima are sorted tuples."""
+        if not self.walks:
             raise ValueError("an indecomposable tournament has no decomposition")
-        masks = self.masks
         for pick in product(*self.optima):
-            yield tuple(map(masks.__getitem__, sorted(chain.from_iterable(pick))))
+            yield tuple(sorted(chain.from_iterable(pick)))
 
 
 def _analysis(T: Tournament) -> _Analysis:
@@ -546,7 +537,7 @@ def overlap_set(T: Tournament, M) -> list[CoModule]:
     """Minimal co-modules overlapping M, which must itself be in mc(T):
     its neighbours on its walk of the overlap graph, in key order."""
     A = _analysis(T)
-    return [A.comodule(m) for m in A.overlapping(_as_mask(T, M))]
+    return list(map(A.comodule, A.near[A.position_of(_as_mask(T, M))]))
 
 
 def tilde(T: Tournament, M) -> VertexSet:
@@ -556,7 +547,8 @@ def tilde(T: Tournament, M) -> VertexSet:
     one, say M', it is the single shared vertex of M and M'.  Undefined
     (rejected) when two minimal co-modules overlap M.
     """
-    return VertexSet(T.n, _analysis(T).tilde(_as_mask(T, M)))
+    A = _analysis(T)
+    return VertexSet(T.n, A.tilde(A.position_of(_as_mask(T, M))))
 
 
 # ---------------------------------------------------------------------------
@@ -602,7 +594,7 @@ def component_comodule(T: Tournament, C, k: int) -> CoModule:
     if not 0 <= k <= len(order) - 2:
         raise ValueError(f"index k must lie in 0..{len(order) - 2}, got {k}")
     twin = (1 << order[k]) | (1 << order[k + 1])
-    hits = [m for m in A.mc if m & ~twin == 0]
+    hits = [i for i, m in enumerate(A.masks) if m & ~twin == 0]
     if len(hits) != 1:
         raise RuntimeError(
             f"a twin holds {len(hits)} minimal co-modules on n={T.n} bits={T.bit_string()}"

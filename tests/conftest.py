@@ -116,6 +116,14 @@ def relabelled_chain(n: int, seed: int) -> Tournament:
     return relabel(transitive(n), random_perm(Xorshift64Star(seed), n))
 
 
+def doubled(P: Tournament) -> Tournament:
+    """Vertex i of P becomes the twins 2i -> 2i+1."""
+    n = 2 * P.n
+    return make_tournament(
+        n, [i // 2 == j // 2 or P.has_arc(i // 2, j // 2) for i in range(n) for j in range(i + 1, n)]
+    )
+
+
 def record_calls(monkeypatch, owner, name: str) -> list:
     """Wrap ``owner.name`` so that each call appends its first argument to
     the returned list."""

@@ -222,10 +222,11 @@ class TestStructuredDecomposition:
         A = _analysis(transitive(n))
         doctored = SimpleNamespace(
             index=A.index,
-            mc=A.mc,
+            masks=A.masks,
+            kinds=A.kinds,
             out=A.out,
             decompositions=A.decompositions,
-            overlaps={m: (0, 0) for m in A.mc},
+            near=[(0, 0)] * len(A.masks),
         )
         with pytest.raises(RuntimeError, match=message):
             _structured(doctored)
@@ -235,13 +236,14 @@ class TestStructuredDecomposition:
         # pairs {0} with the twin {0, 1}, which overlaps two parts
         A = _analysis(transitive(3))
         a, b = next(A.decompositions())
-        twin = 0b011
+        twin = len(A.masks)
         doctored = SimpleNamespace(
             index=A.index,
-            mc={**A.mc, twin: "module"},
+            masks=[*A.masks, 0b011],
+            kinds=[*A.kinds, "module"],
             out=A.out,
             decompositions=lambda: iter([(a, twin), (a, b)]),
-            overlaps={**A.overlaps, twin: (0, 0)},
+            near=[*A.near, (0, 0)],
         )
         assert _structured(doctored) == ((a, b), {"M": a, "N": b})
 
@@ -314,10 +316,11 @@ class TestStructuredDecomposition:
             _structured(
                 SimpleNamespace(
                     index=A.index,
-                    mc=A.mc,
+                    masks=A.masks,
+                    kinds=A.kinds,
                     out=A.out,
                     decompositions=decompositions,
-                    overlaps=A.overlaps,
+                    near=A.near,
                 )
             )
             walked[drawn] = walked.get(drawn, 0) + 1

@@ -51,6 +51,7 @@ from conftest import (
     ceil_half,
     checked_extension,
     composed_random,
+    doubled,
     first_indecomposable,
     nested_substitution,
     record_calls,
@@ -175,9 +176,12 @@ class TestReductions:
     def test_three_without_pattern_names_input(self, monkeypatch):
         T = transitive(5)
         D = structured_delta_decomposition(T)
+        position_of = modular._analysis(T).position_of
         # index 3, but every distinguished subset is empty: no x -> z -> y
         monkeypatch.setattr(
-            inversion, "_analysis", lambda U: SimpleNamespace(index=3, tilde=lambda m: 0)
+            inversion,
+            "_analysis",
+            lambda U: SimpleNamespace(index=3, position_of=position_of, tilde=lambda p: 0),
         )
         with pytest.raises(RuntimeError, match=f"three-part.* n=5 bits={T.bit_string()}"):
             reduction_arc_three(T, D)
@@ -309,11 +313,7 @@ class TestSynthesize:
 
 
 def twins_800() -> Tournament:
-    """Vertex i of a random 400-vertex tournament becomes 2i -> 2i+1."""
-    P = random_tournament(400, 7)
-    return make_tournament(
-        800, [i // 2 == j // 2 or P.has_arc(i // 2, j // 2) for i in range(800) for j in range(i + 1, 800)]
-    )
+    return doubled(random_tournament(400, 7))
 
 
 def record_path(T):
@@ -422,9 +422,13 @@ class TestPlan:
 
     def test_plans_equal_records(self, monkeypatch):
         # every derived record is compared with the record of a fresh
-        # copy of its state
+        # copy of its state; the two number mc apart, so positions are
+        # compared through their sets
         real = inversion._plan
         compared = 0
+
+        def sets(record, positions):
+            return [record.masks[i] for i in positions]
 
         def checked(A, D, out):
             nonlocal compared
@@ -433,15 +437,30 @@ class TestPlan:
                 n = len(out)
                 state = make_tournament(n, [out[i] >> j & 1 for i in range(n) for j in range(i + 1, n)])
                 fresh = modular._analysis(state)
+                assert plan.masks is A.masks and plan.kinds is A.kinds
                 assert plan.out == fresh.out
-                assert list(plan.mc.items()) == list(fresh.mc.items())
-                assert plan.overlaps == fresh.overlaps and plan.index == fresh.index
-                # each walk as a set, as a path may run either way
-                assert [{plan.masks[i] for i in w} for w in plan.walks] == [
-                    {fresh.masks[i] for i in w} for w in fresh.walks
+                # a derived record's mc is the positions on its walks
+                live = sorted(i for w in plan.walks for i in w)
+                assert sets(plan, live) == fresh.masks
+                assert [plan.kinds[i] for i in live] == fresh.kinds
+                assert [sets(plan, plan.near[i]) for i in live] == [
+                    sets(fresh, near) for near in fresh.near
                 ]
-                assert list(plan.decompositions()) == list(fresh.decompositions())
-                assert comodular._structured(plan) == comodular._structured(fresh)
+                assert plan.index == fresh.index
+                # each walk as a set, as a path may run either way
+                assert [set(sets(plan, w)) for w in plan.walks] == [
+                    set(sets(fresh, w)) for w in fresh.walks
+                ]
+                assert [sets(plan, d) for d in plan.decompositions()] == [
+                    sets(fresh, d) for d in fresh.decompositions()
+                ]
+                (parts, labels), (own_parts, own_labels) = (
+                    comodular._structured(plan),
+                    comodular._structured(fresh),
+                )
+                assert sets(plan, parts) == sets(fresh, own_parts)
+                assert list(labels) == list(own_labels)
+                assert sets(plan, labels.values()) == sets(fresh, own_labels.values())
                 compared += 1
             return plan
 

@@ -427,7 +427,8 @@ class TestOneRecordPerObject:
         monkeypatch.setattr(modular, "_tree", refuse)
         for T, tree, own in kept:
             A = modular._Analysis(T.n, T.out_masks, tree)
-            assert (A.mc, A.walks, A.index, A.runs) == (own.mc, own.walks, own.index, own.runs), T
+            mine = (A.masks, A.kinds, A.walks, A.index, A.runs)
+            assert mine == (own.masks, own.kinds, own.walks, own.index, own.runs), T
 
 
 def halving_partition(T, S, v):
@@ -752,7 +753,7 @@ class TestOneChainScan:
             assert set(A.minimal_modules) == set(minimal), T
             assert A.maximal_modules == maximal, T
             mc = reference_mc(T.n, minimal, maximal)
-            assert list(A.mc.items()) == list(mc.items()), T
+            assert list(zip(A.masks, A.kinds)) == list(mc.items()), T
             assert A.walks == reference_walks(A.tree, mc), T
             assert A.runs == reference_runs(T.n, A.tree), T
 
@@ -769,7 +770,7 @@ class TestMcFromRootShape:
                 A = modular._analysis(state)
                 minimal, maximal = reference_extremal_masks(state.n, A.tree)
                 mc = inclusion_filter_mc(state.n, minimal, maximal)
-                assert list(A.mc.items()) == list(mc.items()), state
+                assert list(zip(A.masks, A.kinds)) == list(mc.items()), state
                 states += 1
         assert states > 2000
 
@@ -842,7 +843,9 @@ class TestComponentComodule:
         # a record whose mc puts two sets inside one twin breaks the
         # contract; the check holds under python -O too
         T = transitive(5)
-        modular._analysis(T).mc[0b11] = "module"
+        A = modular._analysis(T)
+        A.masks.append(0b11)
+        A.kinds.append("module")
         with pytest.raises(RuntimeError, match="n=5 bits=1111111111"):
             component_comodule(T, range(5), 0)
 

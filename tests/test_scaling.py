@@ -1,0 +1,47 @@
+"""Operation counts of certificate synthesis, held by exact bounds.
+
+Counts are deterministic where clocks are not, so a change that makes a
+certificate do more work of one kind fails here at small sizes.  Each
+bound is the count measured when its row was added; a change that lowers
+a count lowers its bound with it.
+"""
+
+import pytest
+
+from tourmod import comodular, modular, random_tournament, synthesize_certificate, transitive
+
+from conftest import doubled, record_calls
+
+# input, then the bounds: trees built, dominance masks built by the
+# labelling, and positions listed over all optima of the overlap paths.
+# A chain of odd order has a long path with an even number of twins, which
+# each high step cuts and whose k/2 + 1 optima it lists again, and its
+# labelling tries every M2 under each free M1: its rows grow as n^3
+ROWS = [
+    pytest.param(lambda: transitive(100), 3, 95, 653, id="chain-100"),
+    pytest.param(lambda: transitive(400), 3, 395, 10_103, id="chain-400"),
+    pytest.param(lambda: transitive(101), 3, 1_941, 22_655, id="chain-101"),
+    pytest.param(lambda: transitive(401), 3, 30_291, 1_363_105, id="chain-401"),
+    pytest.param(lambda: doubled(random_tournament(100, 7)), 2, 100, 100, id="twins-200"),
+    pytest.param(lambda: doubled(random_tournament(400, 7)), 2, 398, 400, id="twins-800"),
+]
+
+
+@pytest.mark.parametrize("make, trees, dominance, entries", ROWS)
+def test_counts_at_most_measured(make, trees, dominance, entries, monkeypatch):
+    T = make()
+    built = record_calls(monkeypatch, modular, "_tree")
+    masks = record_calls(monkeypatch, comodular, "_dominance")
+    listed = 0
+    real = modular._path_optima
+
+    def listing(walk):
+        nonlocal listed
+        optima = real(walk)
+        listed += sum(map(len, optima))
+        return optima
+
+    monkeypatch.setattr(modular, "_path_optima", listing)
+    synthesize_certificate(T)
+    counts = (len(built), len(masks), listed)
+    assert all(c <= bound for c, bound in zip(counts, (trees, dominance, entries))), counts
