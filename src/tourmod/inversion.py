@@ -17,23 +17,23 @@ co-modular decomposition.  The bound from above is constructive, and
   the two parts yields an indecomposable tournament.
 
 Each step is the one path the proof gives, and one step, ``_reduce``,
-serves synthesis and the three public reductions alike.  It reverses
-the step's candidate arcs in turn and keeps the first whose result meets
-the postcondition (the index reaches 2, or the result is
-indecomposable), read off the result's record; when none does, it raises
-RuntimeError naming the input, since that can only mean an
-implementation bug.  The high step has one candidate, which lowers the
-index by exactly 2 (the paper's step, see ``_plan``), so it builds no
-record to check that; ``reduction_arc_high`` checks it anyway.
-
-A step reads the state's record (``modular._Analysis``): its index, its
-labelled decomposition and the tilde rule.  After a high step the next
-state's record is derived from the step's (``_plan``): its minimal
+serves synthesis and the three public reductions alike.  It takes a
+state's record (``modular._Analysis``), reading its index, its labelled
+decomposition and the tilde rule, and returns the arc, the state it
+leads to and that state's record, which the next step reads.  The low
+steps reverse their candidate arcs in turn and keep the first whose
+result meets the postcondition (the index reaches 2, or the result is
+indecomposable), read off the result's record, which they return; when
+none does, they raise RuntimeError naming the input, since that can only
+mean an implementation bug.  The high step has one candidate, which
+lowers the index by exactly 2 (the paper's step), so it builds no record
+to check that; ``reduction_arc_high`` checks it anyway.  Its record is
+derived from the step's instead (``_Analysis.without``): its minimal
 co-modules and their overlaps are the old ones less at most four sets
 that hold an end of the arc, and its walks are the old walks less those
-sets.  So a certificate builds the trees of its input, of the state an
-index-3 step reaches, of its final state and of any index-2 candidate
-that fails, and no other.
+sets (``_reduce`` proves it).  So a certificate builds the trees of its
+input, of the state an index-3 step reaches, of its final state and of
+any index-2 candidate that fails, and no other.
 
 Certificates serialise to single-line JSON objects with the fields
 ``n``, ``base_bits``, ``arcs``, ``trace`` and ``final_bits``.
@@ -57,7 +57,7 @@ from .core import (
     transitive,
 )
 from .comodular import _structured, comodular_index
-from .modular import _analysis
+from .modular import _analysis, _Analysis
 
 __all__ = [
     "GuidedChoiceWarning",
@@ -130,7 +130,7 @@ def reduction_arc_high(T: Tournament, D) -> Arc:
     A = _analysis(T)
     if A.index < 4:
         raise ValueError("this reduction applies only when the index is at least 4")
-    arc, after = _reduce(T, A, _part_positions(A, D))
+    arc, after, _ = _reduce(T, A, _part_positions(A, D))
     if _analysis(after).index != A.index - 2:
         raise _failed("high-index reduction", T)
     return arc
@@ -179,45 +179,16 @@ def _failed(step: str, T: Tournament) -> RuntimeError:
     return RuntimeError(f"guided {step} failed its check on n={T.n} bits={T.bit_string()}")
 
 
-def _reduce(T: Tournament, view, D) -> tuple[Arc, Tournament]:
+def _reduce(T: Tournament, view, D) -> tuple[Arc, Tournament, _Analysis]:
     """The step of the public reduction for T's index (at least 2): the
-    first candidate arc whose reversal reaches the target index, and the
-    state it leads to.  ``view`` is T's record, built from its tree or
-    derived by ``_plan``, read for the index and the tilde rule; ``D``
-    holds positions in its ``masks``, as ``_structured`` returns them.  The
-    high step's one arc is not checked (see ``_plan``)."""
-    parts, labels = D
-    if view.index >= 4:
-        x, y = (_members(view.tilde(labels[k]))[0] for k in ("M1", "M3"))
-        arc = Arc(x, y) if T.relation(x, y) else Arc(y, x)
-        return arc, invert(T, [arc])
-    if view.index == 3:
-        # only the first pattern: the paper shows that every one works
-        step, target = "three-part reduction", 2
-        patterns = (
-            (x, y)
-            for part_m, part_n, part_l in _permutations(parts)
-            for zs in [_members(view.tilde(part_l))]
-            for x in _members(view.tilde(part_m))
-            for y in _members(view.tilde(part_n))
-            if any(T.relation(x, z) and T.relation(z, y) for z in zs)
-        )
-        pairs = islice(patterns, 1)
-    else:
-        step, target = "two-part reduction", 0
-        pairs = product(_members(view.tilde(labels["M"])), _members(view.tilde(labels["N"])))
-    for x, y in pairs:
-        arc = Arc(x, y) if T.relation(x, y) else Arc(y, x)
-        after = invert(T, [arc])
-        if _analysis(after).index == target:
-            return arc, after
-    raise _failed(step, T)
-
-
-def _plan(A, D, out: tuple[int, ...]):
-    """The record of the state that the step from the record A, with
-    labelled decomposition D in positions, reaches, derived from A when the
-    step is high (None otherwise); ``out`` holds that state's rows.
+    first candidate arc whose reversal reaches the target index, the state
+    it leads to and that state's record.  ``view`` is T's record, built
+    from its tree or returned by the step before, read for the index and
+    the tilde rule; ``D`` holds positions in its ``masks``, as
+    ``_structured`` returns them.  A low step returns the record its check
+    built, which ``_analysis`` stored on the state.  The high step's one
+    arc is not checked: its record is derived from ``view`` and never
+    stored, as follows.
 
     The step starts from T, with index k >= 4 and labels M1..M4, and
     reverses the arc on e = {x, y}, x in tilde(M1) and y in tilde(M3)
@@ -279,10 +250,35 @@ def _plan(A, D, out: tuple[int, ...]):
       sorts the cut walks by least position, gives the decompositions in
       the order of T''s own record.
     """
-    if A.index < 4:
-        return None
-    m1, m3 = D[1]["M1"], D[1]["M3"]
-    return A.without(out, {m1, m3, *A.near[m1], *A.near[m3]})
+    parts, labels = D
+    if view.index >= 4:
+        m1, m3 = labels["M1"], labels["M3"]
+        x, y = (_members(view.tilde(m))[0] for m in (m1, m3))
+        arc = Arc(x, y) if T.relation(x, y) else Arc(y, x)
+        after = invert(T, [arc])
+        return arc, after, view.without(after.out_masks, {m1, m3, *view.near[m1], *view.near[m3]})
+    if view.index == 3:
+        # only the first pattern: the paper shows that every one works
+        step, target = "three-part reduction", 2
+        patterns = (
+            (x, y)
+            for part_m, part_n, part_l in _permutations(parts)
+            for zs in [_members(view.tilde(part_l))]
+            for x in _members(view.tilde(part_m))
+            for y in _members(view.tilde(part_n))
+            if any(T.relation(x, z) and T.relation(z, y) for z in zs)
+        )
+        pairs = islice(patterns, 1)
+    else:
+        step, target = "two-part reduction", 0
+        pairs = product(_members(view.tilde(labels["M"])), _members(view.tilde(labels["N"])))
+    for x, y in pairs:
+        arc = Arc(x, y) if T.relation(x, y) else Arc(y, x)
+        after = invert(T, [arc])
+        record = _analysis(after)
+        if record.index == target:
+            return arc, after, record
+    raise _failed(step, T)
 
 
 @dataclass(frozen=True)
@@ -304,22 +300,19 @@ def synthesize_certificate(T: Tournament) -> InversionCertificate:
     """A verified minimum inversion set, built by index reduction.
 
     The certificate always contains exactly ceil(comodular_index / 2)
-    arcs (none when T is already indecomposable).  Each step reads its
-    state's record, derived from the step before when that step was high
-    (``_plan``), and the final state's record is the one the last step
+    arcs (none when T is already indecomposable).  Each step reads the
+    record that the step before returned (``_reduce``), the input's own for
+    the first, and the final state's record is the one the last step
     checked.
     """
     _require_size(T)
     arcs: list[Arc] = []
     trace: list[int] = []
-    state = T
-    view = _analysis(T)
+    state, view = T, _analysis(T)
     while view.index >= 2:
-        D = _structured(view)
-        arc, state = _reduce(state, view, D)
-        arcs.append(arc)
         trace.append(view.index)
-        view = _plan(view, D, state.out_masks) or _analysis(state)
+        arc, state, view = _reduce(state, view, _structured(view))
+        arcs.append(arc)
     return InversionCertificate(T, tuple(arcs), tuple(trace), state)
 
 

@@ -435,33 +435,31 @@ class _Analysis:
         self.index = sum((len(walk) + 1) // 2 for walk in self.walks)
 
     def without(self, out: tuple[int, ...], gone: set[int]) -> _Analysis:
-        """The record of the state with rows ``out`` whose mc is this
-        record's less the positions in ``gone``, each with the same kind and
-        overlaps, and whose walks are this record's less those positions,
-        each still a path (``inversion._plan`` proves both of a high step).
-        It shares this record's ``masks`` and ``kinds``, so no position is
-        renumbered, and its mc is the positions on its walks; it copies
-        ``near`` and keeps the optima of the walks left whole.  It has no
-        tree, chains, runs or ``position``, and ``_analysis`` never stores
-        it."""
+        """The record of the state with rows ``out`` that a high step
+        reaches, the step that drops the positions in ``gone``: its mc is
+        this record's less those positions, each with the same kind and
+        overlaps, its walks are this record's less those positions, each
+        still a path, and its index is this record's less 2
+        (``inversion._reduce`` proves all three).  It shares this record's
+        ``masks`` and ``kinds``, so no position is renumbered, and its mc is
+        the positions on its walks; it copies ``near`` and keeps the optima
+        of the walks left whole.  It has no tree, chains, runs or
+        ``position``, and ``_analysis`` never stores it."""
         A = object.__new__(_Analysis)
         A.n, A.out, A.masks, A.kinds = self.n, out, self.masks, self.kinds
+        A.index = self.index - 2
         A.near = self.near.copy()
         for g in gone:
             for q in self.near[g]:
                 if q not in gone:
                     A.near[q] = [o for o in A.near[q] if o not in gone]
-        # the walks that keep all their sets keep their optima, their share
-        # of the index and their order; a cut walk is placed again by its
-        # least position
+        # the walks that keep all their sets keep their optima and their
+        # order; a cut walk is placed again by its least position
         keep = list(map(gone.isdisjoint, self.walks))
         A.walks, A.optima = list(compress(self.walks, keep)), list(compress(self.optima, keep))
-        A.index = self.index
         for walk in compress(self.walks, map(not_, keep)):
-            A.index -= (len(walk) + 1) // 2
             walk = [i for i in walk if i not in gone]
             if walk:
-                A.index += (len(walk) + 1) // 2
                 at = bisect(A.walks, min(walk), key=min)
                 A.walks.insert(at, walk)
                 A.optima.insert(at, _path_optima(walk))

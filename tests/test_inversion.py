@@ -348,8 +348,9 @@ def plan_corpus():
 
 
 class TestPlan:
-    """A high step derives the next state's record from its own
-    (``inversion._plan``), so no tree is built for the state it reaches."""
+    """A high step derives the next state's record from its own and hands
+    it back (``inversion._reduce``), so no tree is built for the state it
+    reaches."""
 
     @pytest.mark.parametrize(
         "make, trees",
@@ -402,21 +403,27 @@ class TestPlan:
 
     def test_planned_states_build_no_tree(self, monkeypatch):
         # a state that a high step reaches reads the record derived from
-        # the step, which is never stored on it
+        # the step, which is never stored on it; a low step hands back the
+        # record its check stored
         real = inversion._reduce
         planned = []
+        checked = 0
 
         def reduce(T, view, D):
-            arc, after = real(T, view, D)
+            nonlocal checked
+            arc, after, record = real(T, view, D)
             if view.index >= 4:
                 planned.append(after)
-            return arc, after
+            else:
+                assert record is modular._analysis(after)
+                checked += 1
+            return arc, after, record
 
         monkeypatch.setattr(inversion, "_reduce", reduce)
         analysed = record_calls(monkeypatch, modular, "_tree")
         for T in plan_corpus():
             synthesize_certificate(T)
-        assert planned
+        assert planned and checked
         analysed = set(map(id, analysed))
         assert not any(id(S) in analysed or "_analysis" in vars(S) for S in planned)
 
@@ -424,47 +431,46 @@ class TestPlan:
         # every derived record is compared with the record of a fresh
         # copy of its state; the two number mc apart, so positions are
         # compared through their sets
-        real = inversion._plan
+        real = modular._Analysis.without
         compared = 0
 
         def sets(record, positions):
             return [record.masks[i] for i in positions]
 
-        def checked(A, D, out):
+        def checked(A, out, gone):
             nonlocal compared
-            plan = real(A, D, out)
-            if plan is not None:
-                n = len(out)
-                state = make_tournament(n, [out[i] >> j & 1 for i in range(n) for j in range(i + 1, n)])
-                fresh = modular._analysis(state)
-                assert plan.masks is A.masks and plan.kinds is A.kinds
-                assert plan.out == fresh.out
-                # a derived record's mc is the positions on its walks
-                live = sorted(i for w in plan.walks for i in w)
-                assert sets(plan, live) == fresh.masks
-                assert [plan.kinds[i] for i in live] == fresh.kinds
-                assert [sets(plan, plan.near[i]) for i in live] == [
-                    sets(fresh, near) for near in fresh.near
-                ]
-                assert plan.index == fresh.index
-                # each walk as a set, as a path may run either way
-                assert [set(sets(plan, w)) for w in plan.walks] == [
-                    set(sets(fresh, w)) for w in fresh.walks
-                ]
-                assert [sets(plan, d) for d in plan.decompositions()] == [
-                    sets(fresh, d) for d in fresh.decompositions()
-                ]
-                (parts, labels), (own_parts, own_labels) = (
-                    comodular._structured(plan),
-                    comodular._structured(fresh),
-                )
-                assert sets(plan, parts) == sets(fresh, own_parts)
-                assert list(labels) == list(own_labels)
-                assert sets(plan, labels.values()) == sets(fresh, own_labels.values())
-                compared += 1
+            plan = real(A, out, gone)
+            n = len(out)
+            state = make_tournament(n, [out[i] >> j & 1 for i in range(n) for j in range(i + 1, n)])
+            fresh = modular._analysis(state)
+            assert plan.masks is A.masks and plan.kinds is A.kinds
+            assert plan.out == fresh.out
+            # a derived record's mc is the positions on its walks
+            live = sorted(i for w in plan.walks for i in w)
+            assert sets(plan, live) == fresh.masks
+            assert [plan.kinds[i] for i in live] == fresh.kinds
+            assert [sets(plan, plan.near[i]) for i in live] == [
+                sets(fresh, near) for near in fresh.near
+            ]
+            assert plan.index == fresh.index
+            # each walk as a set, as a path may run either way
+            assert [set(sets(plan, w)) for w in plan.walks] == [
+                set(sets(fresh, w)) for w in fresh.walks
+            ]
+            assert [sets(plan, d) for d in plan.decompositions()] == [
+                sets(fresh, d) for d in fresh.decompositions()
+            ]
+            (parts, labels), (own_parts, own_labels) = (
+                comodular._structured(plan),
+                comodular._structured(fresh),
+            )
+            assert sets(plan, parts) == sets(fresh, own_parts)
+            assert list(labels) == list(own_labels)
+            assert sets(plan, labels.values()) == sets(fresh, own_labels.values())
+            compared += 1
             return plan
 
-        monkeypatch.setattr(inversion, "_plan", checked)
+        monkeypatch.setattr(modular._Analysis, "without", checked)
         for T in plan_corpus():
             synthesize_certificate(T)
         assert compared

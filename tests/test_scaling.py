@@ -8,30 +8,46 @@ a count lowers its bound with it.
 
 import pytest
 
-from tourmod import comodular, modular, random_tournament, synthesize_certificate, transitive
+from tourmod import (
+    comodular,
+    inversion,
+    modular,
+    random_tournament,
+    synthesize_certificate,
+    transitive,
+)
 
-from conftest import doubled, record_calls
+from conftest import doubled, record_calls, relabelled_chain
 
 # input, then the bounds: trees built, dominance masks built by the
-# labelling, and positions listed over all optima of the overlap paths.
+# labelling, positions listed over all optima of the overlap paths, and
+# tournaments built by reversing an arc (one per high step, one per
+# candidate of a low step).
 # A chain of odd order has a long path with an even number of twins, which
 # each high step cuts and whose k/2 + 1 optima it lists again, and its
-# labelling tries every M2 under each free M1: its rows grow as n^3
+# labelling tries every M2 under each free M1: its rows grow as n^3.
+# A relabelled chain's walk positions are not in path order, so its
+# labelling meets the parts in another order than a plain chain's.
 ROWS = [
-    pytest.param(lambda: transitive(100), 3, 95, 653, id="chain-100"),
-    pytest.param(lambda: transitive(400), 3, 395, 10_103, id="chain-400"),
-    pytest.param(lambda: transitive(101), 3, 1_941, 22_655, id="chain-101"),
-    pytest.param(lambda: transitive(401), 3, 30_291, 1_363_105, id="chain-401"),
-    pytest.param(lambda: doubled(random_tournament(100, 7)), 2, 100, 100, id="twins-200"),
-    pytest.param(lambda: doubled(random_tournament(400, 7)), 2, 398, 400, id="twins-800"),
+    pytest.param(lambda: transitive(100), 3, 95, 653, 26, id="chain-100"),
+    pytest.param(lambda: transitive(400), 3, 395, 10_103, 101, id="chain-400"),
+    pytest.param(lambda: transitive(101), 3, 1_941, 22_655, 26, id="chain-101"),
+    pytest.param(lambda: transitive(401), 3, 30_291, 1_363_105, 101, id="chain-401"),
+    pytest.param(lambda: doubled(random_tournament(100, 7)), 2, 100, 100, 50, id="twins-200"),
+    pytest.param(lambda: doubled(random_tournament(400, 7)), 2, 398, 400, 200, id="twins-800"),
+    pytest.param(lambda: relabelled_chain(100, 1), 3, 117, 653, 26, id="relabelled-100"),
+    pytest.param(lambda: relabelled_chain(400, 1), 3, 496, 10_103, 101, id="relabelled-400"),
+    pytest.param(lambda: relabelled_chain(101, 1), 3, 424, 22_655, 26, id="relabelled-101"),
+    pytest.param(lambda: relabelled_chain(401, 1), 3, 1_203, 1_363_105, 101, id="relabelled-401"),
 ]
 
 
-@pytest.mark.parametrize("make, trees, dominance, entries", ROWS)
-def test_counts_at_most_measured(make, trees, dominance, entries, monkeypatch):
+@pytest.mark.parametrize("make, trees, dominance, entries, inverts", ROWS)
+def test_counts_at_most_measured(make, trees, dominance, entries, inverts, monkeypatch):
     T = make()
     built = record_calls(monkeypatch, modular, "_tree")
     masks = record_calls(monkeypatch, comodular, "_dominance")
+    reversed_ = record_calls(monkeypatch, inversion, "invert")
     listed = 0
     real = modular._path_optima
 
@@ -43,5 +59,6 @@ def test_counts_at_most_measured(make, trees, dominance, entries, monkeypatch):
 
     monkeypatch.setattr(modular, "_path_optima", listing)
     synthesize_certificate(T)
-    counts = (len(built), len(masks), listed)
-    assert all(c <= bound for c, bound in zip(counts, (trees, dominance, entries))), counts
+    counts = (len(built), len(masks), listed, len(reversed_))
+    bounds = (trees, dominance, entries, inverts)
+    assert all(c <= bound for c, bound in zip(counts, bounds)), counts
