@@ -6,9 +6,9 @@ co-modular index of a tournament is the largest size such a set can have
 decomposition can be shrunk part-by-part to one made of minimal
 co-modules only, so the index equals the maximum independent set of the
 overlap graph on mc(T).  Only twins overlap, so the decomposition tree
-lists that graph as paths, each a run of consecutive twins along one
-linear node, where the optimum is trivial to compute and all optima are
-easy to enumerate.
+lists that graph as single sets and paths, each a run of consecutive
+twins along one linear node, whose optima are named by the point where
+they switch from even nodes to odd ones (``modular._path_optima``).
 
 A "delta decomposition" below always means a maximum decomposition whose
 parts are all minimal co-modules.
@@ -75,7 +75,7 @@ class ConflictGraph:
 
 
 def conflict_graph(T: Tournament) -> ConflictGraph:
-    """The overlap graph on mc(T); its edges join neighbours on a walk."""
+    """The overlap graph on mc(T); its edges join neighbours on a path."""
     A = _analysis(T)
     edges = tuple((i, j) for i, near in enumerate(A.near) for j in near if i < j)
     return ConflictGraph(tuple(map(A.comodule, range(len(A.masks)))), edges)

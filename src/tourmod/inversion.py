@@ -30,10 +30,10 @@ lowers the index by exactly 2 (the paper's step), so it builds no record
 to check that; ``reduction_arc_high`` checks it anyway.  Its record is
 derived from the step's instead (``_Analysis.without``): its minimal
 co-modules and their overlaps are the old ones less at most four sets
-that hold an end of the arc, and its walks are the old walks less those
-sets (``_reduce`` proves it).  So a certificate builds the trees of its
-input, of the state an index-3 step reaches, of its final state and of
-any index-2 candidate that fails, and no other.
+that hold an end of the arc, and its singles and paths are the old ones
+less those sets (``_reduce`` proves it).  So a certificate builds the
+trees of its input, of the state an index-3 step reaches, of its final
+state and of any index-2 candidate that fails, and no other.
 
 Certificates serialise to single-line JSON objects with the fields
 ``n``, ``base_bits``, ``arcs``, ``trace`` and ``final_bits``.
@@ -241,14 +241,13 @@ def _reduce(T: Tournament, view, D) -> tuple[Arc, Tournament, _Analysis]:
         s and a as b does) and not the singleton children of a prime root
         (its other child, a module, would hold s and a).
     * So mc(T') is mc(T) without the sets that hold x or y, with the same
-      kinds and overlaps, and the index is k - 2.  M1 is free, so it ends
-      a walk, a path, and its overlap is the next node; cutting both off
-      leaves a path, and likewise for M3.  So the walks of T' are those
-      of T less those sets.  Positions in T's ``masks`` keep the order of
-      mc(T'), and a path's optima do not depend on its direction, so
-      ``_Analysis.without``, which drops the positions of those sets and
-      sorts the cut walks by least position, gives the decompositions in
-      the order of T''s own record.
+      kinds and overlaps, and the index is k - 2.  M1 is free, so it is a
+      single or ends a path, and its overlap is the next node; cutting
+      both off leaves a path, a single or nothing, and likewise for M3.
+      So the singles and paths of T' are those of T less those sets.
+      Positions in T's ``masks`` keep the order of mc(T'), and a path's
+      optima do not depend on its direction, so ``_Analysis.without``
+      gives the decompositions in the order of T''s own record.
     """
     parts, labels = D
     if view.index >= 4:

@@ -40,11 +40,11 @@ is its position in mc's key order; only the public functions see sets.
 
 from __future__ import annotations
 
-from bisect import bisect
+from bisect import bisect, insort
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, compress, groupby, product
-from operator import not_, or_
+from itertools import accumulate, chain, groupby, product
+from operator import or_, sub
 from typing import Iterable, Iterator
 
 from .core import (
@@ -309,21 +309,22 @@ def minimal_comodules(T: Tournament) -> list[CoModule]:
     return list(map(A.comodule, range(len(A.masks))))
 
 
-def _path_optima(walk: list[int]) -> list[tuple[int, ...]]:
-    """All maximum independent sets of the path walk[0] - walk[1] - ...,
-    as sorted index tuples in lexicographic order (the order of
-    ``itertools.combinations``).
-
-    They have ceil(k/2) nodes for a path of k: the even positions when k
-    is odd; for even k the k/2 + 1 sets that take even positions up to
-    some point and odd positions after it.
-    """
-    k = len(walk)
+def _path_optima(path: list[int]) -> list[int]:
+    """The maximum independent sets of the path path[0] - path[1] - ...
+    in lexicographic order, each named by its switch point j: the optimum
+    ``path[:2j:2] + path[2j+1::2]``.  An odd path of k nodes has the one
+    point k//2 + 1, an even one the points 0..k/2.  They sort by the key
+    sum(2^(top - p)) over the optimum's positions p, largest first: of two
+    sets of one size, the one holding the least position of their
+    difference sorts first.  The optimum of j + 1 is that of j with
+    path[2j] in place of path[2j+1], so each key is one step from the last."""
+    k = len(path)
     if k % 2:
-        return [tuple(sorted(walk[::2]))]
-    return sorted(
-        tuple(sorted(walk[: 2 * j : 2] + walk[2 * j + 1 :: 2])) for j in range(k // 2 + 1)
-    )
+        return [k // 2 + 1]
+    top = max(path)
+    bit = [1 << top - p for p in path]
+    keys = list(accumulate(map(sub, bit[::2], bit[1::2]), initial=sum(bit[1::2])))
+    return sorted(range(k // 2 + 1), key=keys.__getitem__, reverse=True)
 
 
 class _Analysis:
@@ -349,10 +350,11 @@ class _Analysis:
     * ``masks`` and ``kinds``: mc(T) read off the root's shape (below),
       its sets in key order and their kinds; elsewhere in the record a set
       of mc is its position here, and ``position`` maps a set to it;
-    * ``walks``: the overlap graph's components, each as positions in path
-      order, listed by smallest position;
-    * ``index``: the co-modular index, ceil(k/2) summed over the walks;
-    * ``near``, ``runs`` and ``optima``, derived on first use.
+    * ``singles``, the sets that overlap none, and ``paths``, the other
+      components of the overlap graph, each as positions in path order,
+      listed by least position;
+    * ``index``: the co-modular index, one per single, ceil(k/2) per k-path;
+    * ``near`` and ``runs``, derived on first use.
 
     A minimal co-module is a minimal nontrivial module or the complement
     of a maximal one, and it is in mc exactly when no candidate of the
@@ -383,11 +385,11 @@ class _Analysis:
       child strictly, since every run of two children is V.
 
     Only twins overlap.  Overlapping twins {a, b} and {b, c} both hold b,
-    whose one parent lists a, b, c consecutively, so a walk is a run of
-    twins of mc at consecutive positions of one chain, or a single node.
-    The only twins of a chain outside mc are V and those holding an end
-    of a linear root, so they sit at the ends of their chain, and the
-    twins of a chain that are in mc form one walk.
+    whose one parent lists a, b, c consecutively, so a component of the
+    overlap graph is a run of twins of mc at consecutive positions of one
+    chain, or a single set.  The only twins of a chain outside mc are V and
+    those holding an end of a linear root, so they sit at the ends of their
+    chain, and the twins of a chain that are in mc form one component.
     """
 
     def __init__(self, n: int, out: tuple[int, ...], tree: list[tuple[int, bool, list[int]]]):
@@ -424,27 +426,23 @@ class _Analysis:
         self.masks = sorted(kinds, key=_mask_key)
         self.kinds = list(map(kinds.__getitem__, self.masks))
         self.position = position = {m: i for i, m in enumerate(self.masks)}
-        walks = []
-        for pairs in twins:
-            walk = [position[t] for t in pairs if t in position]
-            if walk:
-                walks.append(walk)
-        covered = {i for walk in walks for i in walk}
-        walks += [[i] for i in range(len(self.masks)) if i not in covered]
-        self.walks = sorted(walks, key=min)
-        self.index = sum((len(walk) + 1) // 2 for walk in self.walks)
+        paths = ([position[t] for t in pairs if t in position] for pairs in twins)
+        self.paths = sorted((path for path in paths if len(path) > 1), key=min)
+        covered = {i for path in self.paths for i in path}
+        self.singles = [i for i in range(len(self.masks)) if i not in covered]
+        self.index = len(self.singles) + sum((len(path) + 1) // 2 for path in self.paths)
 
     def without(self, out: tuple[int, ...], gone: set[int]) -> _Analysis:
         """The record of the state with rows ``out`` that a high step
         reaches, the step that drops the positions in ``gone``: its mc is
         this record's less those positions, each with the same kind and
-        overlaps, its walks are this record's less those positions, each
-        still a path, and its index is this record's less 2
-        (``inversion._reduce`` proves all three).  It shares this record's
-        ``masks`` and ``kinds``, so no position is renumbered, and its mc is
-        the positions on its walks; it copies ``near`` and keeps the optima
-        of the walks left whole.  It has no tree, chains, runs or
-        ``position``, and ``_analysis`` never stores it."""
+        overlaps, its components are this record's less those positions,
+        each still a path or a single set, and its index is this record's
+        less 2 (``inversion._reduce`` proves all three).  It shares this
+        record's ``masks`` and ``kinds``, so no position is renumbered, and
+        its mc is its singles and the positions on its paths; it copies
+        ``near``.  It has no tree, chains, runs or ``position``, and
+        ``_analysis`` never stores it."""
         A = object.__new__(_Analysis)
         A.n, A.out, A.masks, A.kinds = self.n, out, self.masks, self.kinds
         A.index = self.index - 2
@@ -453,26 +451,28 @@ class _Analysis:
             for q in self.near[g]:
                 if q not in gone:
                     A.near[q] = [o for o in A.near[q] if o not in gone]
-        # the walks that keep all their sets keep their optima and their
-        # order; a cut walk is placed again by its least position
-        keep = list(map(gone.isdisjoint, self.walks))
-        A.walks, A.optima = list(compress(self.walks, keep)), list(compress(self.optima, keep))
-        for walk in compress(self.walks, map(not_, keep)):
-            walk = [i for i in walk if i not in gone]
-            if walk:
-                at = bisect(A.walks, min(walk), key=min)
-                A.walks.insert(at, walk)
-                A.optima.insert(at, _path_optima(walk))
+        A.singles = [i for i in self.singles if i not in gone]
+        # the paths left whole keep their order; a cut path is placed again
+        # by its least position, or joins the singles with one node left
+        A.paths, cut = [], []
+        for path in self.paths:
+            (A.paths if gone.isdisjoint(path) else cut).append(path)
+        for path in cut:
+            path = [i for i in path if i not in gone]
+            if len(path) == 1:
+                insort(A.singles, path[0])
+            elif path:
+                A.paths.insert(bisect(A.paths, min(path), key=min), path)
         return A
 
     @cached_property
     def near(self) -> list[list[int]]:
         """By position, the sets each one overlaps: its neighbours on its
-        walk, at most two, ascending (walk[-1:0] is empty)."""
+        path, at most two, ascending (path[-1:0] is empty), or none."""
         near = [[] for _ in self.masks]
-        for walk in self.walks:
-            for k, i in enumerate(walk):
-                near[i] = sorted(walk[k - 1 : k] + walk[k + 1 : k + 2])
+        for path in self.paths:
+            for k, i in enumerate(path):
+                near[i] = sorted(path[k - 1 : k] + path[k + 1 : k + 2])
         return near
 
     def position_of(self, mask: int) -> int:
@@ -504,22 +504,19 @@ class _Analysis:
         covered = {v for run in chains for v in run}
         return sorted(chains + [[v] for v in range(self.n) if v not in covered], key=min)
 
-    @cached_property
-    def optima(self) -> list[list[tuple[int, ...]]]:
-        """Each walk's optima."""
-        return [_path_optima(walk) for walk in self.walks]
-
     def comodule(self, i: int) -> CoModule:
         return CoModule(VertexSet(self.n, self.masks[i]), self.kinds[i])
 
     def decompositions(self) -> Iterator[tuple[int, ...]]:
-        """The parts of each delta decomposition as sorted positions.  The
-        first takes the smallest selection of vertex sets per component,
-        since each component's optima are sorted tuples."""
-        if not self.walks:
+        """The parts of each delta decomposition as sorted positions: every
+        single, and one optimum of each path, the paths' choices in
+        lexicographic order.  A single has one optimum, so the first takes
+        the smallest selection of vertex sets per component."""
+        if not self.index:
             raise ValueError("an indecomposable tournament has no decomposition")
-        for pick in product(*self.optima):
-            yield tuple(sorted(chain.from_iterable(pick)))
+        for pick in product(*map(_path_optima, self.paths)):
+            chosen = (p[: 2 * j : 2] + p[2 * j + 1 :: 2] for p, j in zip(self.paths, pick))
+            yield tuple(sorted(chain(self.singles, *chosen)))
 
 
 def _analysis(T: Tournament) -> _Analysis:
@@ -533,7 +530,7 @@ def _analysis(T: Tournament) -> _Analysis:
 
 def overlap_set(T: Tournament, M) -> list[CoModule]:
     """Minimal co-modules overlapping M, which must itself be in mc(T):
-    its neighbours on its walk of the overlap graph, in key order."""
+    its neighbours on its path of the overlap graph, in key order."""
     A = _analysis(T)
     return list(map(A.comodule, A.near[A.position_of(_as_mask(T, M))]))
 

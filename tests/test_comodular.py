@@ -467,6 +467,24 @@ def synthetic_path(k, rng):
     return ConflictGraph(nodes, edges), order
 
 
+def optimum_sets(path):
+    """A path's optima as sorted position tuples, read off the switch
+    points that ``_path_optima`` names them by."""
+    return [tuple(sorted(path[: 2 * j : 2] + path[2 * j + 1 :: 2])) for j in _path_optima(path)]
+
+
+def listed_optima(path):
+    """A path's optima listed whole and sorted: the even nodes of an odd
+    path, and for an even one the even nodes up to a switch point and the
+    odd ones after it, for every switch point."""
+    k = len(path)
+    if k % 2:
+        return [tuple(sorted(path[::2]))]
+    return sorted(
+        tuple(sorted(path[: 2 * j : 2] + path[2 * j + 1 :: 2])) for j in range(k // 2 + 1)
+    )
+
+
 class TestClosedFormOptima:
     def test_synthetic_paths(self):
         rng = Xorshift64Star(47)
@@ -475,10 +493,16 @@ class TestClosedFormOptima:
                 graph, walk = synthetic_path(k, rng)
                 comp = sorted(walk)
                 assert graph.components()[0] == comp
-                optima = _path_optima(walk)
+                optima = optimum_sets(walk)
                 assert optima == reference_component_optima(graph, comp)
                 assert all(len(o) == (k + 1) // 2 for o in optima)
                 assert len(optima) == (k // 2 + 1 if k % 2 == 0 else 1)
+        # past subset enumeration's reach, the switch points' keys are
+        # integers of up to 80 bits
+        for k in range(13, 81):
+            for _ in range(4):
+                _, walk = synthetic_path(k, rng)
+                assert optimum_sets(walk) == listed_optima(walk)
 
     def test_degree_reads_adjacency(self):
         graph = conflict_graph(transitive(9))
@@ -490,7 +514,8 @@ class TestClosedFormOptima:
         for T in equivalence_corpus():
             A = _analysis(T)
             graph = conflict_graph(T)
-            assert A.optima == [
+            walks = sorted(A.paths + [[i] for i in A.singles], key=min)
+            assert list(map(optimum_sets, walks)) == [
                 reference_component_optima(graph, comp) for comp in graph.components()
             ]
             if not graph.nodes:

@@ -445,17 +445,18 @@ class TestPlan:
             fresh = modular._analysis(state)
             assert plan.masks is A.masks and plan.kinds is A.kinds
             assert plan.out == fresh.out
-            # a derived record's mc is the positions on its walks
-            live = sorted(i for w in plan.walks for i in w)
+            # a derived record's mc is its singles and the positions on its paths
+            live = sorted(plan.singles + [i for p in plan.paths for i in p])
             assert sets(plan, live) == fresh.masks
             assert [plan.kinds[i] for i in live] == fresh.kinds
             assert [sets(plan, plan.near[i]) for i in live] == [
                 sets(fresh, near) for near in fresh.near
             ]
             assert plan.index == fresh.index
-            # each walk as a set, as a path may run either way
-            assert [set(sets(plan, w)) for w in plan.walks] == [
-                set(sets(fresh, w)) for w in fresh.walks
+            assert sets(plan, plan.singles) == sets(fresh, fresh.singles)
+            # each path as a set, as a path may run either way
+            assert [set(sets(plan, p)) for p in plan.paths] == [
+                set(sets(fresh, p)) for p in fresh.paths
             ]
             assert [sets(plan, d) for d in plan.decompositions()] == [
                 sets(fresh, d) for d in fresh.decompositions()

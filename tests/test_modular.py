@@ -259,7 +259,7 @@ class TestOverlap:
     @staticmethod
     def chain_certificate_states():
         """The states the certificates of relabelled 17..40-vertex chains
-        pass through, whose walks are long and mostly not monotone in mc."""
+        pass through, whose paths are long and mostly not monotone in mc."""
         for n in range(17, 41):
             T = relabelled_chain(n, n)
             for arc in synthesize_certificate(T).arcs:
@@ -274,10 +274,10 @@ class TestOverlap:
             for m in masks:
                 expected = [o for o in masks if overlaps(o, m)]
                 assert [c.members.mask for c in overlap_set(T, VertexSet(T.n, m))] == expected
-            walks = modular._analysis(T).walks
-            unsorted += sum(walk not in (sorted(walk), sorted(walk)[::-1]) for walk in walks)
-        # most walks of three or more twins run out of mc order, so the
-        # overlaps' mc order is not their order along the walk
+            paths = modular._analysis(T).paths
+            unsorted += sum(path not in (sorted(path), sorted(path)[::-1]) for path in paths)
+        # most paths of three or more twins run out of mc order, so the
+        # overlaps' mc order is not their order along the path
         assert unsorted > 100
 
     def test_degree_bound_and_twin_requirement(self):
@@ -427,8 +427,8 @@ class TestOneRecordPerObject:
         monkeypatch.setattr(modular, "_tree", refuse)
         for T, tree, own in kept:
             A = modular._Analysis(T.n, T.out_masks, tree)
-            mine = (A.masks, A.kinds, A.walks, A.index, A.runs)
-            assert mine == (own.masks, own.kinds, own.walks, own.index, own.runs), T
+            mine = (A.masks, A.kinds, A.singles, A.paths, A.index, A.runs)
+            assert mine == (own.masks, own.kinds, own.singles, own.paths, own.index, own.runs), T
 
 
 def halving_partition(T, S, v):
@@ -743,7 +743,7 @@ def reference_runs(n, tree):
 
 
 class TestOneChainScan:
-    """The record derives its twins, minimal modules, walks and runs from
+    """The record derives its twins, minimal modules, components and runs from
     one scan of the linear nodes' chains; references read every node."""
 
     def test_matches_node_by_node_reading(self):
@@ -754,7 +754,8 @@ class TestOneChainScan:
             assert A.maximal_modules == maximal, T
             mc = reference_mc(T.n, minimal, maximal)
             assert list(zip(A.masks, A.kinds)) == list(mc.items()), T
-            assert A.walks == reference_walks(A.tree, mc), T
+            walks = sorted(A.paths + [[i] for i in A.singles], key=min)
+            assert walks == reference_walks(A.tree, mc), T
             assert A.runs == reference_runs(T.n, A.tree), T
 
 
